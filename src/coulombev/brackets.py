@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Union
+from typing import Callable, Dict
 
 from scipy import integrate as _sint
 
@@ -121,11 +121,6 @@ def fourier_kernel(alpha, rank: int, eps: bool = False) -> FourierKernel:
 # ---------------------------------------------------------------------------
 # bracket catalog
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BracketSpec:
-    tag: str
 
 
 def _s(x) -> SymExpr:
@@ -284,8 +279,7 @@ def bracket_tags():
     return sorted(_BRACKETS)
 
 
-def bracket(spec: Union[str, BracketSpec], state: QuantumState):
-    tag = spec.tag if isinstance(spec, BracketSpec) else spec
+def bracket(tag: str, state: QuantumState):
     if tag == "lnq":
         return bracket_lnq(state)
     fn = _BRACKETS.get(tag)

@@ -128,7 +128,12 @@ def cmd_eval(args) -> int:
 
 def cmd_table(args) -> int:
     ops = args.ops.split(",")
-    lo, hi = (int(x) for x in args.n_range.split(":"))
+    try:
+        lo, hi = (int(x) for x in args.n_range.split(":"))
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise DomainError("--n-range must be lo:hi with 1 <= lo <= hi, got %r" % args.n_range)
     rows = []
     for n in range(lo, hi + 1):
         for l in range(n):
@@ -278,7 +283,13 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, CatalogError, DivergenceError, KeyError) as exc:
+    except (
+        DomainError,
+        DivergenceError,
+        CatalogError,
+        dimreg.DivergentCatalogError,
+        br.BracketCatalogError,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -350,10 +350,6 @@ def _B(l) -> Fraction:
     return (l - HALF) * (l + HALF) * (l + Q(3, 2))
 
 
-def _closed_pair(closed_rational, oracle_fn):
-    return (closed_rational, oracle_fn)
-
-
 def _d0(l) -> int:
     return 1 if l == 0 else 0
 
@@ -364,6 +360,15 @@ def _d1(l) -> int:
 
 def _LL(l) -> Fraction:
     return Q(l * (l + 1))
+
+
+def p6_naive_oracle(st: QuantumState) -> Value:
+    """<p^6> as int |grad(p^2 psi)|^2; diverges for S states."""
+    chi = p2_fn(st, fn_of(st))
+    out = bilinear(st, d_r(st, chi), d_r(st, chi), 0)
+    if st.l:
+        out = out + bilinear(st, chi, chi, -2).scale(_LL(st.l))
+    return out
 
 
 def _build_catalog():
@@ -466,16 +471,6 @@ def _build_catalog():
         return (t1 + t2 + t3).scale(4)
 
     _entry("p6", 0, 6, 6)((p6_closed, p6_oracle))
-
-    def p6_naive_oracle(st):
-        """<p^6> as int |grad(p^2 psi)|^2; diverges for S states."""
-        chi = p2R(st)
-        out = bilinear(st, d_r(st, chi), d_r(st, chi), 0)
-        if st.l:
-            out = out + bilinear(st, chi, chi, -2).scale(_LL(st.l))
-        return out
-
-    globals()["p6_naive_oracle"] = p6_naive_oracle
 
     # --- p_i f p_i family ---
     _entry("p.1/r.p", 0, 3, 3)(

@@ -3,13 +3,16 @@ radial equation, numerical eigenvalue shooting, eps-expansions of the energy
 and of the wave function at contact, and analytic pole extraction for
 divergent S-state expectation values via the head/tail split of the series.
 
-Divergent l = 0 values are returned as Laurent braces relative to the
-standing prefactor
+Each divergent operator is one list of terms (see `_Term`) in `_TERMS`, and
+each relation of the identity network is a term list that sums to zero.  Two
+evaluators read these lists.  For l = 0 the terms are head/tail primitives
+and the result is a Laurent brace relative to the standing prefactor
 
     pi * phibar_n^2 * mubar^{2 eps} * m_r^mr_pow * (Zalpha)^za_pow ,
 
-with pi phibar^2 -> (m_r Zalpha)^3/n^3 as eps -> 0.  For l > 0 the exact
-finite Value is returned.
+with pi phibar^2 -> (m_r Zalpha)^3/n^3 as eps -> 0.  For l > 0 every term is
+finite at eps = 0 and the exact finite Value is one radial integral.  Both
+take their units from the terms.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,9 +51,8 @@ from .coulomb import (
     Fn,
     QuantumState,
     Value,
-    bilinear,
+    bilinear_sum,
     d_r,
-    expectation_closed,
     fn_of,
 )
 
@@ -77,8 +79,8 @@ class EpsParam:
     eps: object
 
     def __post_init__(self):
-        if abs(self.eps) >= Q(1, 4):
-            raise DomainError("numeric eps must satisfy |eps| < 1/4")
+        if not math.isfinite(self.eps) or abs(self.eps) >= Q(1, 4):
+            raise DomainError("numeric eps must be finite with |eps| < 1/4, got %r" % (self.eps,))
 
     @property
     def D(self):
@@ -231,8 +233,8 @@ def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
 def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimRegEigen:
     """Find nbar by bisection on the tail sign of L, verifying the node count."""
     eps = float(_unwrap_eps(eps))
-    if abs(eps) > 0.05:
-        raise DomainError("eps outside the validated shooting range |eps| <= 0.05")
+    if not math.isfinite(eps) or abs(eps) > 0.05:
+        raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
     n, l = state.n, state.l
     rho0, rhomax = 1e-3, 20.0 + 10.0 * n
     table = series_coefficients(l, eps, 12)
@@ -635,434 +637,197 @@ def _divergent_primitive(
     return DivergentValue(pref.mul(int_total, order_cap=0), A, A + m)
 
 
-# -- l = 0 tag assembly ------------------------------------------------------
+# -- the divergent catalog: one term table, evaluated at l = 0 and at l > 0 --
 
 
-def _l0_V(n):
-    return _divergent_primitive(n, -1, 1, beta_pow=1, coef=_eps_poly(-1))
+class _Term(NamedTuple):
+    """coef(eps) Ebar^k m_r^m beta^beta [l(l+1)]^ang
+    * int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
+
+    `coef` lists the eps-polynomial coefficients from eps^0 up.  The 2 m_r of
+    p^2 = 2 m_r (Ebar - Vbar) goes into coef and m.
+    """
+
+    coef: Tuple[int, ...]
+    sigma: int
+    c: int
+    a: int = 0
+    b: int = 0
+    beta: int = 0
+    k: int = 0
+    m: int = 0
+    ang: int = 0
 
 
-def _l0_V2(n):
-    return _divergent_primitive(n, -2, 2, beta_pow=2)
+def _scaled(terms, coef=(1,), k=0, m=0, ang=0) -> List[_Term]:
+    """coef(eps) Ebar^k m_r^m [l(l+1)]^ang times every term of a list."""
+    out = []
+    for t in terms:
+        prod = [0] * (len(t.coef) + len(coef) - 1)
+        for i, x in enumerate(t.coef):
+            for j, y in enumerate(coef):
+                prod[i + j] += x * y
+        out.append(t._replace(coef=tuple(prod), k=t.k + k, m=t.m + m, ang=t.ang + ang))
+    return out
 
 
-def _l0_V3(n):
-    return _divergent_primitive(n, -3, 3, beta_pow=3, coef=_eps_poly(-1))
+def _grad(coef, sigma, c, beta) -> List[_Term]:
+    """grad psi . r^sigma grad psi = (d psi)^2 r^sigma + l(l+1) r^{sigma-2} psi^2."""
+    return [_Term(coef, sigma, c, 1, 1, beta), _Term(coef, sigma - 2, c, beta=beta, ang=1)]
 
 
-def _l0_VVp(n):
-    return _divergent_primitive(n, -3, 2, beta_pow=2, coef=_eps_poly(-1, 2))
+# shared sub-lists; Vbar = -beta r^{-1+2 eps} carries c = 1 per power
+_V = [_Term((-1,), -1, 1, beta=1)]
+_V2 = [_Term((1,), -2, 2, beta=2)]
+_V3 = [_Term((-1,), -3, 3, beta=3)]
+_VP2 = [_Term((1, -4), -4, 2, beta=2)]
+_VP_DR = [_Term((1, -2), -2, 1, b=1, beta=1)]
+_VVP_DR = [_Term((-1, 2), -3, 2, b=1, beta=2)]
+# <r^{4eps} dr^2 Vbar> = <r^{4eps}[Vbar'' + 2 Vbar' dr + Vbar dr^2]>
+_R4E_DR2_V = [
+    _Term((-2, 6, -4), -3, 3, beta=1),  # -(1-2e)(2-2e)
+    _Term((2, -4), -2, 3, b=1, beta=1),
+    _Term((-1,), -1, 3, b=2, beta=1),
+]
+# <r^{4eps} Vbar>, <r^{4eps} Vbar^2>, <r^{4eps} Vbar' dr>
+_R4E_V = [_Term((-1,), -1, 3, beta=1)]
+_R4E_V2 = [_Term((1,), -2, 4, beta=2)]
+_R4E_VP_DR = [_Term((1, -2), -2, 3, b=1, beta=1)]
+# <r^{-1+4eps} dr Vbar> = -beta <r^{-2+6eps} dr> + (1-2e) beta <r^{-3+6eps}>
+_R4E_R_DR_V = [_Term((-1,), -2, 3, b=1, beta=1), _Term((1, -2), -3, 3, beta=1)]
 
+# <p^2 Vbar p^2> = 4 m^2 [ Ebar^2 <V> - 2 Ebar <V2> + <V3> ]
+_P2_V_P2 = _scaled(_V, (4,), 2, 2) + _scaled(_V2, (-8,), 1, 2) + _scaled(_V3, (4,), m=2)
+# <p^4 Vbar> = <p^2 Vbar p^2> + 4 m <V Vp dr>
+_P4_V = _P2_V_P2 + _scaled(_VVP_DR, (4,), m=1)
+# <Vbar p^2 Vbar> = 2 m Ebar <V2> - 2 m <V3> - 2 <V Vp dr>
+_V_P2_V = _scaled(_V2, (2,), 1, 1) + _scaled(_V3, (-2,), m=1) + _scaled(_VVP_DR, (-2,))
+_P_V2_P = _grad((1,), -2, 2, 2)
+# int grad psi . Vbar [ Vbar' psi + Vbar grad psi ]
+_P_V_P_V = [_Term((-1, 2), -3, 2, a=1, beta=2)] + _P_V2_P
 
-def _l0_Vp2(n):
-    return _divergent_primitive(n, -4, 2, beta_pow=2, coef=_eps_poly(1, -4))
-
-
-def _l0_VVp_dr(n):
-    return _divergent_primitive(n, -3, 2, a=0, b=1, beta_pow=2, coef=_eps_poly(-1, 2))
-
-
-def _l0_Vp_dr(n):
-    return _divergent_primitive(n, -2, 1, a=0, b=1, beta_pow=1, coef=_eps_poly(1, -2))
-
-
-def _l0_V2p2(n):
+_TERMS: Dict[str, List[_Term]] = {
+    "V3": _V3,
+    "V.V'": [_Term((-1, 2), -3, 2, beta=2)],
+    "(V')2": _VP2,
     # <Vbar^2 p^2> = 2 m [ Ebar <V2> - <V3> ]
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = _l0_V2(n).mul_series(ebar * 2, mr=1, za=2).shift_dims(mr=1)
-    t2 = _l0_V3(n).scale(-2).shift_dims(mr=1)
-    return t1 + t2
-
-
-def _l0_p2Vp2(n):
-    # <p^2 Vbar p^2> = 4 m^2 [ Ebar^2 <V> - 2 Ebar <V2> + <V3> ]
-    ebar = energy_expansion(QuantumState(n, 0))
-    e2 = ebar.mul(ebar, order_cap=1)
-    t1 = _l0_V(n).mul_series(e2 * 4, mr=2, za=4).shift_dims(mr=2)
-    t2 = _l0_V2(n).mul_series(ebar * (-8), mr=1, za=2).shift_dims(mr=2)
-    t3 = _l0_V3(n).scale(4).shift_dims(mr=2)
-    return t1 + t2 + t3
-
-
-def _l0_VbarP2Vbar(n):
-    # <Vbar p^2 Vbar> = 2 m Ebar <V2> - 2 m <V3> - 2 <V Vp dr>
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = _l0_V2(n).mul_series(ebar * 2, mr=1, za=2).shift_dims(mr=1)
-    t2 = _l0_V3(n).scale(-2).shift_dims(mr=1)
-    t3 = _l0_VVp_dr(n).scale(-2)
-    return t1 + t2 + t3
-
-
-def _l0_p4V(n):
-    # <p^4 Vbar> = 4 m^2 [ Ebar^2 <V> - 2 Ebar <V2> + <V3> ] + 4 m <V Vp dr>
-    return _l0_p2Vp2(n) + _l0_VVp_dr(n).scale(4).shift_dims(mr=1)
-
-
-def _l0_piVpiV(n):
-    # int (d psi) Vbar [ Vbar' psi + Vbar d psi ]
-    t1 = _divergent_primitive(n, -3, 2, a=1, b=0, beta_pow=2, coef=_eps_poly(-1, 2))
-    t2 = _divergent_primitive(n, -2, 2, a=1, b=1, beta_pow=2)
-    return t1 + t2
-
-
-def _l0_p6(n):
+    "V2.p2": _scaled(_V2, (2,), 1, 1) + _scaled(_V3, (-2,), m=1),
+    "p2.V.p2": _P2_V_P2,
     # <p^6> = 8 m^3 [ Ebar^3 - 3 Ebar^2 <V> + 3 Ebar <V2> - <V3> ] - 8 m^2 <V Vp dr>
-    ebar = energy_expansion(QuantumState(n, 0))
-    e2 = ebar.mul(ebar, order_cap=1)
-    e3 = e2.mul(ebar, order_cap=1)
-    one_brace = DivergentValue(EpsSeries.constant(Q(n**3), 0), -3, -3)
-    t0 = one_brace.mul_series(e3 * 8, mr=3, za=6).shift_dims(mr=3)
-    t1 = _l0_V(n).mul_series(e2 * (-24), mr=2, za=4).shift_dims(mr=3)
-    t2 = _l0_V2(n).mul_series(ebar * 24, mr=1, za=2).shift_dims(mr=3)
-    t3 = _l0_V3(n).scale(-8).shift_dims(mr=3)
-    t4 = _l0_VVp_dr(n).scale(-8).shift_dims(mr=2)
-    return t0 + t1 + t2 + t3 + t4
-
-
-# the "second and higher order derivatives" family (r^{4 eps} regulators)
-
-
-def _l0_rm2e_dr2(n):
-    return _divergent_primitive(n, -2, 2, a=0, b=2)
-
-
-def _l0_rm2e_p2(n):
+    "p6": [_Term((8,), 0, 0, k=3, m=3)]
+    + _scaled(_V, (-24,), 2, 3)
+    + _scaled(_V2, (24,), 1, 3)
+    + _scaled(_V3, (-8,), m=3)
+    + _scaled(_VVP_DR, (-8,), m=2),
+    "p4.V": _P4_V,
+    "V.p2.V": _V_P2_V,
+    "p.V.p.V": _P_V_P_V,
+    "drd.V.dr.V": [t for t in _P_V_P_V if not t.ang],  # radial derivatives only
+    "V'.dr": _VP_DR,
+    "V.V'.dr": _VVP_DR,
+    # the "second and higher order derivatives" family (r^{4 eps} regulators)
+    "r4e/r2.dr2": [_Term((1,), -2, 2, b=2)],
     # <r^{-2+4eps} p^2> = 2 m [ Ebar <r^{-2+4eps}> + beta <r^{-3+6eps}> ]
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = _divergent_primitive(n, -2, 2).mul_series(ebar * 2, mr=1, za=2).shift_dims(mr=1)
-    t2 = _divergent_primitive(n, -3, 3, beta_pow=1).scale(2).shift_dims(mr=1)
-    return t1 + t2
-
-
-def _l0_rm1e_dr3(n):
-    return _divergent_primitive(n, -1, 2, a=0, b=3)
-
-
-def _l0_r4e_dr2V(n):
-    # <r^{4eps} dr^2 Vbar> = <r^{4eps}[Vbar'' + 2 Vbar' dr + Vbar dr^2]>
-    t1 = _divergent_primitive(n, -3, 3, beta_pow=1, coef=_eps_poly(-2, 6, -4))  # -(1-2e)(2-2e)
-    t2 = _divergent_primitive(n, -2, 3, a=0, b=1, beta_pow=1, coef=_eps_poly(2, -4))
-    t3 = _divergent_primitive(n, -1, 3, a=0, b=2, beta_pow=1, coef=_eps_poly(-1))
-    return t1 + t2 + t3
-
-
-def _l0_r4e_dr2p2(n):
+    "r4e/r2.p2": [_Term((2,), -2, 2, k=1, m=1), _Term((2,), -3, 3, beta=1, m=1)],
+    "r4e/r.dr3": [_Term((1,), -1, 2, b=3)],
+    "r4e.dr2.V": _R4E_DR2_V,
     # <r^{4eps} dr^2 p^2> = 2 m [ Ebar <r^{4eps} dr^2> - <r^{4eps} dr^2 Vbar> ]
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = _divergent_primitive(n, 0, 2, a=0, b=2).mul_series(ebar * 2, mr=1, za=2).shift_dims(mr=1)
-    t2 = _l0_r4e_dr2V(n).scale(-2).shift_dims(mr=1)
-    return t1 + t2
-
-
-def _l0_r4e_p2V(n):
+    "r4e.dr2.p2": [_Term((2,), 0, 2, b=2, k=1, m=1)] + _scaled(_R4E_DR2_V, (-2,), m=1),
     # <r^{4eps} p^2 Vbar> = 2 m Ebar <r^{4eps} V> - 2 m <r^{4eps} V^2> - 2 <r^{4eps} V' dr>
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = (
-        _divergent_primitive(n, -1, 3, beta_pow=1, coef=_eps_poly(-1))
-        .mul_series(ebar * 2, mr=1, za=2)
-        .shift_dims(mr=1)
-    )
-    t2 = _divergent_primitive(n, -2, 4, beta_pow=2).scale(-2).shift_dims(mr=1)
-    t3 = _divergent_primitive(n, -2, 3, a=0, b=1, beta_pow=1, coef=_eps_poly(1, -2)).scale(-2)
-    return t1 + t2 + t3
-
-
-def _l0_r4e_p4(n):
+    "r4e.p2.V": _scaled(_R4E_V, (2,), 1, 1) + _scaled(_R4E_V2, (-2,), m=1) + _scaled(_R4E_VP_DR, (-2,)),
     # p^4 psi = 4 m^2 (Ebar-V)^2 psi + 2m (lap V) psi + 4 m V' dr psi; the
     # delta term <r^{4eps} delta^D> is scaleless and vanishes in dimreg
-    ebar = energy_expansion(QuantumState(n, 0))
-    e2 = ebar.mul(ebar, order_cap=1)
-    t0 = _divergent_primitive(n, 0, 2).mul_series(e2 * 4, mr=2, za=4).shift_dims(mr=2)
-    t1 = (
-        _divergent_primitive(n, -1, 3, beta_pow=1, coef=_eps_poly(-1))
-        .mul_series(ebar * (-8), mr=1, za=2)
-        .shift_dims(mr=2)
-    )
-    t2 = _divergent_primitive(n, -2, 4, beta_pow=2).scale(4).shift_dims(mr=2)
-    t3 = _divergent_primitive(n, -2, 3, a=0, b=1, beta_pow=1, coef=_eps_poly(1, -2)).scale(4).shift_dims(mr=1)
-    return t0 + t1 + t2 + t3
-
-
-def _l0_pi_r4e_piV(n):
+    "r4e.p4": [_Term((4,), 0, 2, k=2, m=2)]
+    + _scaled(_R4E_V, (-8,), 1, 2)
+    + _scaled(_R4E_V2, (4,), m=2)
+    + _scaled(_R4E_VP_DR, (4,), m=1),
     # <p_i r^{4eps} p_i Vbar> = (1-2e) beta G(1,0;-2,3) - beta G(1,1;-1,3)
-    t1 = _divergent_primitive(n, -2, 3, a=1, b=0, beta_pow=1, coef=_eps_poly(1, -2))
-    t2 = _divergent_primitive(n, -1, 3, a=1, b=1, beta_pow=1, coef=_eps_poly(-1))
-    return t1 + t2
-
-
-def _l0_r4e_piVpi(n):
+    "p.r4e.p.V": [_Term((1, -2), -2, 3, a=1, beta=1)] + _grad((-1,), -1, 3, 1),
     # <r^{4eps} p_i Vbar p_i> = -<r^{4eps} V' dr> + 2 m [Ebar <r^{4eps} V> - <r^{4eps} V^2>]
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = _divergent_primitive(n, -2, 3, a=0, b=1, beta_pow=1, coef=_eps_poly(-1, 2))
-    t2 = (
-        _divergent_primitive(n, -1, 3, beta_pow=1, coef=_eps_poly(-1))
-        .mul_series(ebar * 2, mr=1, za=2)
-        .shift_dims(mr=1)
-    )
-    t3 = _divergent_primitive(n, -2, 4, beta_pow=2).scale(-2).shift_dims(mr=1)
-    return t1 + t2 + t3
-
-
-def _l0_rm1e_drV(n):
-    # <r^{-1+4eps} dr Vbar> = -beta <r^{-2+6eps} dr> + (1-2e) beta <r^{-3+6eps}>
-    t1 = _divergent_primitive(n, -2, 3, a=0, b=1, beta_pow=1, coef=_eps_poly(-1))
-    t2 = _divergent_primitive(n, -3, 3, beta_pow=1, coef=_eps_poly(1, -2))
-    return t1 + t2
-
-
-def _l0_rm1e_drp2(n):
-    # <r^{-1+4eps} dr p^2> = 2 m [ Ebar <r^{-1+4eps} dr> - (1-2e)<r^{-1+4eps} V'...> ]
-    ebar = energy_expansion(QuantumState(n, 0))
-    t1 = _divergent_primitive(n, -1, 2, a=0, b=1).mul_series(ebar * 2, mr=1, za=2).shift_dims(mr=1)
-    t2 = _divergent_primitive(n, -3, 3, beta_pow=1, coef=_eps_poly(1, -2)).scale(-2).shift_dims(mr=1)
-    t3 = _divergent_primitive(n, -2, 3, a=0, b=1, beta_pow=1, coef=_eps_poly(-1)).scale(-2).shift_dims(mr=1)
-    return t1 + t2 + t3
-
-
-_L0_TAGS: Dict[str, Callable] = {
-    "V3": _l0_V3,
-    "V.V'": _l0_VVp,
-    "(V')2": _l0_Vp2,
-    "V2.p2": _l0_V2p2,
-    "p2.V.p2": _l0_p2Vp2,
-    "p6": _l0_p6,
-    "p4.V": _l0_p4V,
-    "V.p2.V": _l0_VbarP2Vbar,
-    "p.V.p.V": _l0_piVpiV,
-    "drd.V.dr.V": _l0_piVpiV,  # identical angular content at l = 0
-    "V'.dr": _l0_Vp_dr,
-    "V.V'.dr": _l0_VVp_dr,
-    "r4e/r2.dr2": _l0_rm2e_dr2,
-    "r4e/r2.p2": _l0_rm2e_p2,
-    "r4e/r.dr3": _l0_rm1e_dr3,
-    "r4e.dr2.V": _l0_r4e_dr2V,
-    "r4e.dr2.p2": _l0_r4e_dr2p2,
-    "r4e.p2.V": _l0_r4e_p2V,
-    "r4e.p4": _l0_r4e_p4,
-    "p.r4e.p.V": _l0_pi_r4e_piV,
-    "r4e.p.V.p": _l0_r4e_piVpi,
-    "r4e/r.dr.V": _l0_rm1e_drV,
-    "r4e/r.dr.p2": _l0_rm1e_drp2,
+    "r4e.p.V.p": _scaled(_R4E_VP_DR, (-1,)) + _scaled(_R4E_V, (2,), 1, 1) + _scaled(_R4E_V2, (-2,), m=1),
+    "r4e/r.dr.V": _R4E_R_DR_V,
+    # <r^{-1+4eps} dr p^2> = 2 m [ Ebar <r^{-1+4eps} dr> - <r^{-1+4eps} dr Vbar> ]
+    "r4e/r.dr.p2": [_Term((2,), -1, 2, b=1, k=1, m=1)] + _scaled(_R4E_R_DR_V, (-2,), m=1),
 }
 
-
-# -- l > 0 branch: exact three-dimensional composites -------------------------
-
-
-def _pos_V3(st):
-    v = bilinear(st, fn_of(st), fn_of(st), -3).scale(-1)
-    return Value(v.sym, 3, 6)
-
-
-def _pos_VVp(st):
-    v = bilinear(st, fn_of(st), fn_of(st), -3).scale(-1)
-    return Value(v.sym, 3, 5)
-
-
-def _pos_Vp2(st):
-    v = bilinear(st, fn_of(st), fn_of(st), -4)
-    return Value(v.sym, 4, 6)
-
-
-def _pos_V2p2(st):
-    e = Q(-1, 2 * st.n**2)
-    v = bilinear(st, fn_of(st), fn_of(st), -2).scale(2 * e) + bilinear(st, fn_of(st), fn_of(st), -3).scale(2)
-    return Value(v.sym, 4, 6)
+# the identity network: each list must evaluate to zero
+_IDENTITIES = [
+    ("V.p2.V == p.V2.p", _V_P2_V + _scaled(_P_V2_P, (-1,))),
+    ("(V')2 == -2 V.V'.dr", _VP2 + _scaled(_VVP_DR, (2,))),
+    (
+        "(V')2 == 2m V3 + V.p2.V - 2mE V2",
+        _VP2 + _scaled(_V3, (-2,), m=1) + _scaled(_V_P2_V, (-1,)) + _scaled(_V2, (2,), 1, 1),
+    ),
+    ("2m (V')2 == p2.V.p2 - p4.V", _scaled(_VP2, (2,), m=1) + _scaled(_P2_V_P2, (-1,)) + _P4_V),
+    (
+        "s=-2+4eps recursion",
+        _scaled(_V2, (4, -16), 1, 1)
+        + _scaled(_V3, (-6, 20), m=1)
+        + _scaled(_VP2, (3, -6))
+        + _scaled(_VP2, (-4,), ang=1),
+    ),
+]
 
 
-def _pos_p2Vp2(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    v = (
-        bilinear(st, f, f, -1).scale(-4 * e * e)
-        + bilinear(st, f, f, -2).scale(-8 * e)
-        + bilinear(st, f, f, -3).scale(-4)
-    )
-    return Value(v.sym, 5, 6)
+def _units(terms) -> Tuple[int, int]:
+    """(mr, za) powers of the brace; the l > 0 Value carries 3 more of each."""
+    units = set()
+    for t in terms:
+        A = t.a + t.b - 3 - t.sigma
+        units.add((A + t.k + t.m, A + t.beta + 2 * t.k))
+    if len(units) != 1:
+        raise DomainError("terms disagree on units: %s" % sorted(units))
+    return units.pop()
 
 
-def _pos_p6(st):
-    return expectation_closed("p6", st)
+def _eval_l0(terms, n: int, units: Tuple[int, int]) -> DivergentValue:
+    """Sum of head/tail primitives times Ebar^k; l(l+1) terms vanish."""
+    ebar = energy_expansion(QuantumState(n, 0))
+    epow = [None, ebar]
+    total = DivergentValue(EpsSeries.zero(0), *units)
+    for t in terms:
+        if t.ang:
+            continue
+        v = _divergent_primitive(n, t.sigma, t.c, t.a, t.b, t.beta, _eps_poly(*t.coef))
+        if t.k:
+            while len(epow) <= t.k:
+                epow.append(epow[-1].mul(ebar, order_cap=1))
+            v = v.mul_series(epow[t.k], mr=t.k, za=2 * t.k)
+        total = total + v.shift_dims(mr=t.m)
+    return total
 
 
-def _pos_p4V(st):
-    # p2Vp2 - 2 m (V')^2
-    v = _pos_p2Vp2(st).sym - 2 * _pos_Vp2(st).sym
-    return Value(v, 5, 6)
+def _eval_pos(terms, st: QuantumState) -> SymExpr:
+    """Exact eps = 0 integral with E = -1/2n^2 and beta = 1."""
+    e, L = Q(-1, 2 * st.n**2), Q(st.l * (st.l + 1))
+    chain = [fn_of(st)]
+    while len(chain) <= max(max(t.a, t.b) for t in terms):
+        chain.append(d_r(st, chain[-1]))
+    pieces = [(t.coef[0] * e**t.k * L**t.ang, chain[t.a], chain[t.b], t.sigma) for t in terms]
+    return bilinear_sum(st, pieces).sym
 
 
-def _pos_VbarP2Vbar(st):
-    v = expectation_closed("p.1/r2.p", st)
-    return Value(v.sym, 4, 6)
-
-
-def _pos_piVpiV(st):
-    f = fn_of(st)
-    df = d_r(st, f)
-    v = bilinear(st, df, f, -3).scale(-1) + bilinear(st, df, df, -2)
-    if st.l:
-        v = v + bilinear(st, f, f, -4).scale(Q(st.l * (st.l + 1)))
-    return Value(v.sym, 4, 6)
-
-
-def _pos_drdVdrV(st):
-    f = fn_of(st)
-    df = d_r(st, f)
-    v = bilinear(st, df, f, -3).scale(-1) + bilinear(st, df, df, -2)
-    return Value(v.sym, 4, 6)
-
-
-def _pos_Vp_dr(st):
-    v = bilinear(st, fn_of(st), d_r(st, fn_of(st)), -2)
-    return Value(v.sym, 3, 4)
-
-
-def _pos_VVp_dr(st):
-    v = bilinear(st, fn_of(st), d_r(st, fn_of(st)), -3).scale(-1)
-    return Value(v.sym, 4, 6)
-
-
-def _pos_rm2e_dr2(st):
-    return expectation_closed("1/r2.dr2", st).shift_dims(0, 0, 0)
-
-
-def _pos_rm2e_p2(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    v = bilinear(st, f, f, -2).scale(2 * e) + bilinear(st, f, f, -3).scale(2)
-    return Value(v.sym, 4, 4)
-
-
-def _pos_rm1e_dr3(st):
-    return expectation_closed("1/r.dr3", st)
-
-
-def _pos_r4e_dr2V(st):
-    f = fn_of(st)
-    v = (
-        bilinear(st, f, _chain_r(st, f, 2), -1).scale(-1)
-        + bilinear(st, f, _chain_r(st, f, 1), -2).scale(2)
-        + bilinear(st, f, f, -3).scale(-2)
-    )
-    return Value(v.sym, 3, 4)
-
-
-def _chain_r(st, f, k):
-    for _ in range(k):
-        f = d_r(st, f)
-    return f
-
-
-def _pos_r4e_dr2p2(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    t1 = bilinear(st, f, _chain_r(st, f, 2), 0).scale(2 * e)
-    t2 = _pos_r4e_dr2V(st).sym * (-2)
-    return Value(t1.sym + t2, 4, 4)
-
-
-def _pos_r4e_p2V(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    v = (
-        bilinear(st, f, f, -1).scale(-2 * e)
-        - bilinear(st, f, f, -2).scale(2)
-        - bilinear(st, f, _chain_r(st, f, 1), -2).scale(2)
-    )
-    return Value(v.sym, 3, 4)
-
-
-def _pos_r4e_p4(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    v = (
-        bilinear(st, f, f, 0).scale(4 * e * e)
-        + bilinear(st, f, f, -1).scale(8 * e)
-        + bilinear(st, f, f, -2).scale(4)
-        + bilinear(st, f, _chain_r(st, f, 1), -2).scale(4)
-    )
-    return Value(v.sym, 4, 4)
-
-
-def _pos_pi_r4e_piV(st):
-    f = fn_of(st)
-    df = d_r(st, f)
-    v = bilinear(st, df, f, -2) - bilinear(st, df, df, -1)
-    if st.l:
-        v = v - bilinear(st, f, f, -3).scale(Q(st.l * (st.l + 1)))
-    return Value(v.sym, 3, 4)
-
-
-def _pos_r4e_piVpi(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    v = (
-        bilinear(st, f, _chain_r(st, f, 1), -2).scale(-1)
-        + bilinear(st, f, f, -1).scale(-2 * e)
-        - bilinear(st, f, f, -2).scale(2)
-    )
-    return Value(v.sym, 3, 4)
-
-
-def _pos_rm1e_drV(st):
-    f = fn_of(st)
-    v = bilinear(st, f, _chain_r(st, f, 1), -2).scale(-1) + bilinear(st, f, f, -3)
-    return Value(v.sym, 3, 4)
-
-
-def _pos_rm1e_drp2(st):
-    e = Q(-1, 2 * st.n**2)
-    f = fn_of(st)
-    v = (
-        bilinear(st, f, _chain_r(st, f, 1), -1).scale(2 * e)
-        - bilinear(st, f, f, -3).scale(2)
-        + bilinear(st, f, _chain_r(st, f, 1), -2).scale(2)
-    )
-    return Value(v.sym, 4, 4)
-
-
-_LPOS_TAGS: Dict[str, Callable] = {
-    "V3": _pos_V3,
-    "V.V'": _pos_VVp,
-    "(V')2": _pos_Vp2,
-    "V2.p2": _pos_V2p2,
-    "p2.V.p2": _pos_p2Vp2,
-    "p6": _pos_p6,
-    "p4.V": _pos_p4V,
-    "V.p2.V": _pos_VbarP2Vbar,
-    "p.V.p.V": _pos_piVpiV,
-    "drd.V.dr.V": _pos_drdVdrV,
-    "V'.dr": _pos_Vp_dr,
-    "V.V'.dr": _pos_VVp_dr,
-    "r4e/r2.dr2": _pos_rm2e_dr2,
-    "r4e/r2.p2": _pos_rm2e_p2,
-    "r4e/r.dr3": _pos_rm1e_dr3,
-    "r4e.dr2.V": _pos_r4e_dr2V,
-    "r4e.dr2.p2": _pos_r4e_dr2p2,
-    "r4e.p2.V": _pos_r4e_p2V,
-    "r4e.p4": _pos_r4e_p4,
-    "p.r4e.p.V": _pos_pi_r4e_piV,
-    "r4e.p.V.p": _pos_r4e_piVpi,
-    "r4e/r.dr.V": _pos_rm1e_drV,
-    "r4e/r.dr.p2": _pos_rm1e_drp2,
-}
+def _evaluate(terms, st: QuantumState):
+    units = _units(terms)
+    if st.l == 0:
+        return _eval_l0(terms, st.n, units)
+    return Value(_eval_pos(terms, st), units[0] + 3, units[1] + 3)
 
 
 def divergent_tags():
-    return sorted(_L0_TAGS)
+    return sorted(_TERMS)
 
 
 def divergent_expectation(tag: str, n: int, l: int):
     """Dimensionally regularized catalog: Laurent brace for l = 0, exact
     finite Value for l > 0."""
     st = QuantumState(n, l)
-    table = _L0_TAGS if l == 0 else _LPOS_TAGS
-    fn = table.get(tag)
-    if fn is None:
+    terms = _TERMS.get(tag)
+    if terms is None:
         raise DivergentCatalogError(
             "unknown divergent tag %r; valid: %s" % (tag, ", ".join(divergent_tags()))
         )
-    return fn(n) if l == 0 else fn(st)
+    return _evaluate(terms, st)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,47 +837,12 @@ def divergent_expectation(tag: str, n: int, l: int):
 
 def identity_residuals(n: int, l: int) -> List[Tuple[str, object]]:
     """Residuals of the exact D-dimensional relations, through O(eps^0)."""
-    out = []
-    if l == 0:
-        vp2 = _l0_Vp2(n)
-        v3 = _l0_V3(n)
-        v2 = _l0_V2(n)
-        vvpdr = _l0_VVp_dr(n)
-        vp2v = _l0_VbarP2Vbar(n)
-        ebar = energy_expansion(QuantumState(n, 0))
-        pi_v2_pi = _divergent_primitive(n, -2, 2, a=1, b=1, beta_pow=2)
-        out.append(("V.p2.V == p.V2.p", (vp2v - pi_v2_pi).series))
-        out.append(("(V')2 == -2 V.V'.dr", (vp2 - vvpdr.scale(-2)).series))
-        t = v3.scale(2).shift_dims(mr=1) + vp2v - v2.mul_series(ebar * 2, mr=1, za=2).shift_dims(mr=1)
-        out.append(("(V')2 == 2m V3 + V.p2.V - 2mE V2", (vp2 - t).series))
-        t4 = _l0_p2Vp2(n) - _l0_p4V(n)
-        out.append(("2m (V')2 == p2.V.p2 - p4.V", (vp2.scale(2).shift_dims(mr=1) - t4).series))
-        out.append(("V'.dr == -2 pi phibar2 Za mubar^2eps", (_l0_Vp_dr(n) - DivergentValue(EpsSeries.constant(Q(-2), 0), 0, 1)).series))
-        rec = (
-            v2.mul_series(ebar.mul(_eps_poly(4, -16), order_cap=1), mr=1, za=2).shift_dims(mr=1)
-            + v3.mul_series(_eps_poly(-6, 20), 0, 0).shift_dims(mr=1)
-            + vp2.mul_series(_eps_poly(3, -6), 0, 0)
-        )
-        out.append(("s=-2+4eps recursion", rec.series))
-        return out
-    # l > 0: everything is finite and the identities close at eps = 0
     st = QuantumState(n, l)
-    e = Q(-1, 2 * n * n)
-    L = Q(l * (l + 1))
-    vp2 = _pos_Vp2(st).sym
-    v3 = _pos_V3(st).sym
-    v2 = expectation_closed("V2", st).sym
-    vvpdr = _pos_VVp_dr(st).sym
-    vp2v = _pos_VbarP2Vbar(st).sym
-    out.append(("V.p2.V == p.V2.p", vp2v - expectation_closed("p.1/r2.p", st).sym))
-    out.append(("(V')2 == -2 V.V'.dr", vp2 - (-2) * vvpdr))
-    out.append(("(V')2 == 2m V3 + V.p2.V - 2mE V2", vp2 - (2 * v3 + vp2v - 2 * e * v2)))
-    out.append(("2m (V')2 == p2.V.p2 - p4.V", 2 * vp2 - (_pos_p2Vp2(st).sym - _pos_p4V(st).sym)))
-    out.append(("V'.dr == 0 (l>0)", _pos_Vp_dr(st).sym))
-    out.append(
-        (
-            "s=-2+4eps recursion",
-            4 * e * v2 - 6 * v3 + (3 - 4 * L) * vp2,
-        )
-    )
-    return out
+    out = [(name, _evaluate(terms, st)) for name, terms in _IDENTITIES]
+    if l == 0:
+        contact = DivergentValue(EpsSeries.constant(Q(-2), 0), 0, 1)
+        out.insert(4, ("V'.dr == -2 pi phibar2 Za mubar^2eps", _evaluate(_VP_DR, st) - contact))
+        return [(name, v.series) for name, v in out]
+    # l > 0: everything is finite and the identities close at eps = 0
+    out.insert(4, ("V'.dr == 0 (l>0)", _evaluate(_VP_DR, st)))
+    return [(name, v.sym) for name, v in out]

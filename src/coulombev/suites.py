@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List
 
 from .exactnum import (
+    DomainError,
     EpsSeries,
     GAMMA_E,
     LNQN,
@@ -484,6 +485,6 @@ def run_suites(names) -> List[SuiteResult]:
     out = []
     for name in names:
         if name not in SUITES:
-            raise KeyError("unknown suite %r; valid: %s, all" % (name, ", ".join(sorted(SUITES))))
+            raise DomainError("unknown suite %r; valid: %s, all" % (name, ", ".join(sorted(SUITES))))
         out.append(SUITES[name]())
     return out

@@ -56,6 +56,25 @@ def test_table_csv(capsys):
     assert len(lines) == 1 + 6  # states with n <= 3
 
 
+@pytest.mark.parametrize("n_range", ["5:x", "5:1", "0:2", "5", "1:2:3"])
+def test_table_bad_n_range(capsys, n_range):
+    code = cli.main(["table", "--ops", "1/r", "--n-range", n_range])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_dimreg_nan_eps(capsys):
+    code = cli.main(["dimreg", "--n", "1", "--eps", "nan"])
+    assert code == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_verify_unknown_suite(capsys):
+    assert cli.main(["verify", "--suite", "junk"]) == 1
+
+
 def test_dimreg_command(capsys):
     code, out = run(capsys, "dimreg", "--n", "1", "--l", "0", "--eps", "0.001", "--format", "json")
     assert code == 0

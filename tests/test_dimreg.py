@@ -230,6 +230,30 @@ class TestLPositiveBranch:
             assert dr.divergent_expectation("V.p2.V", n, l).sym == S((8 * n * n + 1 - 4 * L) / (4 * Bl * n**5))
             assert dr.divergent_expectation("V'.dr", n, l).sym == SymExpr()
 
+    @pytest.mark.parametrize(
+        "tag,twin,sign",
+        [
+            ("p6", "p6", 1),
+            ("V.p2.V", "p.1/r2.p", 1),
+            ("r4e/r2.dr2", "1/r2.dr2", 1),
+            ("r4e/r.dr3", "1/r.dr3", 1),
+            ("V3", "1/r3", -1),
+            ("(V')2", "1/r4", 1),
+            ("r4e/r2.p2", "p2.1/r2", 1),
+            ("V'.dr", "1/r2.dr", 1),
+        ],
+    )
+    def test_closed_form_twins(self, tag, twin, sign):
+        # the integrated term list against the tabulated 3D closed form
+        for n in range(2, 11):
+            for l in range(1, n):
+                twin_sym = cb.expectation_closed(twin, cb.QuantumState(n, l)).sym
+                assert dr.divergent_expectation(tag, n, l).sym == sign * twin_sym, (n, l)
+
+    def test_units_must_agree(self):
+        with pytest.raises(DomainError):
+            dr._units([dr._Term((1,), -2, 2, beta=2), dr._Term((1,), -3, 3, beta=2)])
+
 
 class TestIdentityNetwork:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -261,8 +285,9 @@ class TestContractTypes:
     def test_eps_param(self):
         p = dr.EpsParam(0.01)
         assert abs(p.D - 2.98) < 1e-15
-        with pytest.raises(DomainError):
-            dr.EpsParam(0.3)
+        for bad in (0.3, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                dr.EpsParam(bad)
         t = dr.series_coefficients(0, dr.EpsParam(Q(1, 100)), 2)
         assert t.a[(1, 0)] == Q(1, 2)
 
