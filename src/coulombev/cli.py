@@ -120,6 +120,11 @@ def cmd_eval(args) -> int:
     else:
         print("eval needs --op or --bracket", file=sys.stderr)
         return 1
+    if phys is not None and not isinstance(v, Value):
+        raise DomainError(
+            "--mr/--zalpha/--mu/--kappa apply only to a finite value; %r at (n, l) = (%d, %d) is a %s"
+            % (args.op or args.bracket, st.n, st.l, type(v).__name__)
+        )
     payload = {"command": "eval", "inputs": {"n": st.n, "l": st.l, "op": args.op or args.bracket}}
     payload.update(_value_payload(v, phys, st.n))
     _render(payload, args.format if args.format != "csv" else "json")

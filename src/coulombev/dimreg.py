@@ -24,6 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .exactnum import (
     DivergenceError,
@@ -61,7 +62,27 @@ HALF = Q(1, 2)
 
 
 class ShootingError(RuntimeError):
-    pass
+    """A shoot that found no eigenvalue.
+
+    Besides the reason it carries the state, eps and mu, the brackets tried
+    as (lo, hi, tail(lo), tail(hi)), and the nodes counted in the last
+    bracket that held a sign change (None if none did) against the nodes
+    expected.  The message repeats these facts on one line.
+    """
+
+    def __init__(self, reason, state=None, eps=None, mu=None, brackets=(), nodes=None, nodes_expected=None):
+        self.reason = reason
+        self.state, self.eps, self.mu = state, eps, mu
+        self.brackets = tuple(brackets)
+        self.nodes, self.nodes_expected = nodes, nodes_expected
+        bits = [reason]
+        if state is not None:
+            bits.append("(n, l) = (%d, %d), eps = %r, mu = %r" % (state.n, state.l, eps, mu))
+        if self.brackets:
+            bits.append("brackets " + ", ".join("[%.17g, %.17g] tails (%.3e, %.3e)" % b for b in self.brackets))
+        if nodes_expected is not None:
+            bits.append("nodes %s, expected %d" % ("none counted" if nodes is None else nodes, nodes_expected))
+        super().__init__("; ".join(bits))
 
 
 class DivergentCatalogError(KeyError):
@@ -216,7 +237,7 @@ def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
     xs = np.linspace(rho0, rho_hi, 1600)
     vals = sol.sol(xs)[0]
     # ignore crossings inside the noise floor: after strong decay the
-    # leftover e^{+rho} contamination of the bisected solution flips sign at
+    # leftover e^{+rho} contamination of the shot solution flips sign at
     # amplitudes ~1e-15 of the maximum, which are not nodes
     floor = 1e-9 * float(np.max(np.abs(vals)))
     nodes, last = 0, 0.0
@@ -231,17 +252,25 @@ def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
 
 
 def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimRegEigen:
-    """Find nbar by bisection on the tail sign of L, verifying the node count."""
+    """Find nbar as the root of the tail value L(rho_max; nbar) by Brent's
+    method inside a sign-changing bracket, verifying the node count."""
     eps = float(_unwrap_eps(eps))
     if not math.isfinite(eps) or abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
     n, l = state.n, state.l
     rho0, rhomax = 1e-3, 20.0 + 10.0 * n
     table = series_coefficients(l, eps, 12)
+    tails: Dict[float, float] = {}  # this call only: brentq re-asks for the bracket ends
+    brackets: List[Tuple[float, float, float, float]] = []
+    nodes = None
 
-    def tail_sign(nbar):
-        sol = _integrate(l, eps, nbar, rho0, rhomax, table)
-        return math.copysign(1.0, sol.y[0][-1])
+    def tail(nbar):
+        if nbar not in tails:
+            tails[nbar] = float(_integrate(l, eps, nbar, rho0, rhomax, table).y[0][-1])
+        return tails[nbar]
+
+    def failure(reason):
+        return ShootingError(reason, state, eps, mu, brackets, nodes, state.nr)
 
     # candidate brackets: [n-1/2, n+1/2] first, then one centered on the
     # expansion estimate (near the range edge the O(eps) shift can exceed 1/2
@@ -251,29 +280,28 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     est = float(nbar_expansion(state).numeric(eps))
     if abs(est - n) > 0.1:
         centers.append(est)
-    bracketed = False
-    for center in centers:
-        lo, hi = center - 0.5, center + 0.5
-        s_lo, s_hi = tail_sign(lo), tail_sign(hi)
-        if s_lo == s_hi:
-            continue
-        bracketed = True
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if tail_sign(mid) == s_lo:
-                lo = mid
-            else:
-                hi = mid
-        nbar = 0.5 * (lo + hi)
-        sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense=True)
-        nodes = _count_nodes(sol, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
-        if nodes == state.nr:
-            gb = gammabar_from_nbar(nbar, eps, mu)
-            return DimRegEigen(state, eps, mu, nbar, gb, -0.5 * gb * gb, sol, rho0, rhomax, table)
-        last_nodes = nodes
-    if bracketed:
-        raise ShootingError("wrong eigenvalue branch: %d nodes, expected %d" % (last_nodes, state.nr))
-    raise ShootingError("no sign change of the tail in [n-1/2, n+1/2]; bracket error")
+    try:
+        for center in centers:
+            lo, hi = center - 0.5, center + 0.5
+            t_lo, t_hi = tail(lo), tail(hi)
+            brackets.append((lo, hi, t_lo, t_hi))
+            if math.copysign(1.0, t_lo) == math.copysign(1.0, t_hi):
+                continue
+            nbar, res = brentq(tail, lo, hi, xtol=1e-15, maxiter=100, full_output=True, disp=False)
+            if not res.converged:
+                raise failure("Brent root-finding did not converge in %d iterations (%s)" % (res.iterations, res.flag))
+            sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense=True)
+            nodes = _count_nodes(sol, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
+            if nodes == state.nr:
+                gb = gammabar_from_nbar(nbar, eps, mu)
+                return DimRegEigen(state, eps, mu, nbar, gb, -0.5 * gb * gb, sol, rho0, rhomax, table)
+    except ShootingError as exc:
+        if exc.state is not None:
+            raise
+        raise failure(exc.reason) from exc
+    if nodes is not None:
+        raise failure("wrong eigenvalue branch")
+    raise failure("no sign change of the tail in any bracket")
 
 
 def wavefunction_moment(eig: DimRegEigen, power: float, quad_dps: int = 20) -> float:

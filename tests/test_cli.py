@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coulombev import cli
+from coulombev import dimreg
 
 
 def run(capsys, *argv):
@@ -81,6 +82,38 @@ def test_dimreg_command(capsys):
     payload = json.loads(out)
     assert abs(payload["nbar"] - 1.0) < 0.01
     assert abs(payload["difference"]) < 1e-4  # O(eps^2)
+
+
+def test_dimreg_shooting_failure(capsys, monkeypatch):
+    monkeypatch.setattr(dimreg, "_count_nodes", lambda sol, rho0, rho_hi: 3)
+    code = cli.main(["dimreg", "--n", "1", "--eps", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "nodes 3, expected 0" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1", "--op", "V3", "--mr", "2"],
+        ["--n", "2", "--bracket", "(p22p12-(p2.p1)2)/q2", "--mr", "2"],
+    ],
+)
+def test_eval_unit_flags_need_finite_value(capsys, argv):
+    code = cli.main(["eval"] + argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_eval_unit_flags_finite_divergent_tag(capsys):
+    code, out = run(capsys, "eval", "--n", "2", "--l", "1", "--op", "V3", "--mr", "2")
+    assert code == 0
+    assert "numeric" in out
 
 
 def test_demo_cx1(capsys):

@@ -89,6 +89,52 @@ class TestShooting:
         assert abs(richardson - slope) < 2e-3 * abs(slope)
 
 
+    @pytest.mark.parametrize(
+        "n,l,eps,mu,ref",
+        [
+            (1, 0, 0.01, 0.7, 0.9815731310511095),
+            (3, 1, 1e-3, 1.0, 2.989971739002553),
+            (3, 2, 0.01, 1.0, 2.8891993327996968),
+            (3, 2, -0.048, 1.2, 3.5761036800380657),  # second bracket centre
+            (4, 2, 0.05, 1.0, 3.2550851967937966),
+        ],
+    )
+    def test_nbar_pinned(self, n, l, eps, mu, ref):
+        # reference values from a 60-step bisection on the tail sign
+        eig = dr.eigenvalue_shoot(cb.QuantumState(n, l), eps, mu)
+        assert abs(eig.nbar - ref) <= 1e-13
+
+    @pytest.mark.parametrize("n,l,eps", [(1, 0, 0.0), (3, 2, -0.048)])
+    def test_solve_budget(self, monkeypatch, n, l, eps):
+        calls = []
+        integrate = dr._integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(dr, "_integrate", counting)
+        dr.eigenvalue_shoot(cb.QuantumState(n, l), eps)
+        assert len(calls) <= 20
+
+    def test_error_context(self, monkeypatch):
+        monkeypatch.setattr(dr, "_count_nodes", lambda sol, rho0, rho_hi: 3)
+        st = cb.QuantumState(1, 0)
+        with pytest.raises(dr.ShootingError) as info:
+            dr.eigenvalue_shoot(st, 0.01, mu=0.7)
+        exc = info.value
+        assert (exc.state, exc.eps, exc.mu) == (st, 0.01, 0.7)
+        assert (exc.nodes, exc.nodes_expected) == (3, 0)
+        assert len(exc.brackets) == 1
+        lo, hi, t_lo, t_hi = exc.brackets[0]
+        assert (lo, hi) == (0.5, 1.5)
+        assert t_lo * t_hi < 0
+        msg = str(exc)
+        assert "\n" not in msg
+        assert "wrong eigenvalue branch" in msg and "nodes 3, expected 0" in msg
+        assert "eps = 0.01, mu = 0.7" in msg and "[0.5, 1.5]" in msg
+
+
 class TestEnergyExpansion:
     def test_reference_values(self):
         s = dr.energy_expansion(cb.QuantumState(1, 0))

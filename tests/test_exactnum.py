@@ -189,3 +189,61 @@ class TestSymExpr:
     def test_numeric(self):
         val = en.SymExpr({en.ONE: Q(1, 2), en.LN2: 2}).numeric()
         assert abs(val - (0.5 + 2 * math.log(2))) < 1e-15
+
+
+class TestExpansionsAgainstSympy:
+    """The Gamma/psi eps-expansions against sympy.series, coefficient by
+    coefficient, as exact rational polynomials in gamma_E and pi."""
+
+    @staticmethod
+    def _sympy_poly(expr):
+        sp = pytest.importorskip("sympy")
+        g, p = sp.symbols("g p")
+        poly = sp.Poly(sp.expand(expr.subs({sp.EulerGamma: g, sp.pi: p})), g, p)
+        return {k: Q(int(c.p), int(c.q)) for k, c in poly.as_dict().items() if c}
+
+    @staticmethod
+    def _package_poly(sym):
+        # gamma_E^i pi^j monomials: 1 -> (0, 0), gamma_E -> (1, 0),
+        # gamma_E^2 -> (2, 0), zeta(2) = pi^2/6 -> (0, 2)
+        keys = {en.ONE: ((0, 0), 1), en.GAMMA_E: ((1, 0), 1), en.GAMMA2: ((2, 0), 1), en.ZETA2: ((0, 2), Q(1, 6))}
+        out = {}
+        for tag, c in sym.terms.items():
+            k, scale = keys[tag]
+            out[k] = out.get(k, Q(0)) + c * scale
+        return {k: c for k, c in out.items() if c}
+
+    def _check(self, series, expr, order):
+        sp = pytest.importorskip("sympy")
+        e = sp.Symbol("e")
+        ref = sp.expand(sp.series(expr(e), e, 0, order + 1).removeO())
+        assert series.order == order
+        for k in range(-1, order + 1):
+            assert self._package_poly(series.coeff(k)) == self._sympy_poly(ref.coeff(e, k)), k
+        assert sp.expand(ref - sum(ref.coeff(e, k) * e**k for k in range(-1, order + 1))) == 0
+
+    CASES = [(3, Q(1)), (1, Q(-2)), (2, Q(1, 2)), (0, Q(1)), (-1, Q(2)), (-3, Q(-1, 3))]
+
+    @pytest.mark.parametrize("m,c", CASES)
+    def test_gamma_series(self, m, c):
+        sp = pytest.importorskip("sympy")
+        order = 2 if m >= 1 else 1  # the pole expansion stops at eps^1
+        self._check(en.gamma_series(m, c, order), lambda e: sp.gamma(m + sp.Rational(c) * e), order)
+
+    @pytest.mark.parametrize("m,c", CASES)
+    def test_inv_gamma_series(self, m, c):
+        sp = pytest.importorskip("sympy")
+        self._check(en.inv_gamma_series(m, c, 2), lambda e: 1 / sp.gamma(m + sp.Rational(c) * e), 2)
+
+    @pytest.mark.parametrize("m,c", CASES)
+    def test_psi_series(self, m, c):
+        sp = pytest.importorskip("sympy")
+
+        def psi(e):
+            x = m + sp.Rational(c) * e
+            if m >= 1:
+                return sp.polygamma(0, x)
+            # sympy cannot expand psi at a pole: psi(x) = psi(x + N + 1) - sum_{j=0..N} 1/(x + j)
+            return sp.polygamma(0, x - m + 1) - sum(1 / (x + j) for j in range(-m + 1))
+
+        self._check(en.psi_series(m, c, 1), psi, 1)
