@@ -201,11 +201,17 @@ def cmd_dimreg(args) -> int:
     return 0
 
 
+def _fraction(flag, text) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("%s must be a fraction such as 5/128, got %r" % (flag, text)) from None
+
+
 def cmd_demo_cx1(args) -> int:
     st = QuantumState(args.n, args.l)
-    c1 = Fraction(args.c1)
-    c2 = Fraction(args.c2)
-    coef, val = cx1_energy_shift(st, c1, c2, Fraction(args.m1), Fraction(args.m2))
+    c1, c2, m1, m2 = (_fraction("--" + k, getattr(args, k)) for k in ("c1", "c2", "m1", "m2"))
+    coef, val = cx1_energy_shift(st, c1, c2, m1, m2)
     print("Delta E_CX1 = -4 m_r (c1/m1^4 + c2/m2^4) <(V')^2>  at (n,l) = (%d,%d)" % (st.n, st.l))
     print("dimensionless prefactor -4[c1 (mr/m1)^4 + c2 (mr/m2)^4] = %s" % coef)
     if isinstance(val, dimreg.DivergentValue):

@@ -2,6 +2,12 @@
 closed-form expectation-value catalog, and an independent oracle that computes
 every catalog entry by exact term-by-term integration of the wave function.
 
+The catalog is one table, `CATALOG`: each row holds a closed form of
+(n, l, L = l(l+1)) and the oracle as a list of pieces (coef, left, right,
+sigma), whose operands are built from `R` by `d`, `over_r`, `p2` and
+`scaled`.  `bilinear_sum` integrates all pieces of a row as one integrand
+(`contact` takes their r -> 0 limit for the delta-function rows).
+
 Internal units fix m_r Zalpha = 1 (Bohr radius a = 1, rho = 2r/n).  Every
 value carries integer powers of m_r, Zalpha and pi so physical units can be
 restored afterwards.
@@ -72,6 +78,12 @@ class PhysScale:
     zalpha: float = 1.0
     mu: float = 1.0
     kappa: float = 1.0
+
+    def __post_init__(self):
+        for name in ("mr", "zalpha", "mu", "kappa"):
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0):
+                raise DomainError("%s must be finite and positive, got %r" % (name, x))
 
     def lambda_value(self, label: str, n: int) -> float:
         scale = {"mu": self.mu, "kappa": self.kappa}.get(label)
@@ -156,10 +168,13 @@ class RadialWF:
         return self.norm2 * self.poly.coeff(0) ** 2
 
 
+def _norm2(n: int, l: int) -> Fraction:
+    return Q(4) * factorial(n - l - 1) / (n**4 * factorial(n + l))
+
+
 def radial_wavefunction(state: QuantumState) -> RadialWF:
     n, l = state.n, state.l
-    norm2 = Q(4) * factorial(n - l - 1) / (n**4 * factorial(n + l))
-    return RadialWF(state, norm2, assoc_laguerre(n - l - 1, 2 * l + 1))
+    return RadialWF(state, _norm2(n, l), assoc_laguerre(n - l - 1, 2 * l + 1))
 
 
 class Fn:
@@ -172,18 +187,6 @@ class Fn:
 
     def scale(self, c) -> "Fn":
         return Fn({j: v * c for j, v in self.table.items()})
-
-    def shift(self, k: int) -> "Fn":
-        return Fn({j + k: v for j, v in self.table.items()})
-
-    def __add__(self, other: "Fn") -> "Fn":
-        d = dict(self.table)
-        for j, v in other.table.items():
-            d[j] = d.get(j, Q(0)) + v
-        return Fn(d)
-
-    def __sub__(self, other: "Fn") -> "Fn":
-        return self + other.scale(-1)
 
     def drho(self) -> "Fn":
         """d/drho, including the e^{-rho/2} factor."""
@@ -204,108 +207,110 @@ def d_r(state: QuantumState, f: Fn) -> Fn:
     return f.drho().scale(Q(2, state.n))
 
 
-def div_r(state: QuantumState, f: Fn) -> Fn:
-    return f.shift(-1).scale(Q(2, state.n))
+# ---------------------------------------------------------------------------
+# operands and the radial evaluator
+# ---------------------------------------------------------------------------
+
+# An operand is a tuple of terms (c, j, a, ang, k), each standing for
+# c [l(l+1)]^ang E^k r^{-j} d^a R(r) with E = -1/2n^2; concatenating two
+# operands adds them.
+R = ((1, 0, 0, 0, 0),)
 
 
-def p2_fn(state: QuantumState, f: Fn) -> Fn:
-    """p^2 f = -[f'' + (2/r) f' - l(l+1)/r^2 f] acting on f(r) Y_l."""
-    l = state.l
-    one = d_r(state, d_r(state, f))
-    two = div_r(state, d_r(state, f)).scale(2)
-    three = div_r(state, div_r(state, f)).scale(-l * (l + 1))
-    return (one + two + three).scale(-1)
+def scaled(op, c=1, ang=0, k=0):
+    """c [l(l+1)]^ang E^k times an operand."""
+    return tuple((x * c, j, a, g + ang, e + k) for x, j, a, g, e in op)
 
 
-def bilinear(
-    state: QuantumState,
-    f: Fn,
-    g: Fn,
-    spower: int,
-    logpow: int = 0,
-    kappa: str = "kappa",
-) -> Value:
-    """int_0^inf dr r^{2+spower} ln^m(kappa r) f(r) g(r), exact.
+def d(op):
+    """d/dr by Leibniz: d(r^{-j} d^a R) = -j r^{-j-1} d^a R + r^{-j} d^{a+1} R."""
+    out = []
+    for c, j, a, g, k in op:
+        if j:
+            out.append((-j * c, j + 1, a, g, k))
+        out.append((c, j, a + 1, g, k))
+    return tuple(out)
 
-    ln(kappa r) = ln(rho) + Lambda_kappa with Lambda_kappa = ln(kappa n / (2 m_r Za)).
+
+def over_r(op):
+    return tuple((c, j + 1, a, g, k) for c, j, a, g, k in op)
+
+
+def p2(op):
+    """p^2 f = -f'' - (2/r) f' + l(l+1) f/r^2 acting on f(r) Y_lm."""
+    return scaled(d(d(op)), -1) + scaled(over_r(d(op)), -2) + scaled(over_r(over_r(op)), ang=1)
+
+
+def _weighted(state: QuantumState, pieces):
+    """sum_i coef_i r^sigma_i (left_i R)(right_i R) = norm2 sum_t c_t rho^t e^{-rho}.
+
+    Returns (norm2, {t: c_t}).  The derivative chain and each operand's
+    coefficient table are built once; the pieces are summed before any c_t is
+    read.
     """
-    n = state.n
-    wf = radial_wavefunction(state)
-    pref = wf.norm2 * Q(n, 2) ** (3 + spower)
+    n, l = state.n, state.l
+    chain = [fn_of(state)]
+    top = max(a for _, left, right, _ in pieces for op in (left, right) for _, _, a, _, _ in op)
+    while len(chain) <= top:
+        chain.append(d_r(state, chain[-1]))
+    over, L, E = Q(2, n), Q(l * (l + 1)), Q(-1, 2 * n * n)
+    fns: Dict[tuple, Dict[int, Fraction]] = {}
+    for _, left, right, _ in pieces:
+        for op in (left, right):
+            if op in fns:
+                continue
+            table: Dict[int, Fraction] = {}
+            for c, j, a, g, k in op:
+                w = c * L**g * E**k * over**j
+                if w:
+                    for i, v in chain[a].table.items():
+                        table[i - j] = table.get(i - j, 0) + w * v
+            fns[op] = table
     combined: Dict[int, Fraction] = {}
-    for j1, c1 in f.table.items():
-        for j2, c2 in g.table.items():
-            j = j1 + j2
-            combined[j] = combined.get(j, Q(0)) + c1 * c2
-    out = SYM_ZERO
-    lam_tag = lam(kappa)
-    for j, c in combined.items():
-        if not c:
-            continue
-        t = 2 + spower + j
-        if t < 0:
-            raise DivergenceError(
-                "radial integral diverges: monomial rho^%d with weight r^%d" % (j, spower)
-            )
-        if logpow == 0:
-            out = out + c * lagint._mono_int(t, 0)
-        elif logpow == 1:
-            out = out + c * (lagint._mono_int(t, 1) + SymExpr.of(lam_tag) * lagint._mono_int(t, 0))
-        elif logpow == 2:
-            out = out + c * (
-                lagint._mono_int(t, 2)
-                + 2 * SymExpr.of(lam_tag) * lagint._mono_int(t, 1)
-                + SymExpr.of(lam2(kappa)) * lagint._mono_int(t, 0)
-            )
-        else:
-            raise DomainError("log power > 2 unsupported")
-    return Value(pref * out)
+    for coef, left, right, sigma in pieces:
+        w = coef * Q(n, 2) ** sigma
+        g = fns[right]
+        for j1, c1 in fns[left].items():
+            c1 = w * c1
+            for j2, c2 in g.items():
+                t = sigma + j1 + j2
+                combined[t] = combined.get(t, 0) + c1 * c2
+    return _norm2(n, l), combined
 
 
-def bilinear_sum(state: QuantumState, terms) -> Value:
-    """Sum of bilinear pieces integrated as one combined integrand.
+def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kappa") -> Value:
+    """sum_i coef_i int_0^inf dr r^{2+sigma_i} ln^logpow(kappa r) (left_i R)(right_i R), exact.
 
-    `terms` is an iterable of (coef, f, g, spower); divergent monomials that
-    cancel between pieces are allowed (the check runs after combination).
+    `pieces` holds (coef, left, right, sigma) with operands built from `R` by
+    `d`, `over_r`, `p2` and `scaled`.  Divergent monomials may cancel between
+    pieces: the check runs after they are combined.  ln(kappa r) = ln(rho) +
+    Lambda_kappa with Lambda_kappa = ln(kappa n / (2 m_r Za)).
     """
-    n = state.n
-    wf = radial_wavefunction(state)
-    combined: Dict[int, Fraction] = {}
-    for coef, f, g, spower in terms:
-        pref = Q(coef) * wf.norm2 * Q(n, 2) ** (3 + spower)
-        for j1, c1 in f.table.items():
-            for j2, c2 in g.table.items():
-                t = 2 + spower + j1 + j2
-                combined[t] = combined.get(t, Q(0)) + pref * c1 * c2
-    out = SYM_ZERO
+    if logpow > 2:
+        raise DomainError("log power > 2 unsupported")
+    norm2, combined = _weighted(state, pieces)
+    sums = [SYM_ZERO] * (logpow + 1)  # sum_t c_t int rho^{2+t} ln^i(rho) e^{-rho}
     for t, c in combined.items():
         if not c:
             continue
-        if t < 0:
-            raise DivergenceError("radial integral diverges: surviving r^%d monomial" % (t - 2))
-        out = out + c * lagint._mono_int(t, 0)
-    return Value(out)
+        if t < -2:
+            raise DivergenceError("radial integral diverges: surviving r^%d monomial" % t)
+        for i in range(logpow + 1):
+            sums[i] = sums[i] + c * lagint._mono_int(t + 2, i)
+    lam_pow = (1, SymExpr.of(lam(kappa)), SymExpr.of(lam2(kappa)))
+    out = SYM_ZERO
+    for i, part in enumerate(sums):
+        out = out + part * (math.comb(logpow, i) * lam_pow[logpow - i])
+    return Value(out * (norm2 * Q(state.n, 2) ** 3))
 
 
-def contact(state: QuantumState, f: Fn, g: Fn, spower: int) -> Value:
-    """(1/4pi) lim_{r->0} r^spower f(r) g(r); error if the limit diverges."""
-    n = state.n
-    wf = radial_wavefunction(state)
-    pref = wf.norm2 * Q(n, 2) ** spower
-    combined: Dict[int, Fraction] = {}
-    for j1, c1 in f.table.items():
-        for j2, c2 in g.table.items():
-            t = j1 + j2 + spower
-            combined[t] = combined.get(t, Q(0)) + c1 * c2
-    val = Q(0)
+def contact(state: QuantumState, pieces) -> Value:
+    """(1/4pi) lim_{r->0} sum_i coef_i r^sigma_i (left_i R)(right_i R); error if it diverges."""
+    norm2, combined = _weighted(state, pieces)
     for t, c in combined.items():
-        if not c:
-            continue
-        if t < 0:
+        if c and t < 0:
             raise DivergenceError("contact value divergent (r^%d)" % t)
-        if t == 0:
-            val += c
-    return Value(SymExpr.scalar(pref * val / 4), pi_pow=-1)
+    return Value(SymExpr.scalar(norm2 * combined.get(0, 0) / 4), pi_pow=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +326,25 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    closed: Callable
-    oracle: Callable
+    """One finite 3D operator: a closed form and an oracle given as data.
+
+    `closed(n, l, L)`, with L = l(l+1) and the kappa label as a fourth
+    argument for the log rows, returns a scalar or a SymExpr.  The oracle is
+    `bilinear_sum` of `pieces` with ln^logpow(kappa r), or their `contact`
+    limit, which carries the 1/pi of the delta function.
+    """
+
+    tag: str
     min_l: int
     mr_pow: int
     za_pow: int
-    pi_pow: int = 0
-    needs_kappa: bool = False
+    closed: Callable
+    pieces: tuple
+    logpow: int = 0
+    contact: bool = False
 
-
-CATALOG: Dict[str, CatalogEntry] = {}
-
-
-def _entry(tag, min_l, mr, za, pi=0, needs_kappa=False):
-    def reg(fns):
-        closed, oracle = fns
-        CATALOG[tag] = CatalogEntry(closed, oracle, min_l, mr, za, pi, needs_kappa)
-        return fns
-
-    return reg
-
-
-def _S(x) -> SymExpr:
-    return SymExpr.scalar(x)
+    def value(self, sym: SymExpr) -> Value:
+        return Value(sym, self.mr_pow, self.za_pow, -1 if self.contact else 0)
 
 
 def _B(l) -> Fraction:
@@ -358,642 +359,350 @@ def _d1(l) -> int:
     return 1 if l == 1 else 0
 
 
-def _LL(l) -> Fraction:
-    return Q(l * (l + 1))
+DR = d(R)
+DDR = d(DR)
+DDDR = d(DDR)
+P2R = p2(R)
+R_R = over_r(R)
+DR_R = DR + scaled(R_R, -1)  # (d/dr - 1/r) R
+
+
+def _grad(f, sigma, coef=1):
+    """grad(f Y) . r^sigma grad(f Y) = f'^2 r^sigma + l(l+1) f^2 r^{sigma-2}."""
+    return ((coef, d(f), d(f), sigma), (coef, f, scaled(f, ang=1), sigma - 2))
 
 
 def p6_naive_oracle(st: QuantumState) -> Value:
     """<p^6> as int |grad(p^2 psi)|^2; diverges for S states."""
-    chi = p2_fn(st, fn_of(st))
-    out = bilinear(st, d_r(st, chi), d_r(st, chi), 0)
-    if st.l:
-        out = out + bilinear(st, chi, chi, -2).scale(_LL(st.l))
-    return out
+    return bilinear_sum(st, _grad(P2R, 0))
 
 
-def _build_catalog():
-    def R(st):
-        return fn_of(st)
+def _p6(n, l, L):
+    return Q(5, n**6) - 8 / ((l + HALF) * n**5) + (8 * n * n + 1 - 4 * L) / (_B(l) * n**5) + Q(32 * _d0(l), n**3)
 
-    def dR(st):
-        return d_r(st, fn_of(st))
 
-    def ddR(st):
-        return d_r(st, d_r(st, fn_of(st)))
+def _drd_p2_dr(n, l, L):
+    # also the closed form of pn.px.xp.pn
+    return (2 * n**2 - 2 + 2 * L) / (4 * _B(l) * n**5) + L / ((l + HALF) * n**5) + 2 / ((l + HALF) * n**3) - Q(3, n**4)
 
-    def dddR(st):
-        return d_r(st, d_r(st, d_r(st, fn_of(st))))
 
-    def p2R(st):
-        return p2_fn(st, fn_of(st))
+def _ln(n, l, L, kappa):
+    return SymExpr.of(lam(kappa)) + SymExpr({ONE: harmonic(n + l) + 1 - Q(2 * l + 1, 2 * n), GAMMA_E: Q(-1)})
 
-    def pfp(st, s):
-        # <p_i r^s p_i> = int r^{2+s} [R'^2 + l(l+1) (R/r)^2]
-        out = bilinear(st, dR(st), dR(st), s)
-        if st.l:
-            out = out + bilinear(st, R(st), R(st), s - 2).scale(_LL(st.l))
-        return out
 
+def _ln_r(n, l, L, kappa):
+    return (SymExpr.of(lam(kappa)) + SymExpr({ONE: harmonic(n + l), GAMMA_E: Q(-1)})) * Q(1, n * n)
+
+
+def _ln_r2(n, l, L, kappa):
+    h = harmonic(2 * l + 1) + harmonic(2 * l) - harmonic(n + l)
+    return (SymExpr.of(lam(kappa)) + SymExpr({ONE: h, GAMMA_E: Q(-1)})) * (1 / ((l + HALF) * n**3))
+
+
+def _ln_r3(n, l, L, kappa):
+    h = harmonic(2 * l + 2) + harmonic(2 * l - 1) - harmonic(n + l) - Q(n - l, n) + Q(1, 2 * n)
+    return (SymExpr.of(lam(kappa)) + SymExpr({ONE: h, GAMMA_E: Q(-1)})) * (1 / (L * (l + HALF) * n**3))
+
+
+def _ln2_r(n, l, L, kappa):
+    nr, hnl = n - l - 1, harmonic(n + l)
+    inner = SymExpr(
+        {
+            lam2(kappa): Q(1),
+            lam(kappa): 2 * hnl,
+            gamma_lam(kappa): Q(-2),
+            ONE: hnl * hnl - harmonic(n + l, 2) + 2 * hnl * harmonic(nr) - 2 * diharmonic("-", nr, n + l - 1),
+            GAMMA_E: -2 * hnl,
+            GAMMA2: Q(1),
+            ZETA2: Q(1),
+        }
+    )
+    return inner * Q(1, n * n)
+
+
+def _ln_dr(n, l, L, kappa):
+    return (SymExpr.of(lam(kappa)) + SymExpr({ONE: harmonic(n + l) + HALF, GAMMA_E: Q(-1)})) * Q(-1, n * n)
+
+
+# tag, min_l, m_r and Zalpha powers, closed(n, l, L[, kappa]), oracle pieces (coef, left, right, sigma)
+_ROWS = (
     # --- plain powers of r ---
-    power_rows = {
-        "1": (0, lambda n, l, L: Q(1)),
-        "r": (0, lambda n, l, L: (3 * n * n - L) / 2),
-        "r2": (0, lambda n, l, L: Q(n * n, 2) * (5 * n * n + 1 - 3 * L)),
-        "r3": (0, lambda n, l, L: Q(n * n, 8) * (35 * n**4 + 25 * n * n - 30 * n * n * L - 6 * L + 3 * L * L)),
-        "r4": (0, lambda n, l, L: Q(n**4, 8) * (63 * n**4 + 105 * n * n + 12 - 70 * n * n * L - 50 * L + 15 * L * L)),
-        "1/r": (0, lambda n, l, L: Q(1, n * n)),
-        "1/r2": (0, lambda n, l, L: 1 / ((l + HALF) * n**3)),
-        "1/r3": (1, lambda n, l, L: 1 / (L * (l + HALF) * n**3)),
-        "1/r4": (1, lambda n, l, L: (3 * n * n - L) / (2 * L * (l + HALF) * (l - HALF) * (l + Q(3, 2)) * n**5)),
-        "1/r5": (2, lambda n, l, L: (5 * n * n + 1 - 3 * L) / (2 * (l - 1) * L * (l + 2) * (l - HALF) * (l + HALF) * (l + Q(3, 2)) * n**5)),
-    }
-    for tag, (min_l, fn) in power_rows.items():
-        s = {"1": 0, "r": 1, "r2": 2, "r3": 3, "r4": 4, "1/r": -1, "1/r2": -2, "1/r3": -3, "1/r4": -4, "1/r5": -5}[tag]
-        _entry(tag, min_l, -s, -s)(
-            (
-                lambda st, fn=fn: Value(_S(fn(st.n, st.l, _LL(st.l)))),
-                lambda st, s=s: bilinear(st, R(st), R(st), s),
-            )
-        )
-
+    CatalogEntry("1", 0, 0, 0, lambda n, l, L: Q(1), ((1, R, R, 0),)),
+    CatalogEntry("r", 0, -1, -1, lambda n, l, L: (3 * n * n - L) / 2, ((1, R, R, 1),)),
+    CatalogEntry("r2", 0, -2, -2, lambda n, l, L: Q(n * n, 2) * (5 * n * n + 1 - 3 * L), ((1, R, R, 2),)),
+    CatalogEntry(
+        "r3", 0, -3, -3,
+        lambda n, l, L: Q(n * n, 8) * (35 * n**4 + 25 * n * n - 30 * n * n * L - 6 * L + 3 * L * L),
+        ((1, R, R, 3),),
+    ),
+    CatalogEntry(
+        "r4", 0, -4, -4,
+        lambda n, l, L: Q(n**4, 8) * (63 * n**4 + 105 * n * n + 12 - 70 * n * n * L - 50 * L + 15 * L * L),
+        ((1, R, R, 4),),
+    ),
+    CatalogEntry("1/r", 0, 1, 1, lambda n, l, L: Q(1, n * n), ((1, R, R, -1),)),
+    CatalogEntry("1/r2", 0, 2, 2, lambda n, l, L: 1 / ((l + HALF) * n**3), ((1, R, R, -2),)),
+    CatalogEntry("1/r3", 1, 3, 3, lambda n, l, L: 1 / (L * (l + HALF) * n**3), ((1, R, R, -3),)),
+    CatalogEntry(
+        "1/r4", 1, 4, 4,
+        lambda n, l, L: (3 * n * n - L) / (2 * L * (l + HALF) * (l - HALF) * (l + Q(3, 2)) * n**5),
+        ((1, R, R, -4),),
+    ),
+    CatalogEntry(
+        "1/r5", 2, 5, 5,
+        lambda n, l, L: (5 * n * n + 1 - 3 * L)
+        / (2 * (l - 1) * L * (l + 2) * (l - HALF) * (l + HALF) * (l + Q(3, 2)) * n**5),
+        ((1, R, R, -5),),
+    ),
     # --- contact terms ---
-    _entry("delta3", 0, 3, 3, -1)(
-        (
-            lambda st: Value(_S(Q(_d0(st.l), st.n**3)), pi_pow=-1),
-            lambda st: contact(st, R(st), R(st), 0),
-        )
-    )
-    _entry("delta3/r2", 1, 5, 5, -1)(
-        (
-            lambda st: Value(_S(Q(st.n**2 - 1, 9 * st.n**5) * _d1(st.l)), pi_pow=-1),
-            lambda st: contact(st, R(st), R(st), -2),
-        )
-    )
-    _entry("p.delta3.p", 0, 5, 5, -1)(
-        (
-            lambda st: Value(_S(Q(_d0(st.l), st.n**3) + Q(st.n**2 - 1, 3 * st.n**5) * _d1(st.l)), pi_pow=-1),
-            lambda st: contact(st, dR(st), dR(st), 0)
-            + (contact(st, R(st), R(st), -2).scale(_LL(st.l)) if st.l else Value(SYM_ZERO, pi_pow=-1)),
-        )
-    )
-
+    CatalogEntry("delta3", 0, 3, 3, lambda n, l, L: Q(_d0(l), n**3), ((1, R, R, 0),), contact=True),
+    CatalogEntry(
+        "delta3/r2", 1, 5, 5, lambda n, l, L: Q(n**2 - 1, 9 * n**5) * _d1(l), ((1, R, R, -2),), contact=True
+    ),
+    CatalogEntry(
+        "p.delta3.p", 0, 5, 5,
+        lambda n, l, L: Q(_d0(l), n**3) + Q(n**2 - 1, 3 * n**5) * _d1(l),
+        _grad(R, 0),
+        contact=True,
+    ),
     # --- momentum block ---
-    _entry("p2", 0, 2, 2)(
-        (
-            lambda st: Value(_S(Q(1, st.n**2))),
-            lambda st: bilinear(st, p2R(st), R(st), 0),
-        )
-    )
-    _entry("p4", 0, 4, 4)(
-        (
-            lambda st: Value(_S(4 / ((st.l + HALF) * st.n**3) - Q(3, st.n**4))),
-            lambda st: bilinear(st, p2R(st), p2R(st), 0),
-        )
-    )
-
-    def p6_closed(st):
-        n, l = st.n, st.l
-        return Value(
-            _S(
-                Q(5, n**6)
-                - 8 / ((l + HALF) * n**5)
-                + (8 * n * n + 1 - 4 * _LL(l)) / (_B(l) * n**5)
-                + Q(32 * _d0(l), n**3)
-            )
-        )
-
-    def p6_oracle(st):
-        # regularized composite (2m)^2 { E^2 <p^2> - 2E <p^2 V> + <p_i V^2 p_i> }
-        E = Q(-1, 2 * st.n**2)
-        t1 = bilinear(st, p2R(st), R(st), 0).scale(E * E)
-        t2 = bilinear(st, p2R(st), R(st), -1).scale(2 * E)  # -2E <p^2 V>, V = -1/r
-        t3 = pfp(st, -2)
-        return (t1 + t2 + t3).scale(4)
-
-    _entry("p6", 0, 6, 6)((p6_closed, p6_oracle))
-
+    CatalogEntry("p2", 0, 2, 2, lambda n, l, L: Q(1, n**2), ((1, P2R, R, 0),)),
+    CatalogEntry("p4", 0, 4, 4, lambda n, l, L: 4 / ((l + HALF) * n**3) - Q(3, n**4), ((1, P2R, P2R, 0),)),
+    # regularized composite (2m)^2 { E^2 <p^2> - 2E <p^2 V> + <p_i V^2 p_i> }, V = -1/r
+    CatalogEntry(
+        "p6", 0, 6, 6, _p6, ((4, P2R, scaled(R, k=2), 0), (8, P2R, scaled(R, k=1), -1)) + _grad(R, -2, 4)
+    ),
     # --- p_i f p_i family ---
-    _entry("p.1/r.p", 0, 3, 3)(
-        (
-            lambda st: Value(_S(2 / ((st.l + HALF) * st.n**3) - Q(1, st.n**4) - Q(2 * _d0(st.l), st.n**3))),
-            lambda st: pfp(st, -1),
-        )
-    )
-    _entry("p.1/r2.p", 0, 4, 4)(
-        (
-            lambda st: Value(_S((8 * st.n**2 + 1 - 4 * _LL(st.l)) / (4 * _B(st.l) * st.n**5) + Q(8 * _d0(st.l), st.n**3))),
-            lambda st: pfp(st, -2),
-        )
-    )
-    _entry("px.xp", 0, 2, 2)(
-        (
-            lambda st: Value(_S(Q(1, st.n**2) - _LL(st.l) / ((st.l + HALF) * st.n**3))),
-            lambda st: bilinear(st, dR(st), dR(st), 0),
-        )
-    )
-    _entry("px.1/r.xp", 0, 3, 3)(
-        (
-            lambda st: Value(_S(-Q(1, st.n**4) + 1 / ((st.l + HALF) * st.n**3))),
-            lambda st: bilinear(st, dR(st), dR(st), -1),
-        )
-    )
-    _entry("px.1/r2.xp", 0, 4, 4)(
-        (
-            lambda st: Value(_S((2 * st.n**2 + 1 - 2 * _LL(st.l)) / (4 * _B(st.l) * st.n**5) + Q(4 * _d0(st.l), st.n**3))),
-            lambda st: bilinear(st, dR(st), dR(st), -2),
-        )
-    )
-    _entry("p.1/r.p-3px.1/r.xp", 0, 3, 3)(
-        (
-            lambda st: Value(_S(Q(2, st.n**4) - 1 / ((st.l + HALF) * st.n**3) - Q(2 * _d0(st.l), st.n**3))),
-            lambda st: pfp(st, -1) - bilinear(st, dR(st), dR(st), -1).scale(3),
-        )
-    )
-    _entry("p.1/r2.p-3px.1/r2.xp", 0, 4, 4)(
-        (
-            lambda st: Value(_S((st.n**2 - 1 + _LL(st.l)) / (2 * _B(st.l) * st.n**5) - Q(4 * _d0(st.l), st.n**3))),
-            lambda st: pfp(st, -2) - bilinear(st, dR(st), dR(st), -2).scale(3),
-        )
-    )
-    _entry("p.1/r3.p-3px.1/r3.xp", 1, 5, 5)(
-        (
-            lambda st: Value(
-                _S(
-                    (3 * st.n**2 - _LL(st.l)) / (2 * _LL(st.l) * _B(st.l) * st.n**5)
-                    + Q(2 * (st.n**2 - 1) * _d1(st.l), 9 * st.n**5)
-                )
-            ),
-            # individually divergent at l = 1; integrate the combination
-            lambda st: bilinear_sum(
-                st,
-                [
-                    (-2, dR(st), dR(st), -3),
-                    (_LL(st.l), R(st), R(st), -5),
-                ],
-            ),
-        )
-    )
-
+    CatalogEntry(
+        "p.1/r.p", 0, 3, 3,
+        lambda n, l, L: 2 / ((l + HALF) * n**3) - Q(1, n**4) - Q(2 * _d0(l), n**3),
+        _grad(R, -1),
+    ),
+    CatalogEntry(
+        "p.1/r2.p", 0, 4, 4,
+        lambda n, l, L: (8 * n**2 + 1 - 4 * L) / (4 * _B(l) * n**5) + Q(8 * _d0(l), n**3),
+        _grad(R, -2),
+    ),
+    CatalogEntry("px.xp", 0, 2, 2, lambda n, l, L: Q(1, n**2) - L / ((l + HALF) * n**3), ((1, DR, DR, 0),)),
+    CatalogEntry(
+        "px.1/r.xp", 0, 3, 3, lambda n, l, L: -Q(1, n**4) + 1 / ((l + HALF) * n**3), ((1, DR, DR, -1),)
+    ),
+    CatalogEntry(
+        "px.1/r2.xp", 0, 4, 4,
+        lambda n, l, L: (2 * n**2 + 1 - 2 * L) / (4 * _B(l) * n**5) + Q(4 * _d0(l), n**3),
+        ((1, DR, DR, -2),),
+    ),
+    CatalogEntry(
+        "p.1/r.p-3px.1/r.xp", 0, 3, 3,
+        lambda n, l, L: Q(2, n**4) - 1 / ((l + HALF) * n**3) - Q(2 * _d0(l), n**3),
+        _grad(R, -1) + ((-3, DR, DR, -1),),
+    ),
+    CatalogEntry(
+        "p.1/r2.p-3px.1/r2.xp", 0, 4, 4,
+        lambda n, l, L: (n**2 - 1 + L) / (2 * _B(l) * n**5) - Q(4 * _d0(l), n**3),
+        _grad(R, -2) + ((-3, DR, DR, -2),),
+    ),
+    # individually divergent at l = 1; the pieces are summed before the check
+    CatalogEntry(
+        "p.1/r3.p-3px.1/r3.xp", 1, 5, 5,
+        lambda n, l, L: (3 * n**2 - L) / (2 * L * _B(l) * n**5) + Q(2 * (n**2 - 1) * _d1(l), 9 * n**5),
+        _grad(R, -3) + ((-3, DR, DR, -3),),
+    ),
     # --- p^2-weighted ---
-    _entry("p2.r", 0, 1, 1)(
-        (
-            lambda st: Value(_S(_LL(st.l) / (2 * st.n**2) + HALF)),
-            lambda st: bilinear(st, p2R(st), R(st), 1),
-        )
-    )
-    _entry("p2.1/r", 0, 3, 3)(
-        (
-            lambda st: Value(_S(2 / ((st.l + HALF) * st.n**3) - Q(1, st.n**4))),
-            lambda st: bilinear(st, p2R(st), R(st), -1),
-        )
-    )
-    _entry("p4.1/r", 1, 5, 5)(
-        (
-            lambda st: Value(_S((4 * st.n**2 + 2 - 4 * _LL(st.l)) / (_B(st.l) * st.n**5) + Q(1, st.n**6))),
-            lambda st: bilinear(st, p2R(st), p2_fn(st, div_r(st, fn_of(st))), 0),
-        )
-    )
-    _entry("p2.1/r2", 1, 4, 4)(
-        (
-            lambda st: Value(_S(2 / (_LL(st.l) * (st.l + HALF) * st.n**3) - 1 / ((st.l + HALF) * st.n**5))),
-            lambda st: bilinear(st, p2R(st), R(st), -2),
-        )
-    )
-    _entry("p2.1/r3", 1, 5, 5)(
-        (
-            lambda st: Value(
-                _S((3 * st.n**2 + Q(3, 4) - 2 * _LL(st.l)) / (_LL(st.l) * (st.l + HALF) * (st.l - HALF) * (st.l + Q(3, 2)) * st.n**5))
-            ),
-            lambda st: bilinear(st, p2R(st), R(st), -3),
-        )
-    )
-    _entry("p2.r.p2", 0, 3, 3)(
-        (
-            lambda st: Value(_S(-_LL(st.l) / (2 * st.n**4) + Q(3, 2 * st.n**2))),
-            lambda st: bilinear(st, p2R(st), p2R(st), 1),
-        )
-    )
-    _entry("p2.1/r.p2", 1, 5, 5)(
-        (
-            lambda st: Value(_S(Q(1, st.n**6) + (4 * st.n**2 - 4 * _LL(st.l)) / (_LL(st.l) * (st.l + HALF) * st.n**5))),
-            lambda st: bilinear(st, p2R(st), p2R(st), -1),
-        )
-    )
-
+    CatalogEntry("p2.r", 0, 1, 1, lambda n, l, L: L / (2 * n**2) + HALF, ((1, P2R, R, 1),)),
+    CatalogEntry(
+        "p2.1/r", 0, 3, 3, lambda n, l, L: 2 / ((l + HALF) * n**3) - Q(1, n**4), ((1, P2R, R, -1),)
+    ),
+    CatalogEntry(
+        "p4.1/r", 1, 5, 5,
+        lambda n, l, L: (4 * n**2 + 2 - 4 * L) / (_B(l) * n**5) + Q(1, n**6),
+        ((1, P2R, p2(R_R), 0),),
+    ),
+    CatalogEntry(
+        "p2.1/r2", 1, 4, 4,
+        lambda n, l, L: 2 / (L * (l + HALF) * n**3) - 1 / ((l + HALF) * n**5),
+        ((1, P2R, R, -2),),
+    ),
+    CatalogEntry(
+        "p2.1/r3", 1, 5, 5,
+        lambda n, l, L: (3 * n**2 + Q(3, 4) - 2 * L) / (L * (l + HALF) * (l - HALF) * (l + Q(3, 2)) * n**5),
+        ((1, P2R, R, -3),),
+    ),
+    CatalogEntry("p2.r.p2", 0, 3, 3, lambda n, l, L: -L / (2 * n**4) + Q(3, 2 * n**2), ((1, P2R, P2R, 1),)),
+    CatalogEntry(
+        "p2.1/r.p2", 1, 5, 5,
+        lambda n, l, L: Q(1, n**6) + (4 * n**2 - 4 * L) / (L * (l + HALF) * n**5),
+        ((1, P2R, P2R, -1),),
+    ),
     # --- single radial derivative ---
-    _entry("r.dr", 0, 0, 0)(
-        (
-            lambda st: Value(_S(Q(-3, 2))),
-            lambda st: bilinear(st, R(st), dR(st), 1),
-        )
-    )
-    _entry("dr", 0, 1, 1)(
-        (
-            lambda st: Value(_S(Q(-1, st.n**2))),
-            lambda st: bilinear(st, R(st), dR(st), 0),
-        )
-    )
-    _entry("1/r.dr", 0, 2, 2)(
-        (
-            lambda st: Value(_S(-1 / (2 * (st.l + HALF) * st.n**3))),
-            lambda st: bilinear(st, R(st), dR(st), -1),
-        )
-    )
-    _entry("1/r2.dr", 0, 3, 3)(
-        (
-            lambda st: Value(_S(Q(-2 * _d0(st.l), st.n**3))),
-            lambda st: bilinear(st, R(st), dR(st), -2),
-        )
-    )
-    _entry("1/r3.dr", 1, 4, 4)(
-        (
-            lambda st: Value(_S((3 * st.n**2 - _LL(st.l)) / (4 * _LL(st.l) * _B(st.l) * st.n**5))),
-            lambda st: bilinear(st, R(st), dR(st), -3),
-        )
-    )
-    _entry("1/r3.(dr+1)", 0, 4, 4)(
-        (
-            lambda st: Value(_S((4 * st.n**2 - 1) / (4 * _B(st.l) * st.n**5) + Q(2 * _d0(st.l), st.n**3))),
-            lambda st: bilinear(st, R(st), dR(st) + R(st), -3),
-        )
-    )
-    _entry("1/r4.dr", 2, 5, 5)(
-        (
-            lambda st: Value(
-                _S((5 * st.n**2 + 1 - 3 * _LL(st.l)) / (2 * (st.l - 1) * _LL(st.l) * (st.l + 2) * _B(st.l) * st.n**5))
-            ),
-            lambda st: bilinear(st, R(st), dR(st), -4),
-        )
-    )
-    _entry("1/r4.(dr-1/r)", 1, 5, 5)(
-        (
-            lambda st: Value(_S(Q(-2 * (st.n**2 - 1) * _d1(st.l), 9 * st.n**5))),
-            lambda st: bilinear(st, R(st), dR(st) - div_r(st, fn_of(st)), -4),
-        )
-    )
-
+    CatalogEntry("r.dr", 0, 0, 0, lambda n, l, L: Q(-3, 2), ((1, R, DR, 1),)),
+    CatalogEntry("dr", 0, 1, 1, lambda n, l, L: Q(-1, n**2), ((1, R, DR, 0),)),
+    CatalogEntry("1/r.dr", 0, 2, 2, lambda n, l, L: -1 / (2 * (l + HALF) * n**3), ((1, R, DR, -1),)),
+    CatalogEntry("1/r2.dr", 0, 3, 3, lambda n, l, L: Q(-2 * _d0(l), n**3), ((1, R, DR, -2),)),
+    CatalogEntry(
+        "1/r3.dr", 1, 4, 4, lambda n, l, L: (3 * n**2 - L) / (4 * L * _B(l) * n**5), ((1, R, DR, -3),)
+    ),
+    CatalogEntry(
+        "1/r3.(dr+1)", 0, 4, 4,
+        lambda n, l, L: (4 * n**2 - 1) / (4 * _B(l) * n**5) + Q(2 * _d0(l), n**3),
+        ((1, R, DR + R, -3),),
+    ),
+    CatalogEntry(
+        "1/r4.dr", 2, 5, 5,
+        lambda n, l, L: (5 * n**2 + 1 - 3 * L) / (2 * (l - 1) * L * (l + 2) * _B(l) * n**5),
+        ((1, R, DR, -4),),
+    ),
+    CatalogEntry(
+        "1/r4.(dr-1/r)", 1, 5, 5, lambda n, l, L: Q(-2 * (n**2 - 1) * _d1(l), 9 * n**5), ((1, R, DR_R, -4),)
+    ),
     # --- second derivatives ---
-    _entry("r.dr2", 0, 1, 1)(
-        (
-            lambda st: Value(_S((4 + _LL(st.l)) / (2 * st.n**2) - HALF)),
-            lambda st: bilinear(st, R(st), ddR(st), 1),
-        )
-    )
-    _entry("dr2", 0, 2, 2)(
-        (
-            lambda st: Value(_S((1 + _LL(st.l)) / ((st.l + HALF) * st.n**3) - Q(1, st.n**2))),
-            lambda st: bilinear(st, R(st), ddR(st), 0),
-        )
-    )
-    _entry("1/r.dr2", 0, 3, 3)(
-        (
-            lambda st: Value(_S(Q(1, st.n**4) - 1 / ((st.l + HALF) * st.n**3) + Q(2 * _d0(st.l), st.n**3))),
-            lambda st: bilinear(st, R(st), ddR(st), -1),
-        )
-    )
-    _entry("1/r2.dr2", 0, 4, 4)(
-        (
-            lambda st: Value(_S((-2 * st.n**2 - 1 + 2 * _LL(st.l)) / (4 * _B(st.l) * st.n**5))),
-            lambda st: bilinear(st, R(st), ddR(st), -2),
-        )
-    )
-    _entry("1/r3.dr2", 1, 5, 5)(
-        (
-            lambda st: Value(
-                _S(
-                    (-st.n**2 - HALF + _LL(st.l)) / (2 * _LL(st.l) * _B(st.l) * st.n**5)
-                    - Q(2 * (st.n**2 - 1) * _d1(st.l), 9 * st.n**5)
-                )
-            ),
-            lambda st: bilinear(st, R(st), ddR(st), -3),
-        )
-    )
-    _entry("drd.dr2", 0, 3, 3)(
-        (
-            lambda st: Value(_S(Q(1, st.n**4) - 1 / ((st.l + HALF) * st.n**3))),
-            lambda st: bilinear(st, dR(st), ddR(st), 0),
-        )
-    )
-    _entry("drd.1/r.dr2", 0, 4, 4)(
-        (
-            lambda st: Value(_S((-st.n**2 - HALF + _LL(st.l)) / (4 * _B(st.l) * st.n**5) - Q(2 * _d0(st.l), st.n**3))),
-            lambda st: bilinear(st, dR(st), ddR(st), -1),
-        )
-    )
-    _entry("drd.1/r2.dr2", 0, 5, 5)(
-        (
-            lambda st: Value(_S(Q(-2 * _d0(st.l), st.n**3) - Q(2 * (st.n**2 - 1) * _d1(st.l), 9 * st.n**5))),
-            lambda st: bilinear(st, dR(st), ddR(st), -2),
-        )
-    )
-    _entry("drd2.dr2", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S(
-                    (-4 * st.n**2 - 2 - 2 * _LL(st.l) + 6 * st.n**2 * _LL(st.l) + 6 * _LL(st.l) ** 2)
-                    / (4 * _B(st.l) * st.n**5)
-                    - Q(3, st.n**4)
-                )
-            ),
-            lambda st: bilinear(st, ddR(st), ddR(st), 0),
-        )
-    )
-    _entry("p2.r.dr2", 0, 3, 3)(
-        (
-            lambda st: Value(
-                _S(-(4 + _LL(st.l)) / (2 * st.n**4) + (2 + 2 * _LL(st.l)) / ((st.l + HALF) * st.n**3) - Q(3, 2 * st.n**2))
-            ),
-            lambda st: bilinear(st, p2R(st), ddR(st), 1),
-        )
-    )
-    _entry("p2.dr2", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S(-(2 * st.n**2 + 1 + _LL(st.l)) / ((st.l + HALF) * st.n**5) + Q(3, st.n**4) + Q(4 * _d0(st.l), st.n**3))
-            ),
-            lambda st: bilinear(st, p2R(st), ddR(st), 0),
-        )
-    )
-
+    CatalogEntry("r.dr2", 0, 1, 1, lambda n, l, L: (4 + L) / (2 * n**2) - HALF, ((1, R, DDR, 1),)),
+    CatalogEntry(
+        "dr2", 0, 2, 2, lambda n, l, L: (1 + L) / ((l + HALF) * n**3) - Q(1, n**2), ((1, R, DDR, 0),)
+    ),
+    CatalogEntry(
+        "1/r.dr2", 0, 3, 3,
+        lambda n, l, L: Q(1, n**4) - 1 / ((l + HALF) * n**3) + Q(2 * _d0(l), n**3),
+        ((1, R, DDR, -1),),
+    ),
+    CatalogEntry(
+        "1/r2.dr2", 0, 4, 4, lambda n, l, L: (-2 * n**2 - 1 + 2 * L) / (4 * _B(l) * n**5), ((1, R, DDR, -2),)
+    ),
+    CatalogEntry(
+        "1/r3.dr2", 1, 5, 5,
+        lambda n, l, L: (-n**2 - HALF + L) / (2 * L * _B(l) * n**5) - Q(2 * (n**2 - 1) * _d1(l), 9 * n**5),
+        ((1, R, DDR, -3),),
+    ),
+    CatalogEntry(
+        "drd.dr2", 0, 3, 3, lambda n, l, L: Q(1, n**4) - 1 / ((l + HALF) * n**3), ((1, DR, DDR, 0),)
+    ),
+    CatalogEntry(
+        "drd.1/r.dr2", 0, 4, 4,
+        lambda n, l, L: (-n**2 - HALF + L) / (4 * _B(l) * n**5) - Q(2 * _d0(l), n**3),
+        ((1, DR, DDR, -1),),
+    ),
+    CatalogEntry(
+        "drd.1/r2.dr2", 0, 5, 5,
+        lambda n, l, L: Q(-2 * _d0(l), n**3) - Q(2 * (n**2 - 1) * _d1(l), 9 * n**5),
+        ((1, DR, DDR, -2),),
+    ),
+    CatalogEntry(
+        "drd2.dr2", 0, 4, 4,
+        lambda n, l, L: (-4 * n**2 - 2 - 2 * L + 6 * n**2 * L + 6 * L**2) / (4 * _B(l) * n**5) - Q(3, n**4),
+        ((1, DDR, DDR, 0),),
+    ),
+    CatalogEntry(
+        "p2.r.dr2", 0, 3, 3,
+        lambda n, l, L: -(4 + L) / (2 * n**4) + (2 + 2 * L) / ((l + HALF) * n**3) - Q(3, 2 * n**2),
+        ((1, P2R, DDR, 1),),
+    ),
+    CatalogEntry(
+        "p2.dr2", 0, 4, 4,
+        lambda n, l, L: -(2 * n**2 + 1 + L) / ((l + HALF) * n**5) + Q(3, n**4) + Q(4 * _d0(l), n**3),
+        ((1, P2R, DDR, 0),),
+    ),
     # --- third derivatives ---
-    _entry("dr3", 0, 3, 3)(
-        (
-            lambda st: Value(_S(Q(-3, st.n**4) + 3 / ((st.l + HALF) * st.n**3) - Q(4 * _d0(st.l), st.n**3))),
-            lambda st: bilinear(st, R(st), dddR(st), 0),
-        )
-    )
-    _entry("1/r.dr3", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S((3 * st.n**2 + Q(3, 2) - 3 * _LL(st.l)) / (4 * _B(st.l) * st.n**5) + Q(2 * _d0(st.l), st.n**3))
-            ),
-            lambda st: bilinear(st, R(st), dddR(st), -1),
-        )
-    )
-    _entry("1/r2.dr3", 0, 5, 5)(
-        (
-            lambda st: Value(
-                _S(Q(-2 * (st.n**2 + 2) * _d0(st.l), 3 * st.n**5) + Q(2 * (st.n**2 - 1) * _d1(st.l), 9 * st.n**5))
-            ),
-            lambda st: bilinear(st, R(st), dddR(st), -2),
-        )
-    )
-    _entry("drd.dr3", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S(
-                    (6 * st.n**2 + 3 - 6 * st.n**2 * _LL(st.l) - 6 * _LL(st.l) ** 2) / (4 * _B(st.l) * st.n**5)
-                    + Q(3, st.n**4)
-                    + Q(4 * _d0(st.l), st.n**3)
-                )
-            ),
-            lambda st: bilinear(st, dR(st), dddR(st), 0),
-        )
-    )
-
+    CatalogEntry(
+        "dr3", 0, 3, 3,
+        lambda n, l, L: Q(-3, n**4) + 3 / ((l + HALF) * n**3) - Q(4 * _d0(l), n**3),
+        ((1, R, DDDR, 0),),
+    ),
+    CatalogEntry(
+        "1/r.dr3", 0, 4, 4,
+        lambda n, l, L: (3 * n**2 + Q(3, 2) - 3 * L) / (4 * _B(l) * n**5) + Q(2 * _d0(l), n**3),
+        ((1, R, DDDR, -1),),
+    ),
+    CatalogEntry(
+        "1/r2.dr3", 0, 5, 5,
+        lambda n, l, L: Q(-2 * (n**2 + 2) * _d0(l), 3 * n**5) + Q(2 * (n**2 - 1) * _d1(l), 9 * n**5),
+        ((1, R, DDDR, -2),),
+    ),
+    CatalogEntry(
+        "drd.dr3", 0, 4, 4,
+        lambda n, l, L: (6 * n**2 + 3 - 6 * n**2 * L - 6 * L**2) / (4 * _B(l) * n**5)
+        + Q(3, n**4)
+        + Q(4 * _d0(l), n**3),
+        ((1, DR, DDDR, 0),),
+    ),
     # --- adjoint-derivative sandwiches ---
-    _entry("drd.1/r3.dr", 2, 5, 5)(
-        (
-            lambda st: Value(
-                _S(
-                    (6 * st.n**2 + _LL(st.l) * (2 * st.n**2 - 1 - 2 * _LL(st.l)))
-                    / (4 * (st.l - 1) * _LL(st.l) * (st.l + 2) * _B(st.l) * st.n**5)
-                )
-            ),
-            lambda st: bilinear(st, dR(st), dR(st), -3),
-        )
-    )
-    _entry("drd.1/r3.(dr-1/r)", 1, 5, 5)(
-        (
-            lambda st: Value(
-                _S(
-                    (st.n**2 + HALF - _LL(st.l)) / (2 * _LL(st.l) * _B(st.l) * st.n**5)
-                    - Q(2 * (st.n**2 - 1) * _d1(st.l), 9 * st.n**5)
-                )
-            ),
-            lambda st: bilinear(st, dR(st), dR(st) - div_r(st, fn_of(st)), -3),
-        )
-    )
-    _entry("(drd-1/r).1/r3.(dr-1/r)", 1, 5, 5)(
-        (
-            lambda st: Value(_S((st.n**2 + HALF - _LL(st.l)) / (2 * _LL(st.l) * _B(st.l) * st.n**5))),
-            lambda st: bilinear(
-                st, dR(st) - div_r(st, fn_of(st)), dR(st) - div_r(st, fn_of(st)), -3
-            ),
-        )
-    )
-    _entry("drd.p2.dr", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S(
-                    (2 * st.n**2 - 2 + 2 * _LL(st.l)) / (4 * _B(st.l) * st.n**5)
-                    + _LL(st.l) / ((st.l + HALF) * st.n**5)
-                    + 2 / ((st.l + HALF) * st.n**3)
-                    - Q(3, st.n**4)
-                )
-            ),
-            lambda st: bilinear(st, dR(st), p2_fn(st, dR(st)), 0),
-        )
-    )
-    _entry("pn.1/r.dr.pn", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S((-4 * st.n**2 - HALF + 2 * _LL(st.l)) / (4 * _B(st.l) * st.n**5) - Q(4 * _d0(st.l), st.n**3))
-            ),
-            lambda st: bilinear(st, dR(st), ddR(st), -1)
-            + (
-                bilinear(st, div_r(st, fn_of(st)), d_r(st, div_r(st, fn_of(st))), -1).scale(_LL(st.l))
-                if st.l
-                else Value(SYM_ZERO)
-            ),
-        )
-    )
-    _entry("pn.px.xp.pn", 0, 4, 4)(
-        (
-            lambda st: Value(
-                _S(
-                    (2 * st.n**2 - 2 + 2 * _LL(st.l)) / (4 * _B(st.l) * st.n**5)
-                    + _LL(st.l) / ((st.l + HALF) * st.n**5)
-                    + 2 / ((st.l + HALF) * st.n**3)
-                    - Q(3, st.n**4)
-                )
-            ),
-            lambda st: bilinear(st, ddR(st), ddR(st), 0)
-            + (
-                bilinear(st, d_r(st, div_r(st, fn_of(st))), d_r(st, div_r(st, fn_of(st))), 0).scale(_LL(st.l))
-                if st.l
-                else Value(SYM_ZERO)
-            ),
-        )
-    )
-
+    CatalogEntry(
+        "drd.1/r3.dr", 2, 5, 5,
+        lambda n, l, L: (6 * n**2 + L * (2 * n**2 - 1 - 2 * L)) / (4 * (l - 1) * L * (l + 2) * _B(l) * n**5),
+        ((1, DR, DR, -3),),
+    ),
+    CatalogEntry(
+        "drd.1/r3.(dr-1/r)", 1, 5, 5,
+        lambda n, l, L: (n**2 + HALF - L) / (2 * L * _B(l) * n**5) - Q(2 * (n**2 - 1) * _d1(l), 9 * n**5),
+        ((1, DR, DR_R, -3),),
+    ),
+    CatalogEntry(
+        "(drd-1/r).1/r3.(dr-1/r)", 1, 5, 5,
+        lambda n, l, L: (n**2 + HALF - L) / (2 * L * _B(l) * n**5),
+        ((1, DR_R, DR_R, -3),),
+    ),
+    CatalogEntry("drd.p2.dr", 0, 4, 4, _drd_p2_dr, ((1, DR, p2(DR), 0),)),
+    CatalogEntry(
+        "pn.1/r.dr.pn", 0, 4, 4,
+        lambda n, l, L: (-4 * n**2 - HALF + 2 * L) / (4 * _B(l) * n**5) - Q(4 * _d0(l), n**3),
+        ((1, DR, DDR, -1), (1, scaled(R_R, ang=1), d(R_R), -1)),
+    ),
+    CatalogEntry("pn.px.xp.pn", 0, 4, 4, _drd_p2_dr, ((1, DDR, DDR, 0), (1, scaled(d(R_R), ang=1), d(R_R), 0))),
     # --- logarithmic entries ---
-    def _lam(st, kappa):
-        return SymExpr.of(lam(kappa))
-
-    def ln_closed(st, kappa="kappa"):
-        n, l = st.n, st.l
-        return Value(
-            _lam(st, kappa)
-            + SymExpr({ONE: harmonic(n + l) + 1 - Q(2 * l + 1, 2 * n), GAMMA_E: Q(-1)})
-        )
-
-    _entry("ln", 0, 0, 0, needs_kappa=True)(
-        (ln_closed, lambda st, kappa="kappa": bilinear(st, R(st), R(st), 0, logpow=1, kappa=kappa))
-    )
-
-    def ln_r1_closed(st, kappa="kappa"):
-        n, l = st.n, st.l
-        return Value(
-            (_lam(st, kappa) + SymExpr({ONE: harmonic(n + l), GAMMA_E: Q(-1)})) * Q(1, n * n)
-        )
-
-    _entry("ln/r", 0, 1, 1, needs_kappa=True)(
-        (ln_r1_closed, lambda st, kappa="kappa": bilinear(st, R(st), R(st), -1, logpow=1, kappa=kappa))
-    )
-
-    def ln_r2_closed(st, kappa="kappa"):
-        n, l = st.n, st.l
-        c = 1 / ((l + HALF) * n**3)
-        return Value(
-            (
-                _lam(st, kappa)
-                + SymExpr({ONE: harmonic(2 * l + 1) + harmonic(2 * l) - harmonic(n + l), GAMMA_E: Q(-1)})
-            )
-            * c
-        )
-
-    _entry("ln/r2", 0, 2, 2, needs_kappa=True)(
-        (ln_r2_closed, lambda st, kappa="kappa": bilinear(st, R(st), R(st), -2, logpow=1, kappa=kappa))
-    )
-
-    def ln_r3_closed(st, kappa="kappa"):
-        n, l = st.n, st.l
-        c = 1 / (_LL(l) * (l + HALF) * n**3)
-        return Value(
-            (
-                _lam(st, kappa)
-                + SymExpr(
-                    {
-                        ONE: harmonic(2 * l + 2) + harmonic(2 * l - 1) - harmonic(n + l) - Q(n - l, n) + Q(1, 2 * n),
-                        GAMMA_E: Q(-1),
-                    }
-                )
-            )
-            * c
-        )
-
-    _entry("ln/r3", 1, 3, 3, needs_kappa=True)(
-        (ln_r3_closed, lambda st, kappa="kappa": bilinear(st, R(st), R(st), -3, logpow=1, kappa=kappa))
-    )
-
-    def ln2_r_closed(st, kappa="kappa"):
-        n, l = st.n, st.l
-        nr = st.nr
-        hnl = harmonic(n + l)
-        inner = SymExpr(
-            {
-                lam2(kappa): Q(1),
-                lam(kappa): 2 * hnl,
-                gamma_lam(kappa): Q(-2),
-                ONE: hnl * hnl - harmonic(n + l, 2) + 2 * hnl * harmonic(nr) - 2 * diharmonic("-", nr, n + l - 1),
-                GAMMA_E: -2 * hnl,
-                GAMMA2: Q(1),
-                ZETA2: Q(1),
-            }
-        )
-        return Value(inner * Q(1, n * n))
-
-    _entry("ln2/r", 0, 1, 1, needs_kappa=True)(
-        (ln2_r_closed, lambda st, kappa="kappa": bilinear(st, R(st), R(st), -1, logpow=2, kappa=kappa))
-    )
-
-    def ln_dr_closed(st, kappa="kappa"):
-        n, l = st.n, st.l
-        return Value(
-            (_lam(st, kappa) + SymExpr({ONE: harmonic(n + l) + HALF, GAMMA_E: Q(-1)})) * Q(-1, n * n)
-        )
-
-    _entry("ln.dr", 0, 1, 1, needs_kappa=True)(
-        (ln_dr_closed, lambda st, kappa="kappa": bilinear(st, R(st), dR(st), 0, logpow=1, kappa=kappa))
-    )
-
+    CatalogEntry("ln", 0, 0, 0, _ln, ((1, R, R, 0),), logpow=1),
+    CatalogEntry("ln/r", 0, 1, 1, _ln_r, ((1, R, R, -1),), logpow=1),
+    CatalogEntry("ln/r2", 0, 2, 2, _ln_r2, ((1, R, R, -2),), logpow=1),
+    CatalogEntry("ln/r3", 1, 3, 3, _ln_r3, ((1, R, R, -3),), logpow=1),
+    CatalogEntry("ln2/r", 0, 1, 1, _ln2_r, ((1, R, R, -1),), logpow=2),
+    CatalogEntry("ln.dr", 0, 1, 1, _ln_dr, ((1, R, DR, 0),), logpow=1),
     # --- potential block (finite three-dimensional entries) ---
-    _entry("V", 0, 1, 2)(
-        (
-            lambda st: Value(_S(Q(-1, st.n**2)), 0, 0, 0),
-            lambda st: bilinear(st, R(st), R(st), -1).scale(-1),
-        )
-    )
-    _entry("V2", 0, 2, 4)(
-        (
-            lambda st: Value(_S(1 / ((st.l + HALF) * st.n**3))),
-            lambda st: bilinear(st, R(st), R(st), -2),
-        )
-    )
-    _entry("p.V.p", 0, 3, 4)(
-        (
-            lambda st: Value(
-                _S(Q(1, st.n**4) - 2 / ((st.l + HALF) * st.n**3) + Q(2 * _d0(st.l), st.n**3))
-            ),
-            lambda st: pfp(st, -1).scale(-1),
-        )
-    )
-    _entry("p2.V", 0, 3, 4)(
-        (
-            lambda st: Value(_S(Q(1, st.n**4) - 2 / ((st.l + HALF) * st.n**3))),
-            lambda st: bilinear(st, p2R(st), R(st), -1).scale(-1),
-        )
-    )
-
-
-_build_catalog()
+    CatalogEntry("V", 0, 1, 2, lambda n, l, L: Q(-1, n**2), ((-1, R, R, -1),)),
+    CatalogEntry("V2", 0, 2, 4, lambda n, l, L: 1 / ((l + HALF) * n**3), ((1, R, R, -2),)),
+    CatalogEntry(
+        "p.V.p", 0, 3, 4,
+        lambda n, l, L: Q(1, n**4) - 2 / ((l + HALF) * n**3) + Q(2 * _d0(l), n**3),
+        _grad(R, -1, -1),
+    ),
+    CatalogEntry(
+        "p2.V", 0, 3, 4, lambda n, l, L: Q(1, n**4) - 2 / ((l + HALF) * n**3), ((-1, P2R, R, -1),)
+    ),
+)
+CATALOG: Dict[str, CatalogEntry] = {row.tag: row for row in _ROWS}
 
 
 def catalog_tags():
     return sorted(CATALOG)
 
 
-def _resolve(op: Union[str, OperatorSpec]) -> OperatorSpec:
+def _lookup(op: Union[str, OperatorSpec], state: QuantumState):
     if isinstance(op, str):
         op = OperatorSpec(op)
-    if op.kind not in CATALOG:
+    row = CATALOG.get(op.kind)
+    if row is None:
         raise CatalogError(
             "unknown operator %r; valid tags: %s" % (op.kind, ", ".join(catalog_tags()))
         )
-    return op
-
-
-def _check_guard(entry: CatalogEntry, op: OperatorSpec, state: QuantumState):
-    if state.l < entry.min_l:
+    if state.l < row.min_l:
         raise RequiresDimregError(
             "<%s> requires l >= %d (l = %d is divergent in 3D; see dimreg.divergent_expectation)"
-            % (op.kind, entry.min_l, state.l)
+            % (op.kind, row.min_l, state.l)
         )
+    return op, row
 
 
 def expectation_closed(op: Union[str, OperatorSpec], state: QuantumState) -> Value:
     """Tabulated closed form for one catalog entry, with unit metadata."""
-    op = _resolve(op)
-    entry = CATALOG[op.kind]
-    _check_guard(entry, op, state)
-    if entry.needs_kappa:
-        v = entry.closed(state, kappa=op.kappa)
-    else:
-        v = entry.closed(state)
-    return Value(v.sym, entry.mr_pow, entry.za_pow, entry.pi_pow)
+    op, row = _lookup(op, state)
+    n, l = state.n, state.l
+    v = row.closed(n, l, Q(l * (l + 1)), *((op.kappa,) if row.logpow else ()))
+    return row.value(v if isinstance(v, SymExpr) else SymExpr.scalar(v))
 
 
 def expectation_oracle(op: Union[str, OperatorSpec], state: QuantumState) -> Value:
     """Independent exact-integration value of the same entry."""
-    op = _resolve(op)
-    entry = CATALOG[op.kind]
-    _check_guard(entry, op, state)
-    if entry.needs_kappa:
-        v = entry.oracle(state, kappa=op.kappa)
-    else:
-        v = entry.oracle(state)
-    return Value(v.sym, entry.mr_pow, entry.za_pow, entry.pi_pow)
+    op, row = _lookup(op, state)
+    if row.contact:
+        return row.value(contact(state, row.pieces).sym)
+    return row.value(bilinear_sum(state, row.pieces, row.logpow, op.kappa).sym)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +712,7 @@ def expectation_oracle(op: Union[str, OperatorSpec], state: QuantumState) -> Val
 
 def power_moment(state: QuantumState, s: int) -> Fraction:
     """<r^s> in units m_r Zalpha = 1, exact, any integer s with 2 + s + 2l >= 0."""
-    return bilinear(state, fn_of(state), fn_of(state), s).sym.rational
+    return bilinear_sum(state, ((1, R, R, s),)).sym.rational
 
 
 def recursion_residual(s: int, state: QuantumState) -> Fraction:

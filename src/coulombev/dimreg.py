@@ -49,12 +49,14 @@ from .exactnum import (
 )
 from .laguerre import Poly, assoc_laguerre
 from .coulomb import (
+    DDDR,
+    DDR,
+    DR,
     Fn,
+    R,
     QuantumState,
     Value,
     bilinear_sum,
-    d_r,
-    fn_of,
 )
 
 EULER_GAMMA = 0.5772156649015328606
@@ -825,14 +827,13 @@ def _eval_l0(terms, n: int, units: Tuple[int, int]) -> DivergentValue:
     return total
 
 
+_DR = (R, DR, DDR, DDDR)  # d^a R as operands of coulomb.bilinear_sum
+
+
 def _eval_pos(terms, st: QuantumState) -> SymExpr:
     """Exact eps = 0 integral with E = -1/2n^2 and beta = 1."""
     e, L = Q(-1, 2 * st.n**2), Q(st.l * (st.l + 1))
-    chain = [fn_of(st)]
-    while len(chain) <= max(max(t.a, t.b) for t in terms):
-        chain.append(d_r(st, chain[-1]))
-    pieces = [(t.coef[0] * e**t.k * L**t.ang, chain[t.a], chain[t.b], t.sigma) for t in terms]
-    return bilinear_sum(st, pieces).sym
+    return bilinear_sum(st, [(t.coef[0] * e**t.k * L**t.ang, _DR[t.a], _DR[t.b], t.sigma) for t in terms]).sym
 
 
 def _evaluate(terms, st: QuantumState):

@@ -281,8 +281,7 @@ def suite_coulomb() -> SuiteResult:
             if st.l < entry.min_l:
                 continue
             c = cb.expectation_closed(tag, st)
-            o = cb.expectation_oracle(tag, st)
-            r.check(c.sym == o.sym, "catalog %s (%d,%d)" % (tag, st.n, st.l))
+            r.check(c == cb.expectation_oracle(tag, st), "catalog %s (%d,%d)" % (tag, st.n, st.l))
     for st in states:
         e = Q(-1, 2 * st.n**2)
         r.check(cb.expectation_oracle("p2", st).sym.rational == -2 * e, "virial p2 (%d,%d)" % (st.n, st.l))
@@ -291,7 +290,7 @@ def suite_coulomb() -> SuiteResult:
         r.check(cb.expectation_closed("p4", st).sym.rational == rhs, "p4 reduction (%d,%d)" % (st.n, st.l))
     for st in [s for s in states if s.n <= 8]:
         for s_pow in (1, 2, 3):
-            lhs = cb.bilinear(st, cb.fn_of(st), cb.d_r(st, cb.fn_of(st)), s_pow).sym.rational
+            lhs = cb.bilinear_sum(st, [(1, cb.R, cb.DR, s_pow)]).sym.rational
             r.check(lhs == -Q(s_pow + 2, 2) * cb.power_moment(st, s_pow - 1), "r^s dr (%d,%d,%d)" % (st.n, st.l, s_pow))
     for n in range(1, 11):
         wf = cb.radial_wavefunction(cb.QuantumState(n, 0))

@@ -10,18 +10,13 @@ import time
 from fractions import Fraction as Q
 
 import numpy as np
-import pytest
 
 from coulombev import brackets as br
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
 from coulombev import lagint as li
 from coulombev.exactnum import SymExpr, harmonic as H, lam
-from coulombev.suites import (
-    run_suites,
-    suite_exactnum,
-    suite_lagint,
-)
+from coulombev.suites import suite_coulomb, suite_exactnum, suite_lagint
 
 S = SymExpr.scalar
 HALF = Q(1, 2)
@@ -34,20 +29,11 @@ def _report(num, label, elapsed, budget):
 def test_criterion_1_catalog_exactness():
     """Every finite 3D entry equals the exact-integration oracle, n <= 10."""
     t0 = time.time()
-    states = [cb.QuantumState(n, l) for n in range(1, 11) for l in range(n)]
-    checked = 0
-    for tag in cb.catalog_tags():
-        entry = cb.CATALOG[tag]
-        for st in states:
-            if st.l < entry.min_l:
-                continue
-            c = cb.expectation_closed(tag, st)
-            o = cb.expectation_oracle(tag, st)
-            assert c.sym == o.sym, (tag, st.n, st.l)
-            checked += 1
+    res = suite_coulomb()
+    assert res.ok, res.failures
     elapsed = time.time() - t0
     assert elapsed < 60
-    _report(1, "%d entries x states, symbol-for-symbol" % checked, elapsed, 60)
+    _report(1, "%d suite checks, symbol-for-symbol" % res.passed, elapsed, 60)
 
 
 def test_criterion_2_integral_tables():

@@ -116,6 +116,24 @@ def test_eval_unit_flags_finite_divergent_tag(capsys):
     assert "numeric" in out
 
 
+@pytest.mark.parametrize("flag", [("--mr", "-1"), ("--kappa", "-2"), ("--mr", "0"), ("--mr", "nan")])
+def test_eval_bad_phys_scale(capsys, flag):
+    code = cli.main(["eval", "--n", "1", "--op", "1/r", "--format", "json", *flag])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--c1", "--c2", "--m1", "--m2"])
+def test_demo_cx1_bad_fraction(capsys, flag):
+    code = cli.main(["demo-cx1", flag, "x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_demo_cx1(capsys):
     code, out = run(capsys, "demo-cx1", "--n", "2", "--l", "1")
     assert code == 0

@@ -45,6 +45,27 @@ def test_catalog_closed_equals_oracle(tag):
         assert (c.mr_pow, c.za_pow, c.pi_pow) == (o.mr_pow, o.za_pow, o.pi_pow)
 
 
+HIGH_N_STATES = [cb.QuantumState(n, l) for n in (15, 20, 30) for l in sorted({0, 1, 2, n // 2, n - 1})]
+
+
+def test_catalog_closed_equals_oracle_high_n():
+    """Every tag at n = 15, 20, 30, symbol and units; the log tags also with kappa = mu."""
+    pairs = 0
+    for tag in sorted(cb.CATALOG):
+        entry = cb.CATALOG[tag]
+        specs = [tag] + ([cb.OperatorSpec(tag, kappa="mu")] if entry.logpow else [])
+        for st in HIGH_N_STATES:
+            if st.l < entry.min_l:
+                continue
+            for spec in specs:
+                c = cb.expectation_closed(spec, st)
+                assert c == cb.expectation_oracle(spec, st), (spec, st.n, st.l)
+            if entry.logpow:  # c is the kappa = mu value
+                assert lam("mu") in c.sym.terms and lam("kappa") not in c.sym.terms
+            pairs += 1
+    assert pairs == 990
+
+
 def test_reference_values():
     assert cb.expectation_closed("1/r", cb.QuantumState(3, 1)).sym.rational == Q(1, 9)
     # 4/((l+1/2) n^3) - 3/n^4 at (2,1): 1/3 - 3/16 = 7/48
@@ -83,7 +104,7 @@ def test_p4_schroedinger_reduction():
 def test_rs_dr_relation():
     for st in [s for s in STATES if s.n <= 8]:
         for s in (1, 2, 3):
-            lhs = cb.bilinear(st, cb.fn_of(st), cb.d_r(st, cb.fn_of(st)), s).sym.rational
+            lhs = cb.bilinear_sum(st, [(1, cb.R, cb.DR, s)]).sym.rational
             assert lhs == -Q(s + 2, 2) * cb.power_moment(st, s - 1)
 
 
