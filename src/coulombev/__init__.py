@@ -50,7 +50,6 @@ from .dimreg import (
     contact_expansion,
     divergent_expectation,
     divergent_tags,
-    eigenvalue_shoot,
     energy_expansion,
     identity_residuals,
     series_coefficients,
@@ -59,3 +58,12 @@ from .dimreg import (
 from .brackets import bracket, bracket_lnq, bracket_lnq_oracle, bracket_tags, fourier_kernel
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # PEP 562: the shooting layer loads numpy and scipy on first use only
+    if name == "eigenvalue_shoot":
+        from .shoot import eigenvalue_shoot
+
+        return eigenvalue_shoot
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

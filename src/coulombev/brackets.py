@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict
 
-from scipy import integrate as _sint
-
 from .exactnum import (
     DomainError,
     EpsSeries,
@@ -319,6 +317,8 @@ def bracket_lnq_oracle(n: int) -> float:
     if n > 4:
         raise DomainError("oracle implemented for small n (quadrature cost)")
     import warnings
+
+    from scipy import integrate as _sint
 
     st = QuantumState(n, 0)
     R = momentum_radial(st)

@@ -133,6 +133,10 @@ def cmd_eval(args) -> int:
 
 def cmd_table(args) -> int:
     ops = args.ops.split(",")
+    known = set(catalog_tags()) | set(dimreg.divergent_tags())
+    unknown = [op for op in ops if op not in known]
+    if unknown:
+        raise DomainError("unknown operator tag(s) %s; see `coulombev tags`" % ", ".join(map(repr, unknown)))
     try:
         lo, hi = (int(x) for x in args.n_range.split(":"))
     except ValueError:
@@ -173,14 +177,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dimreg(args) -> int:
+    from . import shoot
+
     st = QuantumState(args.n, args.l)
     mu = args.mu if args.mu is not None else 1.0
     try:
-        eig = dimreg.eigenvalue_shoot(st, args.eps, mu=mu)
-    except dimreg.ShootingError as exc:
+        eig = shoot.eigenvalue_shoot(st, args.eps, mu=mu)
+    except shoot.ShootingError as exc:
         print("shooting failed: %s" % exc, file=sys.stderr)
         return 3
-    es = dimreg.energy_series_numeric(st, args.eps, mu=mu)
+    es = shoot.energy_series_numeric(st, args.eps, mu=mu)
     payload = {
         "command": "dimreg",
         "inputs": {"n": st.n, "l": st.l, "eps": args.eps, "mu": mu},

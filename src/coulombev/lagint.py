@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-import mpmath as mp
-
 from .exactnum import (
     DivergenceError,
     DomainError,
@@ -77,7 +75,9 @@ def _mono_int(t: int, logpow: int) -> SymExpr:
     raise DomainError("log power %d unsupported" % logpow)
 
 
-def _mono_int_num(t: mp.mpf, logpow: int) -> mp.mpf:
+def _mono_int_num(t, logpow: int):
+    import mpmath as mp
+
     g = mp.gamma(t + 1)
     if logpow == 0:
         return g
@@ -112,6 +112,8 @@ def brute_force_moment(spec: MomentSpec):
     if s.denominator == 1:
         return poly_moment(left, right, int(s), spec.logpow)
     prod = left * right
+    import mpmath as mp
+
     with mp.workdps(30):
         total = mp.mpf(0)
         for r, c in enumerate(prod.coeffs):
@@ -231,6 +233,8 @@ def _bilinear_closed(s: Scalar, n: int, k: int, n2: int, k2: int, p: int, logpow
         if logpow == 0:
             # general gamma-ratio sum; the ratio Gamma(x)/Gamma(x-n') is the
             # falling-factorial polynomial prod_{j=1..n'} (x - j)
+            import mpmath as mp
+
             with mp.workdps(30):
                 total = mp.mpf(0)
                 sf = mp.mpf(Q(s).numerator) / Q(s).denominator

@@ -383,24 +383,26 @@ def suite_dimreg_symbolic() -> SuiteResult:
 
 
 def suite_dimreg_numeric() -> SuiteResult:
+    from . import shoot
+
     r = SuiteResult("dimreg-numeric")
     for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
         st = cb.QuantumState(n, l)
-        eig0 = dimreg.eigenvalue_shoot(st, 0.0)
+        eig0 = shoot.eigenvalue_shoot(st, 0.0)
         r.check(abs(eig0.nbar - n) < 1e-10, "nbar(0)=n (%d,%d)" % (n, l))
         en = 1.0 / (2.0 * n * n)
-        d1 = abs(dimreg.eigenvalue_shoot(st, 1e-3).ebar - dimreg.energy_series_numeric(st, 1e-3)) / en
-        d2 = abs(dimreg.eigenvalue_shoot(st, 5e-4).ebar - dimreg.energy_series_numeric(st, 5e-4)) / en
+        d1 = abs(shoot.eigenvalue_shoot(st, 1e-3).ebar - shoot.energy_series_numeric(st, 1e-3)) / en
+        d2 = abs(shoot.eigenvalue_shoot(st, 5e-4).ebar - shoot.energy_series_numeric(st, 5e-4)) / en
         r.check(d1 / d2 >= 3.6, "energy order (%d,%d): ratio %.2f" % (n, l, d1 / d2))
     # monotonicity/continuity of nbar in eps for n <= 3
     for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
         st = cb.QuantumState(n, l)
-        vals = [dimreg.eigenvalue_shoot(st, e).nbar for e in (0.0, 0.005, 0.01, 0.02)]
+        vals = [shoot.eigenvalue_shoot(st, e).nbar for e in (0.0, 0.005, 0.01, 0.02)]
         diffs = [vals[i + 1] - vals[i] for i in range(3)]
         r.check(all(d < 0 for d in diffs) or all(d > 0 for d in diffs), "nbar monotone (%d,%d)" % (n, l))
     # l-dependence at fixed n
-    e31 = dimreg.eigenvalue_shoot(cb.QuantumState(3, 1), 0.01).nbar
-    e32 = dimreg.eigenvalue_shoot(cb.QuantumState(3, 2), 0.01).nbar
+    e31 = shoot.eigenvalue_shoot(cb.QuantumState(3, 1), 0.01).nbar
+    e32 = shoot.eigenvalue_shoot(cb.QuantumState(3, 2), 0.01).nbar
     r.check(abs(e31 - e32) > 1e-4, "nbar l-dependence")
     return r
 
@@ -408,14 +410,16 @@ def suite_dimreg_numeric() -> SuiteResult:
 def suite_dimreg_pole() -> SuiteResult:
     import numpy as np
 
+    from . import shoot
+
     r = SuiteResult("dimreg-pole")
     mu = 1.0
     eps_list = (0.02, 0.01, 0.005)
     A = np.array([[1.0 / e, 1.0] for e in eps_list])
     for n in (1, 2):
         st = cb.QuantumState(n, 0)
-        eigs = [dimreg.eigenvalue_shoot(st, e, mu=mu) for e in eps_list]
-        for tag, numeric in (("V3", dimreg.v3_brace_numeric), ("(V')2", dimreg.vp2_brace_numeric)):
+        eigs = [shoot.eigenvalue_shoot(st, e, mu=mu) for e in eps_list]
+        for tag, numeric in (("V3", shoot.v3_brace_numeric), ("(V')2", shoot.vp2_brace_numeric)):
             vals = [numeric(eig) for eig in eigs]
             coef, *_ = np.linalg.lstsq(A, np.array(vals), rcond=None)
             pole_exact = float(dimreg.divergent_expectation(tag, n, 0).pole().numeric())

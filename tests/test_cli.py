@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coulombev
 from coulombev import cli
-from coulombev import dimreg
+from coulombev import shoot
 
 
 def run(capsys, *argv):
@@ -72,6 +77,24 @@ def test_dimreg_nan_eps(capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("mu", ["0", "-1", "nan", "inf"])
+def test_dimreg_bad_mu(capsys, mu):
+    code = cli.main(["dimreg", "--n", "1", "--eps", "0.01", "--mu", mu])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_table_unknown_tag(capsys):
+    code = cli.main(["table", "--ops", "1/r,bogus", "--n-range", "1:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "bogus" in captured.err
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "--suite", "junk"]) == 1
 
@@ -85,7 +108,7 @@ def test_dimreg_command(capsys):
 
 
 def test_dimreg_shooting_failure(capsys, monkeypatch):
-    monkeypatch.setattr(dimreg, "_count_nodes", lambda sol, rho0, rho_hi: 3)
+    monkeypatch.setattr(shoot, "_count_nodes", lambda sol, rho0, rho_hi: 3)
     code = cli.main(["dimreg", "--n", "1", "--eps", "0.01"])
     captured = capsys.readouterr()
     assert code == 3
@@ -153,3 +176,47 @@ def test_tags(capsys):
     code, out = run(capsys, "tags")
     assert code == 0
     assert "1/r" in out and "V3" in out and "lnq" in out
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import coulombev, coulombev.cli
+numeric = ("mpmath", "numpy", "scipy")
+loaded = lambda: sorted(m for m in numeric if m in sys.modules)
+out = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [coulombev.cli.main(argv) for argv in (
+        ["tags"],
+        ["eval", "--n", "2", "--l", "1", "--op", "1/r", "--mr", "2"],
+        ["eval", "--n", "1", "--op", "V3"],
+        ["eval", "--n", "2", "--bracket", "1/q2"],
+        ["table", "--ops", "1/r,p2,V3", "--n-range", "1:2"],
+        ["demo-cx1"],
+    )]
+out["codes"], out["exact"] = codes, loaded()
+from coulombev import dimreg as dr
+names = ["eigenvalue_shoot", "v3_brace_numeric", "vp2_brace_numeric", "energy_series_numeric", "ShootingError"]
+out["resolved"] = [getattr(dr, name).__module__ for name in names]
+out["resolved"].append(coulombev.eigenvalue_shoot.__module__)
+out["numeric"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_exact_commands_load_no_numeric_layer():
+    env = dict(os.environ, PYTHONPATH=str(Path(coulombev.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True)
+    out = json.loads(proc.stdout)
+    assert out["import"] == [] and out["exact"] == []
+    assert out["codes"] == [0] * 6
+    assert out["resolved"] == ["coulombev.shoot"] * 6
+    assert {"numpy", "scipy"} <= set(out["numeric"])
+
+
+def test_unknown_attribute():
+    from coulombev import dimreg
+
+    # shoot's private helpers are not forwarded, so patching them on dimreg fails loudly
+    for module, name in ((coulombev, "no_such_name"), (dimreg, "no_such_name"), (dimreg, "_integrate")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)

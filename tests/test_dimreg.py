@@ -6,6 +6,7 @@ import pytest
 
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
+from coulombev import shoot
 from coulombev.exactnum import (
     DomainError,
     EpsSeries,
@@ -104,21 +105,22 @@ class TestShooting:
         eig = dr.eigenvalue_shoot(cb.QuantumState(n, l), eps, mu)
         assert abs(eig.nbar - ref) <= 1e-13
 
-    @pytest.mark.parametrize("n,l,eps", [(1, 0, 0.0), (3, 2, -0.048)])
+    @pytest.mark.parametrize("n,l,eps", [(1, 0, 0.0), (3, 2, -0.048), (4, 2, 0.05)])
     def test_solve_budget(self, monkeypatch, n, l, eps):
         calls = []
-        integrate = dr._integrate
+        integrate = shoot._integrate
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(dr, "_integrate", counting)
+        monkeypatch.setattr(shoot, "_integrate", counting)
         dr.eigenvalue_shoot(cb.QuantumState(n, l), eps)
+        assert calls  # the patch reached the solver
         assert len(calls) <= 20
 
     def test_error_context(self, monkeypatch):
-        monkeypatch.setattr(dr, "_count_nodes", lambda sol, rho0, rho_hi: 3)
+        monkeypatch.setattr(shoot, "_count_nodes", lambda sol, rho0, rho_hi: 3)
         st = cb.QuantumState(1, 0)
         with pytest.raises(dr.ShootingError) as info:
             dr.eigenvalue_shoot(st, 0.01, mu=0.7)
