@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Union
 
 from .exactnum import (
@@ -177,36 +178,6 @@ def radial_wavefunction(state: QuantumState) -> RadialWF:
     return RadialWF(state, _norm2(n, l), assoc_laguerre(n - l - 1, 2 * l + 1))
 
 
-class Fn:
-    """A radial function e^{-rho/2} * sum_j c_j rho^j, j integer (may be < 0)."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: Dict[int, Fraction]):
-        self.table = {j: Q(c) for j, c in table.items() if c}
-
-    def scale(self, c) -> "Fn":
-        return Fn({j: v * c for j, v in self.table.items()})
-
-    def drho(self) -> "Fn":
-        """d/drho, including the e^{-rho/2} factor."""
-        d: Dict[int, Fraction] = {}
-        for j, v in self.table.items():
-            if j:
-                d[j - 1] = d.get(j - 1, Q(0)) + j * v
-            d[j] = d.get(j, Q(0)) - v / 2
-        return Fn(d)
-
-
-def fn_of(state: QuantumState) -> Fn:
-    wf = radial_wavefunction(state)
-    return Fn({state.l + j: c for j, c in enumerate(wf.poly.coeffs)})
-
-
-def d_r(state: QuantumState, f: Fn) -> Fn:
-    return f.drho().scale(Q(2, state.n))
-
-
 # ---------------------------------------------------------------------------
 # operands and the radial evaluator
 # ---------------------------------------------------------------------------
@@ -241,41 +212,88 @@ def p2(op):
     return scaled(d(d(op)), -1) + scaled(over_r(d(op)), -2) + scaled(over_r(over_r(op)), ang=1)
 
 
-def _weighted(state: QuantumState, pieces):
-    """sum_i coef_i r^sigma_i (left_i R)(right_i R) = norm2 sum_t c_t rho^t e^{-rho}.
+# An integer table (den, ((j, c_j), ...)) stands for the radial function
+# e^{-rho/2} sum_j (c_j / den) rho^j with integer den and c_j (j may be < 0).
+# The evaluator multiplies and sums these integers and builds one Fraction per
+# result; each state's derivative chain and operand tables are built once.
 
-    Returns (norm2, {t: c_t}).  The derivative chain and each operand's
-    coefficient table are built once; the pieces are summed before any c_t is
-    read.
+
+def int_table(coeffs: Dict[int, Fraction]):
+    """The integer table of e^{-rho/2} sum_j coeffs[j] rho^j."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, tuple((j, c.numerator * (den // c.denominator)) for j, c in coeffs.items() if c)
+
+
+def drho(table, a: int = 1, step: int = 2):
+    """((2/step) d/drho)^a of a table's function, including the e^{-rho/2} factor.
+
+    step = 2 gives d/drho; step = n gives d/dr, since rho = 2r/n.
+    """
+    den, cs = table
+    for _ in range(a):
+        out: Dict[int, int] = {}
+        for j, c in cs:
+            if j:
+                out[j - 1] = out.get(j - 1, 0) + 2 * j * c
+            out[j] = out.get(j, 0) - c
+        den, cs = den * step, tuple((j, c) for j, c in out.items() if c)
+    return den, cs
+
+
+def convolve_into(into: Dict[int, int], left, right, shift: int, m: int = 1):
+    """into[shift + j1 + j2] += m c1 c2 over the integer pairs of two tables."""
+    for j1, c1 in left:
+        c1 *= m
+        for j2, c2 in right:
+            t = shift + j1 + j2
+            into[t] = into.get(t, 0) + c1 * c2
+
+
+@lru_cache(maxsize=None)
+def _radial_chain(n: int, l: int, a: int):
+    """d^a/dr^a [rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho)] as an integer table."""
+    if a == 0:
+        poly = assoc_laguerre(n - l - 1, 2 * l + 1)
+        return int_table({l + j: c for j, c in enumerate(poly.coeffs)})
+    return drho(_radial_chain(n, l, a - 1), step=n)
+
+
+@lru_cache(maxsize=None)
+def _operand_table(n: int, l: int, op):
+    """An operand applied to R_{nl}, without sqrt(norm2), as an integer table."""
+    L, E, over = l * (l + 1), Q(-1, 2 * n * n), Q(2, n)
+    parts = []
+    for c, j, a, g, k in op:
+        w = c * L**g * E**k * over**j
+        if w:
+            den, cs = _radial_chain(n, l, a)
+            parts.append((w / den, j, cs))
+    den = math.lcm(*(w.denominator for w, _, _ in parts))
+    table: Dict[int, int] = {}
+    for w, j, cs in parts:
+        m = w.numerator * (den // w.denominator)
+        for i, v in cs:
+            table[i - j] = table.get(i - j, 0) + m * v
+    return den, tuple((t, v) for t, v in table.items() if v)
+
+
+def _weighted(state: QuantumState, pieces):
+    """sum_i coef_i r^sigma_i (left_i R)(right_i R) = norm2 sum_t (c_t/den) rho^t e^{-rho}.
+
+    Returns (norm2, den, {t: c_t}) with integer den and c_t.  The pieces are
+    put on one denominator and summed before any c_t is read.
     """
     n, l = state.n, state.l
-    chain = [fn_of(state)]
-    top = max(a for _, left, right, _ in pieces for op in (left, right) for _, _, a, _, _ in op)
-    while len(chain) <= top:
-        chain.append(d_r(state, chain[-1]))
-    over, L, E = Q(2, n), Q(l * (l + 1)), Q(-1, 2 * n * n)
-    fns: Dict[tuple, Dict[int, Fraction]] = {}
-    for _, left, right, _ in pieces:
-        for op in (left, right):
-            if op in fns:
-                continue
-            table: Dict[int, Fraction] = {}
-            for c, j, a, g, k in op:
-                w = c * L**g * E**k * over**j
-                if w:
-                    for i, v in chain[a].table.items():
-                        table[i - j] = table.get(i - j, 0) + w * v
-            fns[op] = table
-    combined: Dict[int, Fraction] = {}
+    parts = []
     for coef, left, right, sigma in pieces:
-        w = coef * Q(n, 2) ** sigma
-        g = fns[right]
-        for j1, c1 in fns[left].items():
-            c1 = w * c1
-            for j2, c2 in g.items():
-                t = sigma + j1 + j2
-                combined[t] = combined.get(t, 0) + c1 * c2
-    return _norm2(n, l), combined
+        dl, tl = _operand_table(n, l, left)
+        dr, tr = _operand_table(n, l, right)
+        parts.append((coef * Q(n, 2) ** sigma / (dl * dr), sigma, tl, tr))
+    den = math.lcm(*(w.denominator for w, _, _, _ in parts))
+    combined: Dict[int, int] = {}
+    for w, sigma, tl, tr in parts:
+        convolve_into(combined, tl, tr, sigma, w.numerator * (den // w.denominator))
+    return _norm2(n, l), den, combined
 
 
 def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kappa") -> Value:
@@ -288,29 +306,33 @@ def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kap
     """
     if logpow > 2:
         raise DomainError("log power > 2 unsupported")
-    norm2, combined = _weighted(state, pieces)
+    norm2, den, combined = _weighted(state, pieces)
+    for t, c in combined.items():
+        if c and t < -2:
+            raise DivergenceError("radial integral diverges: surviving r^%d monomial" % t)
+    scale = norm2 * Q(state.n, 2) ** 3 / den
+    if logpow == 0:  # int rho^{2+t} e^{-rho} = (t+2)!
+        total = sum(c * math.factorial(t + 2) for t, c in combined.items() if c)
+        return Value(SymExpr.scalar(scale * total))
     sums = [SYM_ZERO] * (logpow + 1)  # sum_t c_t int rho^{2+t} ln^i(rho) e^{-rho}
     for t, c in combined.items():
-        if not c:
-            continue
-        if t < -2:
-            raise DivergenceError("radial integral diverges: surviving r^%d monomial" % t)
-        for i in range(logpow + 1):
-            sums[i] = sums[i] + c * lagint._mono_int(t + 2, i)
+        if c:
+            for i in range(logpow + 1):
+                sums[i] = sums[i] + c * lagint._mono_int(t + 2, i)
     lam_pow = (1, SymExpr.of(lam(kappa)), SymExpr.of(lam2(kappa)))
     out = SYM_ZERO
     for i, part in enumerate(sums):
         out = out + part * (math.comb(logpow, i) * lam_pow[logpow - i])
-    return Value(out * (norm2 * Q(state.n, 2) ** 3))
+    return Value(out * scale)
 
 
 def contact(state: QuantumState, pieces) -> Value:
     """(1/4pi) lim_{r->0} sum_i coef_i r^sigma_i (left_i R)(right_i R); error if it diverges."""
-    norm2, combined = _weighted(state, pieces)
+    norm2, den, combined = _weighted(state, pieces)
     for t, c in combined.items():
         if c and t < 0:
             raise DivergenceError("contact value divergent (r^%d)" % t)
-    return Value(SymExpr.scalar(norm2 * combined.get(0, 0) / 4), pi_pow=-1)
+    return Value(SymExpr.scalar(norm2 * Q(combined.get(0, 0), den) / 4), pi_pow=-1)
 
 
 # ---------------------------------------------------------------------------

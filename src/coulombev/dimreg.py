@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactnum import (
@@ -50,11 +51,13 @@ from .coulomb import (
     DDDR,
     DDR,
     DR,
-    Fn,
     R,
     QuantumState,
     Value,
     bilinear_sum,
+    convolve_into,
+    drho,
+    int_table,
 )
 
 HALF = Q(1, 2)
@@ -92,16 +95,20 @@ class EpsParam:
     eps: object
 
     def __post_init__(self):
-        if not math.isfinite(self.eps) or abs(self.eps) >= Q(1, 4):
-            raise DomainError("numeric eps must be finite with |eps| < 1/4, got %r" % (self.eps,))
+        _eps_value(self.eps)
 
     @property
     def D(self):
         return 3 - 2 * self.eps
 
 
-def _unwrap_eps(eps):
-    return eps.eps if isinstance(eps, EpsParam) else eps
+def _eps_value(eps):
+    """The numeric eps of a float, Fraction or EpsParam, checked as EpsParam checks it."""
+    if isinstance(eps, EpsParam):
+        return eps.eps
+    if not math.isfinite(eps) or abs(eps) >= Q(1, 4):
+        raise DomainError("numeric eps must be finite with |eps| < 1/4, got %r" % (eps,))
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +131,12 @@ class CoeffTable:
 
 
 def series_coefficients(l: int, eps, j_max: int) -> CoeffTable:
-    """Fill the a_{jk} recursion at numeric eps (float, Fraction or EpsParam)."""
-    eps = _unwrap_eps(eps)
+    """Fill the a_{jk} recursion at numeric eps (float, Fraction or EpsParam).
+
+    With |eps| < 1/4 no denominator (j + 2 eps k)(j + 2l + 1 + 2 eps (k-1))
+    can vanish.
+    """
+    eps = _eps_value(eps)
     if j_max < 1:
         raise DomainError("j_max must be >= 1")
     a: Dict[Tuple[int, int], object] = {(0, 0): eps * 0 + 1}
@@ -134,8 +145,6 @@ def series_coefficients(l: int, eps, j_max: int) -> CoeffTable:
             prev = a.get((j - 1, k), 0)
             prev_k1 = a.get((j - 1, k - 1), 0)
             den = (j + 2 * eps * k) * (j + 2 * l + 1 + 2 * eps * (k - 1))
-            if den == 0:
-                raise DomainError("singular eps: recursion denominator vanishes at j=%d k=%d" % (j, k))
             a[(j, k)] = (prev * (j + l + eps * (2 * k - 1)) - prev_k1) / den
     return CoeffTable(l, eps, j_max, a)
 
@@ -297,18 +306,21 @@ def _head_terms(p: int, a_eps: Dict[Tuple[int, int], EpsSeries], derivs: int):
     return [(j, k, c) for (j, k, c) in terms if not c.is_zero()]
 
 
+@lru_cache(maxsize=None)
+def _l0_coeffs(n: int) -> Tuple[Fraction, ...]:
+    return tuple((assoc_laguerre(n - 1, 1) * (1 / Q(n))).coeffs)
+
+
 def _l0_poly(n: int) -> Poly:
-    return assoc_laguerre(n - 1, 1) * (1 / Q(n))
+    """L_{n-1}^1(rho)/n, the S-state series at eps = 0."""
+    return Poly(_l0_coeffs(n))
 
 
-def _fn_slice(poly: Poly, lo: int = 0, hi: Optional[int] = None) -> Fn:
-    return Fn({j: c for j, c in enumerate(poly.coeffs) if j >= lo and (hi is None or j < hi)})
-
-
-def _chain(f: Fn, derivs: int) -> Fn:
-    for _ in range(derivs):
-        f = f.drho()
-    return f
+@lru_cache(maxsize=None)
+def _series_head(p: int) -> tuple:
+    """((j, k, a_jk(eps)), ...) for j < p, sorted; the same for every n."""
+    a_eps = series_coefficients_eps(0, max(p - 1, 1), order=2)
+    return tuple((j, k, c) for (j, k), c in sorted(a_eps.items()) if j < p)
 
 
 @dataclass(frozen=True)
@@ -329,8 +341,7 @@ class SplitWF:
 
 def split_wavefunction(n: int, p: int) -> SplitWF:
     """Split L_{n0} into its eps-sensitive head (j < p) and regular tail."""
-    a_eps = series_coefficients_eps(0, max(p - 1, 1), order=2)
-    head = tuple((j, k, c) for (j, k), c in sorted(a_eps.items()) if j < p)
+    head = _series_head(p)
     l0 = _l0_poly(n)
     # the eps = 0 collapse of the head must be the Taylor head of L_{n0}
     collapsed: Dict[int, Fraction] = {}
@@ -353,13 +364,26 @@ def _divergent_primitive(
 ) -> DivergentValue:
     """Brace of coef(eps) beta^beta_pow int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
 
+    coef(eps) only multiplies the prefactor, so the brace is computed once per
+    (n, sigma, c, a, b, beta_pow) with coef = 1 and coef is applied after.
+    """
+    v = _primitive_memo(n, sigma, c, a, b, beta_pow)
+    return v if coef is None else v.mul_series(coef)
+
+
+@lru_cache(maxsize=None)
+def _primitive_memo(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -> DivergentValue:
+    return _head_tail_primitive(n, sigma, c, a, b, beta_pow)
+
+
+def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -> DivergentValue:
+    """Brace of beta^beta_pow int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
+
     This is the head/tail split: the head-squared part integrates to gamma
     functions expanded in eps; the tail cross terms are finite at eps = 0 and
     reduce to subtracted-Laguerre moments.
     """
     m = beta_pow
-    if coef is None:
-        coef = EpsSeries.constant(Q(1), 1)
     sig_rho = 2 + sigma
     p = max(0, max(a, b) - sig_rho)
     A = a + b - 3 - sigma
@@ -389,31 +413,25 @@ def _divergent_primitive(
                 gam, order_cap=0
             )
 
-    # --- tail cross terms at eps = 0 ---
-    l0 = _l0_poly(n)
-    head0 = _fn_slice(l0, hi=p)
-    tail0 = _fn_slice(split.tail)
-    full0 = _fn_slice(l0)
-
-    combined: Dict[int, Fraction] = {}
-    for fL, fR in ((_chain(head0, a), _chain(tail0, b)), (_chain(tail0, a), _chain(full0, b))):
-        for j1, c1 in fL.table.items():
-            for j2, c2 in fR.table.items():
-                t = sig_rho + j1 + j2
-                combined[t] = combined.get(t, Q(0)) + c1 * c2
-    b_val = Q(0)
+    # --- tail cross terms at eps = 0: head x tail + tail x (head + tail) ---
+    den, pairs = int_table(dict(enumerate(_l0_coeffs(n))))
+    head0 = (den, tuple((j, v) for j, v in pairs if j < p))
+    tail0 = (den, tuple((j, v) for j, v in pairs if j >= p))
+    combined: Dict[int, int] = {}
+    for left, right in ((drho(head0, a), drho(tail0, b)), (drho(tail0, a), drho((den, pairs), b))):
+        convolve_into(combined, left[1], right[1], sig_rho)
+    b_val = 0
     for t, cv in combined.items():
-        if not cv:
-            continue
-        if t < 0:
-            raise DivergenceError("tail subtraction depth insufficient: rho^%d survives" % t)
-        b_val += cv * factorial(t)
-    int_total = int_total + EpsSeries.constant(b_val, 0)
+        if cv:
+            if t < 0:
+                raise DivergenceError("tail subtraction depth insufficient: rho^%d survives" % t)
+            b_val += cv * math.factorial(t)
+    int_total = int_total + EpsSeries.constant(Q(b_val, left[0] * right[0]), 0)
 
     # --- prefactor chain ---
     g1 = SymExpr({lam("mu"): Q(2), ONE: 2 * harmonic(n) + Q(1, n)})  # gammabar/gamma_n - 1 at O(eps)
     x0 = SymExpr({lam("mu"): Q(1), GAMMA_E: HALF, LN2: Q(-1), LN_PI: -HALF})  # ln(mubar/2gamma_n)
-    pref = EpsSeries.constant(4 * Q(2, n) ** A, 1).mul(coef.truncate(1), order_cap=1)
+    pref = EpsSeries.constant(4 * Q(2, n) ** A, 1)
     u = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({GAMMA_E: Q(1), LN2: Q(2)})])
     for _ in range(m):
         pref = pref.mul(u, order_cap=1)

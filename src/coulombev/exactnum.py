@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 Q = Fraction
@@ -194,7 +195,7 @@ class SymExpr:
                 c = Q(c)
                 if c:
                     d[tag] = c
-        self.terms = d
+        self.terms = MappingProxyType(d)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -359,7 +360,7 @@ class EpsSeries:
             raise DomainError("pole order %d exceeds the cap of 2" % -low)
         assert len(coeffs) == max(order - low + 1, 0)
         self.low = low
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
         self.order = order
 
     # -- constructors ------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 from .exactnum import (
@@ -130,6 +131,7 @@ def brute_force_moment(spec: MomentSpec):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _term_limit(a: int, b: int, c: int, logpow: int) -> SymExpr:
     """eps^0 of Gamma(a+e)Gamma(b+e)/Gamma(c+e) * {d/ds brace}^logpow at e -> 0.
 

@@ -23,7 +23,7 @@ from .exactnum import DomainError, lam
 from .coulomb import QuantumState
 from .dimreg import (
     CoeffTable,
-    _unwrap_eps,
+    _eps_value,
     contact_expansion,
     energy_expansion,
     eval_series,
@@ -117,8 +117,8 @@ def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
 def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimRegEigen:
     """Find nbar as the root of the tail value L(rho_max; nbar) by Brent's
     method inside a sign-changing bracket, verifying the node count."""
-    eps = float(_unwrap_eps(eps))
-    if not math.isfinite(eps) or abs(eps) > 0.05:
+    eps = float(_eps_value(eps))
+    if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError("mu = %r must be finite and positive" % (mu,))

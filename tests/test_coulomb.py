@@ -5,7 +5,9 @@ import pytest
 import scipy.integrate as si
 
 from coulombev import coulomb as cb
+from coulombev import lagint
 from coulombev.exactnum import DivergenceError, DomainError, SymExpr, lam
+from coulombev.laguerre import assoc_laguerre
 
 STATES = [cb.QuantumState(n, l) for n in range(1, 11) for l in range(n)]
 
@@ -111,6 +113,17 @@ def test_rs_dr_relation():
 def test_contact_value():
     for n in range(1, 11):
         assert cb.radial_wavefunction(cb.QuantumState(n, 0)).contact_limit_sq() == Q(4, n**3)
+
+
+def test_power_moment_against_laguerre_moment():
+    # <r^s> = norm2 (n/2)^{3+s} int rho^{2l+2+s} e^{-rho} L^2, not through the operand tables
+    for n in range(1, 9):
+        for l in range(n):
+            st = cb.QuantumState(n, l)
+            L = assoc_laguerre(n - l - 1, 2 * l + 1)
+            for s in range(-2 * l - 2, 6):
+                moment = lagint.poly_moment(L, L, 2 * l + 2 + s).rational
+                assert cb.power_moment(st, s) == cb._norm2(n, l) * Q(n, 2) ** (3 + s) * moment, (n, l, s)
 
 
 def test_recursion_and_feynman_hellmann():

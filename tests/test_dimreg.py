@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coulombev
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
 from coulombev import shoot
@@ -314,6 +320,73 @@ class TestIdentityNetwork:
             for l in range(1, n):
                 for name, res in dr.identity_residuals(n, l):
                     assert not res, (name, n, l)
+
+
+class TestPrimitiveMemo:
+    @staticmethod
+    def count_primitives(monkeypatch, work):
+        """Head/tail primitives computed by work() on a cold memo."""
+        calls = []
+        inner = dr._head_tail_primitive
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(dr, "_head_tail_primitive", counting)
+        dr._primitive_memo.cache_clear()
+        try:
+            work()
+        finally:
+            dr._primitive_memo.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_identity_budget(self, monkeypatch, n):
+        calls = self.count_primitives(monkeypatch, lambda: dr.identity_residuals(n, 0))
+        assert 0 < len(calls) <= 7
+
+    def test_divergent_tags_budget(self, monkeypatch):
+        def work():
+            for tag in dr.divergent_tags():
+                dr.divergent_expectation(tag, 3, 0)
+
+        calls = self.count_primitives(monkeypatch, work)
+        assert len(dr.divergent_tags()) == 23
+        assert 0 < len(calls) <= 23
+
+
+# every divergent tag and every catalog oracle for n <= 4, as {label: repr}
+ALL_VALUES = """
+from functools import partial
+from coulombev import coulomb as cb, dimreg as dr
+
+def queries():
+    out = []
+    for n in range(1, 5):
+        for l in range(n):
+            st = cb.QuantumState(n, l)
+            for tag in dr.divergent_tags():
+                out.append(("div|%s|%d|%d" % (tag, n, l), partial(dr.divergent_expectation, tag, n, l)))
+            for tag in cb.catalog_tags():
+                if l >= cb.CATALOG[tag].min_l:
+                    out.append(("cat|%s|%d|%d" % (tag, n, l), partial(cb.expectation_oracle, tag, st)))
+    return out
+"""
+
+
+def test_cold_reversed_values_match_warm():
+    # a fresh process in reversed order must see the same values as this one,
+    # whose caches earlier tests have filled: no cache leaks state between calls
+    script = ALL_VALUES + "import json\nprint(json.dumps({k: repr(f()) for k, f in reversed(queries())}))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(coulombev.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    cold = json.loads(proc.stdout)
+    namespace = {}
+    exec(ALL_VALUES, namespace)
+    warm = {k: repr(f()) for k, f in namespace["queries"]()}
+    assert len(warm) > 800
+    assert cold == warm
 
 
 class TestPoleCrossCheck:

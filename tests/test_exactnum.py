@@ -145,7 +145,10 @@ class TestHyperfExpansion:
                 assert abs(mine - ref) < 1e-10
 
 
-rational = st.fractions(min_value=-9, max_value=9).filter(lambda q: q.denominator <= 7)
+# every fraction in [-9, 9] with denominator <= 7, drawn without rejection
+rational = st.integers(min_value=1, max_value=7).flatmap(
+    lambda d: st.integers(min_value=-9 * d, max_value=9 * d).map(lambda x: Q(x, d))
+)
 
 
 def eps_series(draw_low):
