@@ -108,8 +108,6 @@ def cmd_eval(args) -> int:
         try:
             spec = OperatorSpec(args.op, kappa="kappa")
             v = expectation_closed(spec, st)
-        except RequiresDimregError:
-            v = dimreg.divergent_expectation(args.op, st.n, st.l)
         except CatalogError:
             if args.op in dimreg.divergent_tags():
                 v = dimreg.divergent_expectation(args.op, st.n, st.l)
@@ -307,7 +305,8 @@ def main(argv=None) -> int:
         dimreg.DivergentCatalogError,
         br.BracketCatalogError,
     ) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # a KeyError's str() quotes its message
+        print("error: %s" % (exc.args[0] if isinstance(exc, KeyError) else exc), file=sys.stderr)
         return 1
 
 

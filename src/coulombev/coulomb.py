@@ -28,6 +28,7 @@ from .exactnum import (
     SYM_ZERO,
     SymExpr,
     GAMMA_E,
+    EULER_GAMMA,
     ONE,
     ZETA2,
     GAMMA2,
@@ -98,7 +99,7 @@ class PhysScale:
             lv = self.lambda_value(label, n)
             out[lam(label)] = lv
             out[lam2(label)] = lv * lv
-            out[gamma_lam(label)] = lv * 0.57721566490153286
+            out[gamma_lam(label)] = lv * EULER_GAMMA
         out[("ln_2mrza_over_n",)] = math.log(2.0 * self.mr * self.zalpha / n)
         return out
 

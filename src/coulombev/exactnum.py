@@ -322,13 +322,14 @@ SYM_ZERO = SymExpr()
 SYM_ONE = SymExpr.scalar(1)
 
 # 50-digit reference constants, rounded to float for numeric rendering.
+EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 _NUMERIC_TAGS = {
     ONE: 1.0,
-    GAMMA_E: 0.57721566490153286060651209008240243104215933593992,
+    GAMMA_E: EULER_GAMMA,
     ZETA2: 1.6449340668482264364724151666460251892189499012068,
     LN2: 0.69314718055994530941723212145817656807550013436026,
     LN_PI: 1.1447298858494001741434273513530587116472948129153,
-    GAMMA2: 0.57721566490153286060651209008240243104215933593992**2,
+    GAMMA2: EULER_GAMMA**2,
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .exactnum import DomainError, lam
+from .exactnum import DomainError, EULER_GAMMA, lam
 from .coulomb import QuantumState
 from .dimreg import (
     CoeffTable,
@@ -30,8 +30,6 @@ from .dimreg import (
     nbar_expansion,
     series_coefficients,
 )
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 class ShootingError(RuntimeError):

@@ -9,8 +9,6 @@ from coulombev import dimreg as dr
 from coulombev.exactnum import LNQN, ONE, SymExpr, harmonic as H
 
 S = SymExpr.scalar
-HALF = Q(1, 2)
-STATES = [cb.QuantumState(n, l) for n in range(1, 9) for l in range(n)]
 
 
 def test_reference_values():
@@ -21,24 +19,6 @@ def test_reference_values():
     v = br.bracket("p2.p1", cb.QuantumState(2, 1))
     assert v.sym == S(Q(1, 32)) and v.pi_pow == -1
     assert br.bracket("p2.p1", cb.QuantumState(2, 0)).sym == SymExpr()
-
-
-def test_duality():
-    for st in STATES:
-        assert br.bracket("1/q", st).sym == cb.expectation_closed("1/r2", st).sym * HALF
-        assert br.bracket("1/q2", st).sym == cb.expectation_closed("1/r", st).sym * Q(1, 4)
-
-
-def test_q4_through_eps_kernel_only():
-    with pytest.raises(br.KernelSingularityError) as err:
-        br.fourier_kernel(4, 0, eps=False)
-    assert err.value.kind == "log"
-    k = br.fourier_kernel(4, 0, eps=True)
-    assert k.num_c0 == Q(-1, 2)
-    for st in STATES:
-        n, l = st.n, st.l
-        expect = -(3 * n * n - Q(l * (l + 1))) * Q(1, 16)
-        assert br.bracket("1/q4", st).sym == S(expect)
 
 
 def test_kernel_exceptional_cases():
@@ -53,41 +33,6 @@ def test_kernel_exceptional_cases():
 def test_kernel_3d_values():
     assert abs(br.fourier_kernel(2, 0).prefactor_float() - 1 / (4 * math.pi)) < 1e-15
     assert abs(br.fourier_kernel(1, 0).prefactor_float() - 1 / (2 * math.pi**2)) < 1e-15
-
-
-def test_rank2_trace_consistency():
-    # tracing the rank-2 kernel over i = j multiplies by delta_ii - (D+2-alpha)
-    # = alpha - 2 and must reproduce the rank-0 kernel at alpha - 2, exactly in
-    # D: same numerator Gamma argument, and the 2-powers and Gamma(alpha/2)
-    # arguments related through Gamma(x) = (x-1) Gamma(x-1)
-    for alpha in (Q(5, 2), Q(7, 2), Q(9, 2), Q(4), Q(6)):
-        k2 = br.fourier_kernel(alpha, 2, eps=True)
-        k0 = br.fourier_kernel(alpha - 2, 0, eps=True)
-        assert k2.num_c0 == k0.num_c0
-        assert k2.den_arg == k0.den_arg + 1
-        assert k2.two_pow == 1 and k0.two_pow == 0
-        # (alpha-2)/(2^{alpha-1} Gamma(a/2)) == 1/(2^{alpha-2-0} Gamma(a/2-1)):
-        # ratio of Gamma arguments supplies (a/2 - 1) = (alpha-2)/2; the residual
-        # rational factor must be exactly 1
-        assert (alpha - 2) / (Q(2) ** (1) * (k2.den_arg - 1)) == Q(1) / Q(2) ** 0
-        # and the same identity numerically at a generic eps
-        epsv = 0.137
-        D = 3 - 2 * epsv
-        lhs = k2.prefactor_float(epsv) * (D - (D + 2 - float(alpha)))
-        assert abs(lhs / k0.prefactor_float(epsv) - 1) < 1e-12
-
-
-def test_tensor_bracket_rows():
-    for st in STATES:
-        n, l = st.n, st.l
-        v1 = cb.expectation_closed("p.1/r.p", st).sym
-        v2 = cb.expectation_closed("px.1/r.xp", st).sym
-        assert br.bracket("(p2.q)(q.p1)/q4", st).sym == (v1 - v2) * Q(1, 8)
-        w1 = cb.expectation_closed("p.1/r2.p", st).sym
-        w2 = cb.expectation_closed("px.1/r2.xp", st).sym
-        assert br.bracket("(p2.q)(q.p1)/q3", st).sym == (w1 - 2 * w2) * HALF
-        assert br.bracket("p2.p1/q2", st).sym == v1 * Q(1, 4)
-        assert br.bracket("p2.p1/q", st).sym == w1 * HALF
 
 
 def test_divergent_delegation():
@@ -118,14 +63,6 @@ def test_lnq_closed_forms():
     assert v.sym == SymExpr({LNQN: Q(1, 27), ONE: Q(1, 27) * (H(3) + Q(1, 3))})
     v = br.bracket_lnq(cb.QuantumState(3, 1))
     assert v.sym == S(Q(-1, 4) * Q(1, 2 * Q(3, 2) * 27))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_lnq_oracle(n):
-    closed = br.bracket_lnq(cb.QuantumState(n, 0))
-    val_closed = closed.sym.numeric({LNQN: math.log(2.0 / n)}) / math.pi
-    val_oracle = br.bracket_lnq_oracle(n)
-    assert abs(val_closed / val_oracle - 1) < 1e-8
 
 
 def test_unknown_bracket():

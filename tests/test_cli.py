@@ -50,8 +50,23 @@ def test_eval_divergent_tag(capsys):
 
 
 def test_eval_unknown_tag(capsys):
-    code = cli.main(["eval", "--n", "1", "--l", "0", "--op", "junk"])
+    # the catalog errors are KeyErrors, whose str() would wrap the message in quotes
+    for flag, kind in (("--op", "operator"), ("--bracket", "bracket")):
+        assert cli.main(["eval", "--n", "1", "--l", "0", flag, "junk"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: unknown %s 'junk'; " % kind) and not lines[0].endswith("'")
+
+
+def test_eval_below_min_l(capsys):
+    # a finite catalog tag below its min_l names the l it needs
+    code = cli.main(["eval", "--n", "3", "--l", "1", "--op", "1/r5"])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: <1/r5> requires l >= 2 (l = 1 is divergent in 3D; see dimreg.divergent_expectation)"
+    ]
 
 
 def test_table_csv(capsys):

@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import coulombev
@@ -15,15 +14,11 @@ from coulombev import dimreg as dr
 from coulombev import shoot
 from coulombev.exactnum import (
     DomainError,
-    EpsSeries,
     GAMMA_E,
     LN_PI,
     ONE,
     SymExpr,
     ZETA2,
-    diharmonic,
-    factorial,
-    harmonic as H,
     lam,
 )
 
@@ -40,39 +35,12 @@ class TestSeriesCoefficients:
                 assert t.a[(1, 0)] == Q(1, 2)
                 assert t.a[(1, 1)] == Q(-1) / (2 * (1 + l) * (1 + 2 * eps))
 
-    def test_collapse_reproduces_laguerre_ratio(self):
-        for n in range(1, 9):
-            for l in range(n):
-                t = dr.series_coefficients(l, Q(0), n - l + 2)
-                for j in range(0, n - l + 2):
-                    if j <= n - l - 1:
-                        expect = (
-                            Q(-1) ** j
-                            * factorial(n - l - 1)
-                            * factorial(2 * l + 1)
-                            / (factorial(j) * factorial(n - l - j - 1) * factorial(2 * l + 1 + j))
-                        )
-                    else:
-                        expect = Q(0)  # the series terminates
-                    assert t.collapse(n, j) == expect
-
     def test_singular_eps(self):
         with pytest.raises(DomainError):
             dr.series_coefficients(0, Q(-1, 2), 2)
 
 
 class TestShooting:
-    def test_eps_zero_reproduces_integers(self):
-        for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
-            eig = dr.eigenvalue_shoot(cb.QuantumState(n, l), 0.0)
-            assert abs(eig.nbar - n) < 1e-10
-
-    def test_l_dependence(self):
-        e31 = dr.eigenvalue_shoot(cb.QuantumState(3, 1), 0.01)
-        e32 = dr.eigenvalue_shoot(cb.QuantumState(3, 2), 0.01)
-        assert abs(e31.nbar - 3) > 1e-3
-        assert abs(e31.nbar - e32.nbar) > 1e-4
-
     def test_eps_range_guard(self):
         with pytest.raises(DomainError):
             dr.eigenvalue_shoot(cb.QuantumState(1, 0), 0.2)
@@ -151,14 +119,6 @@ class TestEnergyExpansion:
         s = dr.energy_expansion(cb.QuantumState(2, 1))
         assert s.coeff(1) == Q(-1, 8) * SymExpr({lam("mu"): Q(4), ONE: Q(22, 3) + 1})
 
-    def test_order_of_accuracy(self):
-        for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
-            st = cb.QuantumState(n, l)
-            en = 1.0 / (2.0 * n * n)
-            d1 = abs(dr.eigenvalue_shoot(st, 1e-3).ebar - dr.energy_series_numeric(st, 1e-3)) / en
-            d2 = abs(dr.eigenvalue_shoot(st, 5e-4).ebar - dr.energy_series_numeric(st, 5e-4)) / en
-            assert d1 / d2 >= 3.6
-
 
 class TestContactExpansion:
     def test_reference_value_1s(self):
@@ -180,60 +140,6 @@ class TestContactExpansion:
 
 
 class TestDivergentTables:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_V3(self, n):
-        v = dr.divergent_expectation("V3", n, 0)
-        assert v.pole() == S(-1)
-        assert v.finite() == SymExpr({lam("mu"): Q(-4), ONE: 4 * H(n) - Q(2, n) - 4})
-        assert (v.mr_pow, v.za_pow) == (0, 3)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_VVprime(self, n):
-        v = dr.divergent_expectation("V.V'", n, 0)
-        assert v.pole() == S(-2)
-        assert v.finite() == SymExpr({lam("mu"): Q(-4), ONE: 4 * H(n) - Q(2, n) - 2})
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_Vprime_sq(self, n):
-        v = dr.divergent_expectation("(V')2", n, 0)
-        assert v.pole() == S(-2)
-        assert v.finite() == SymExpr(
-            {lam("mu"): Q(-8), ONE: 8 * H(n) + Q(4, 3 * n * n) - Q(4, n) - Q(16, 3)}
-        )
-        assert (v.mr_pow, v.za_pow) == (1, 3)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_V2p2(self, n):
-        v = dr.divergent_expectation("V2.p2", n, 0)
-        assert v.pole() == S(2)
-        assert v.finite() == SymExpr({lam("mu"): Q(8), ONE: -8 * H(n) + Q(4, n) - Q(2, n * n) + 8})
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_p2Vp2(self, n):
-        v = dr.divergent_expectation("p2.V.p2", n, 0)
-        assert v.pole() == S(-4)
-        assert v.finite() == SymExpr(
-            {lam("mu"): Q(-16), ONE: 16 * H(n) - Q(8, n) - Q(1, n**3) + Q(8, n * n) - 16}
-        )
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_finite_composites(self, n):
-        rows = {
-            "p6": Q(5, n**6) - Q(16, n**5) + (8 * n * n + 1) / (B0 * n**5) + Q(32, n**3),
-            "p4.V": (-4 * n * n - 2) / (B0 * n**5) - Q(1, n**6) - Q(16, n**3),
-            "V.p2.V": (8 * n * n + 1) / (4 * B0 * n**5) + Q(8, n**3),
-            "r4e/r2.dr2": (-2 * n * n - 1) / (4 * B0 * n**5) - Q(2, n**3),
-            "r4e/r.dr3": (3 * n * n + Q(3, 2)) / (4 * B0 * n**5) + Q(4, n**3),
-            "r4e.p2.V": Q(1, n**4),
-            "r4e.p4": Q(-3, n**4),
-            "p.r4e.p.V": Q(1, n**4) - Q(4, n**3),
-            "r4e.p.V.p": Q(1, n**4) - Q(2, n**3),
-        }
-        for tag, table in rows.items():
-            v = dr.divergent_expectation(tag, n, 0)
-            assert v.pole() == S(0), tag
-            assert v.finite() == S(table * n**3), tag
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_beta_composites(self, n):
         # the entries the table writes through (1/beta^2)<V3>
@@ -268,22 +174,6 @@ class TestDivergentTables:
 
 
 class TestLPositiveBranch:
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_tables(self, n):
-        for l in range(1, n):
-            L = Q(l * (l + 1))
-            Bl = (l - HALF) * (l + HALF) * (l + Q(3, 2))
-            assert dr.divergent_expectation("V3", n, l).sym == S(-1 / (L * (l + HALF) * n**3))
-            assert dr.divergent_expectation("(V')2", n, l).sym == S(
-                (3 * n * n - L) / (2 * L * (l + HALF) * (l - HALF) * (l + Q(3, 2)) * n**5)
-            )
-            assert dr.divergent_expectation("V2.p2", n, l).sym == S((2 * n * n - L) / (L * (l + HALF) * n**5))
-            assert dr.divergent_expectation("p2.V.p2", n, l).sym == S(
-                -Q(1, n**6) + 4 / ((l + HALF) * n**5) - 4 / (L * (l + HALF) * n**3)
-            )
-            assert dr.divergent_expectation("V.p2.V", n, l).sym == S((8 * n * n + 1 - 4 * L) / (4 * Bl * n**5))
-            assert dr.divergent_expectation("V'.dr", n, l).sym == SymExpr()
-
     @pytest.mark.parametrize(
         "tag,twin,sign",
         [
@@ -307,19 +197,6 @@ class TestLPositiveBranch:
     def test_units_must_agree(self):
         with pytest.raises(DomainError):
             dr._units([dr._Term((1,), -2, 2, beta=2), dr._Term((1,), -3, 3, beta=2)])
-
-
-class TestIdentityNetwork:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_l0(self, n):
-        for name, res in dr.identity_residuals(n, 0):
-            assert res.is_zero(), name
-
-    def test_l_positive(self):
-        for n in range(2, 9):
-            for l in range(1, n):
-                for name, res in dr.identity_residuals(n, l):
-                    assert not res, (name, n, l)
 
 
 class TestPrimitiveMemo:
@@ -387,19 +264,6 @@ def test_cold_reversed_values_match_warm():
     warm = {k: repr(f()) for k, f in namespace["queries"]()}
     assert len(warm) > 800
     assert cold == warm
-
-
-class TestPoleCrossCheck:
-    @pytest.mark.parametrize("tag,numeric", [("V3", dr.v3_brace_numeric), ("(V')2", dr.vp2_brace_numeric)])
-    def test_pole_fit(self, tag, numeric):
-        for n in (1, 2):
-            st = cb.QuantumState(n, 0)
-            eps_list = (0.02, 0.01, 0.005)
-            vals = [numeric(dr.eigenvalue_shoot(st, e)) for e in eps_list]
-            A = np.array([[1.0 / e, 1.0] for e in eps_list])
-            coef, *_ = np.linalg.lstsq(A, np.array(vals), rcond=None)
-            pole = float(dr.divergent_expectation(tag, n, 0).pole().numeric())
-            assert abs(coef[0] / pole - 1) < 0.01
 
 
 class TestContractTypes:

@@ -8,15 +8,6 @@ from hypothesis import given, settings, strategies as st
 from coulombev import exactnum as en
 
 
-def dih_double_sum(sign, n, m):
-    tot = Q(0)
-    for i in range(1, n + 1):
-        jmax = (m - 1 + i) if sign == "+" else (m + 1 - i)
-        for j in range(1, jmax + 1):
-            tot += Q(1, i * j)
-    return tot
-
-
 class TestHarmonic:
     def test_reference_values(self):
         assert en.harmonic(0, 1) == 0
@@ -27,11 +18,6 @@ class TestHarmonic:
         with pytest.raises(en.DomainError):
             en.harmonic(-1)
 
-    @given(st.integers(min_value=1, max_value=50))
-    @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, n):
-        assert en.harmonic(n) - en.harmonic(n - 1) == Q(1, n)
-
 
 class TestDiharmonic:
     def test_reference_values(self):
@@ -39,12 +25,6 @@ class TestDiharmonic:
         assert en.diharmonic("-", 0, 7) == 0
         h6, h62 = en.harmonic(6), en.harmonic(6, 2)
         assert en.diharmonic("+", 6, 0) == (h6 * h6 - h62) / 2
-
-    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=-8, max_value=10),
-           st.sampled_from("+-"))
-    @settings(max_examples=120, deadline=None)
-    def test_double_sum_oracle(self, n, m, sign):
-        assert en.diharmonic(sign, n, m) == dih_double_sum(sign, n, m)
 
 
 class TestGammaRatio:
@@ -61,14 +41,6 @@ class TestGammaRatio:
     def test_unsupported_order(self):
         with pytest.raises(en.UnsupportedOrderError):
             en.gamma_ratio_limit(2, 3)
-
-    def test_numeric_agreement(self):
-        with mp.workdps(30):
-            e = mp.mpf("1e-6")
-            for N in range(0, 11):
-                s = en.gamma_ratio_limit(N, 1)
-                exact = float(mp.gamma(e) / mp.gamma(e - N))
-                assert abs(s.numeric(float(e)) / exact - 1) < 1e-5
 
 
 class TestPolygamma:
