@@ -2,7 +2,8 @@
 
 Every suite returns a SuiteResult with pass/fail counts; the CLI `verify`
 command runs them and exits nonzero on any failure.  A suite is the only home
-of its checks: the pytest acceptance table runs each suite once.
+of its checks: pytest runs each suite once and its tests read the labelled
+checks they name from the suite's record.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from .exactnum import (
     DomainError,
@@ -41,8 +42,10 @@ class SuiteResult:
     passed: int = 0
     failed: int = 0
     failures: List[str] = field(default_factory=list)
+    record: List[Tuple[str, bool]] = field(default_factory=list)  # every check, in order
 
     def check(self, ok: bool, label: str):
+        self.record.append((label, bool(ok)))
         if ok:
             self.passed += 1
         else:

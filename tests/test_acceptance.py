@@ -1,9 +1,10 @@
 """Acceptance criteria, one row per `coulombev verify` suite.
 
-Each suite is the only home of its checks: a row runs its suite once,
-asserts that every check passed and enforces the criterion's wall-clock
-budget.  Each criterion prints a single `criterion N: pass` line (visible
-with pytest -s / in the captured output on failure).
+Each suite is the only home of its checks: a criterion runs its suite once
+(the session shares the run), asserts that every check passed and enforces
+the criterion's wall-clock budget.  Each criterion prints a single
+`criterion N: pass` line (visible with pytest -s / in the captured output on
+failure).
 """
 
 import time
@@ -18,39 +19,88 @@ from coulombev.suites import SUITES
 
 S = SymExpr.scalar
 
-# (criteria, suite, wall-clock budget in s or None, least number of checks)
-TABLE = [
-    ((1,), "coulomb", 60, 0),  # finite 3D catalog against the exact oracle, n <= 10
-    ((2,), "lagint", 30, 0),  # I/J/K/L/M tables and the randomized brute-force sweeps
-    ((3, 6), "dimreg-symbolic", None, 0),  # Laurent tables, l > 0 closed forms, identity network
-    ((4,), "dimreg-pole", 120, 0),  # fitted 1/eps coefficients within 1%
-    ((5,), "dimreg-numeric", 60, 0),  # shooting: nbar(0) = n and the O(eps^2) energy order
-    ((7,), "brackets", 30, 0),  # momentum brackets and <ln q> against quadrature to 1e-8
-    ((8,), "exactnum", 10, 8000),  # diharmonic recursions, reflections and closed forms
-    ((), "laguerre", None, 0),  # Laguerre and Gegenbauer identities
-]
+# suite -> (criteria, wall-clock budget in s or None, least number of checks)
+TABLE = {
+    "coulomb": ((1,), 60, 0),  # finite 3D catalog against the exact oracle, n <= 10
+    "lagint": ((2,), 30, 0),  # I/J/K/L/M tables and the randomized brute-force sweeps
+    "dimreg-symbolic": ((3, 6), None, 0),  # Laurent tables, l > 0 closed forms, identity network
+    "dimreg-pole": ((4,), 120, 0),  # fitted 1/eps coefficients within 1%
+    "dimreg-numeric": ((5,), 60, 0),  # shooting: nbar(0) = n and the O(eps^2) energy order
+    "brackets": ((7,), 30, 0),  # momentum brackets and <ln q> against quadrature to 1e-8
+    "exactnum": ((8,), 10, 8000),  # diharmonic recursions, reflections and closed forms
+    "laguerre": ((), None, 0),  # Laguerre and Gegenbauer identities
+}
 
 
 def _report(num, label, elapsed, budget):
     print("criterion %d: pass (%s, %.1fs < %ds)" % (num, label, elapsed, budget))
 
 
-def test_table_names_every_suite_once():
-    names = [row[1] for row in TABLE]
-    assert sorted(names) == sorted(SUITES)
-
-
-@pytest.mark.parametrize("criteria,name,budget,least", TABLE, ids=[row[1] for row in TABLE])
-def test_suite(criteria, name, budget, least):
-    t0 = time.perf_counter()
-    res = SUITES[name]()
-    elapsed = time.perf_counter() - t0
-    assert res.ok, res.failures
-    assert res.passed > least
+def _check_row(suite, name):
+    _, budget, least = TABLE[name]
+    run = suite(name)
+    assert run.result.ok, run.result.failures
+    assert run.result.passed > least
     if budget is not None:
-        assert elapsed < budget
-    for num in criteria:
-        _report(num, "suite %s, %d checks" % (name, res.passed), elapsed, budget or 9999)
+        assert run.elapsed < budget
+    return run
+
+
+def _criterion(suite, num):
+    (name,) = [name for name, row in TABLE.items() if num in row[0]]
+    run = _check_row(suite, name)
+    _report(num, "suite %s, %d checks" % (name, run.result.passed), run.elapsed, TABLE[name][1] or 9999)
+
+
+def test_table_names_every_suite_once():
+    assert sorted(TABLE) == sorted(SUITES)
+    criteria = sorted(num for row in TABLE.values() for num in row[0])
+    assert criteria == list(range(1, 9))
+
+
+def test_criterion_1_catalog_exactness(suite):
+    """Every finite 3D entry equals the exact-integration oracle, n <= 10."""
+    _criterion(suite, 1)
+
+
+def test_criterion_2_integral_tables(suite):
+    """I/J/K/L/M tables, orthogonality for n <= 12 and the randomized brute checks."""
+    _criterion(suite, 2)
+
+
+def test_criterion_3_divergent_tables(suite):
+    """Laurent data and l > 0 closed forms of the divergent block, n <= 10."""
+    _criterion(suite, 3)
+
+
+def test_criterion_4_numeric_pole_cross_check(suite):
+    """Fitted 1/eps coefficients of <V3> and <(V')2> within 1%."""
+    _criterion(suite, 4)
+
+
+def test_criterion_5_eigenvalue_order_of_accuracy(suite):
+    """|Ebar_shoot - Ebar_series|/|E_n| drops by >= 3.6 under eps halving."""
+    _criterion(suite, 5)
+
+
+def test_criterion_6_identity_network(suite):
+    """Recursion, Feynman-Hellmann and D-dimensional relations vanish, n <= 8."""
+    _criterion(suite, 6)
+
+
+def test_criterion_7_lnq(suite):
+    """The <ln q> closed form matches momentum quadrature to 1e-8, n = 1..4."""
+    _criterion(suite, 7)
+
+
+def test_criterion_8_diharmonic_suite(suite):
+    """Diharmonic recursions, reflections and closed forms, exact."""
+    _criterion(suite, 8)
+
+
+@pytest.mark.parametrize("name", [name for name, row in TABLE.items() if not row[0]])
+def test_suite_without_criterion(suite, name):
+    _check_row(suite, name)
 
 
 def test_criterion_9_cx1_demo():

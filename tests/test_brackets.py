@@ -9,6 +9,7 @@ from coulombev import dimreg as dr
 from coulombev.exactnum import LNQN, ONE, SymExpr, harmonic as H
 
 S = SymExpr.scalar
+STATES = [cb.QuantumState(n, l) for n in range(1, 9) for l in range(n)]
 
 
 def test_reference_values():
@@ -19,6 +20,19 @@ def test_reference_values():
     v = br.bracket("p2.p1", cb.QuantumState(2, 1))
     assert v.sym == S(Q(1, 32)) and v.pi_pow == -1
     assert br.bracket("p2.p1", cb.QuantumState(2, 0)).sym == SymExpr()
+
+
+def _rows(tags):
+    return ["%s (%d,%d)" % (tag, st.n, st.l) for st in STATES for tag in tags]
+
+
+def test_duality(suite):
+    suite("brackets").assert_passed(_rows(("1/q", "1/q2")))
+
+
+def test_q4_through_eps_kernel_only(suite):
+    labels = ["1/q4 rejection kind", "1/q4 D-dim kernel numerator"] + _rows(("1/q4",))
+    suite("brackets").assert_passed(labels)
 
 
 def test_kernel_exceptional_cases():
@@ -33,6 +47,17 @@ def test_kernel_exceptional_cases():
 def test_kernel_3d_values():
     assert abs(br.fourier_kernel(2, 0).prefactor_float() - 1 / (4 * math.pi)) < 1e-15
     assert abs(br.fourier_kernel(1, 0).prefactor_float() - 1 / (2 * math.pi**2)) < 1e-15
+
+
+def test_rank2_trace_consistency(suite):
+    alphas = (Q(5, 2), Q(7, 2), Q(9, 2), Q(4), Q(6))
+    labels = ["FT_2 trace%s alpha=%s" % (kind, alpha) for alpha in alphas for kind in (" exact", "")]
+    suite("brackets").assert_passed(labels)
+
+
+def test_tensor_bracket_rows(suite):
+    tags = ("(p2.q)(q.p1)/q4", "(p2.q)(q.p1)/q3", "p2.p1/q2", "p2.p1/q")
+    suite("brackets").assert_passed(_rows(tags))
 
 
 def test_divergent_delegation():
@@ -63,6 +88,11 @@ def test_lnq_closed_forms():
     assert v.sym == SymExpr({LNQN: Q(1, 27), ONE: Q(1, 27) * (H(3) + Q(1, 3))})
     v = br.bracket_lnq(cb.QuantumState(3, 1))
     assert v.sym == S(Q(-1, 4) * Q(1, 2 * Q(3, 2) * 27))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lnq_oracle(suite, n):
+    suite("brackets").assert_passed(["lnq oracle n=%d" % n])
 
 
 def test_unknown_bracket():

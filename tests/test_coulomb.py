@@ -7,6 +7,9 @@ from coulombev import lagint
 from coulombev.exactnum import DivergenceError, DomainError, SymExpr, lam
 from coulombev.laguerre import assoc_laguerre
 
+STATES = [cb.QuantumState(n, l) for n in range(1, 11) for l in range(n)]
+LOW_STATES = [st for st in STATES if st.n <= 8]
+
 
 def test_state_validation():
     with pytest.raises(DomainError):
@@ -24,6 +27,18 @@ def test_wavefunction_spec_examples():
     assert wf.poly.coeffs == [Q(2), Q(-1)]
     wf = cb.radial_wavefunction(cb.QuantumState(3, 1))
     assert wf.poly.coeffs == [Q(4), Q(-1)]
+
+
+def test_normalization_exact(suite):
+    suite("coulomb").assert_passed(["normalization (%d,%d)" % (st.n, st.l) for st in STATES])
+
+
+@pytest.mark.parametrize("tag", sorted(cb.CATALOG))
+def test_catalog_closed_equals_oracle(suite, tag):
+    # suite_coulomb compares whole values: sym and the m_r, Z alpha and pi powers
+    states = [st for st in STATES if st.l >= cb.CATALOG[tag].min_l]
+    assert states
+    suite("coulomb").assert_passed(["catalog %s (%d,%d)" % (tag, st.n, st.l) for st in states])
 
 
 HIGH_N_STATES = [cb.QuantumState(n, l) for n in (15, 20, 30) for l in sorted({0, 1, 2, n // 2, n - 1})]
@@ -68,6 +83,24 @@ def test_guard_points_to_dimreg():
         cb.expectation_closed("nonsense", cb.QuantumState(1, 0))
 
 
+def test_virial(suite):
+    labels = ["virial %s (%d,%d)" % (op, st.n, st.l) for st in STATES for op in ("p2", "V")]
+    suite("coulomb").assert_passed(labels)
+
+
+def test_p4_schroedinger_reduction(suite):
+    suite("coulomb").assert_passed(["p4 reduction (%d,%d)" % (st.n, st.l) for st in STATES])
+
+
+def test_rs_dr_relation(suite):
+    labels = ["r^s dr (%d,%d,%d)" % (st.n, st.l, s) for st in LOW_STATES for s in (1, 2, 3)]
+    suite("coulomb").assert_passed(labels)
+
+
+def test_contact_value(suite):
+    suite("coulomb").assert_passed(["contact n=%d" % n for n in range(1, 11)])
+
+
 def test_power_moment_against_laguerre_moment():
     # <r^s> = norm2 (n/2)^{3+s} int rho^{2l+2+s} e^{-rho} L^2, not through the operand tables
     for n in range(1, 9):
@@ -79,6 +112,12 @@ def test_power_moment_against_laguerre_moment():
                 assert cb.power_moment(st, s) == cb._norm2(n, l) * Q(n, 2) ** (3 + s) * moment, (n, l, s)
 
 
+def test_recursion_and_feynman_hellmann(suite):
+    labels = ["recursion s=%d (%d,%d)" % (s, st.n, st.l) for st in LOW_STATES for s in range(0, 5)]
+    labels += ["FH (%d,%d)" % (st.n, st.l) for st in LOW_STATES]
+    suite("dimreg-symbolic").assert_passed(labels)
+
+
 def test_p6_naive_divergence():
     for n in (1, 2, 3):
         with pytest.raises(DivergenceError):
@@ -86,6 +125,10 @@ def test_p6_naive_divergence():
     for (n, l) in [(2, 1), (3, 2), (5, 3)]:
         st = cb.QuantumState(n, l)
         assert cb.p6_naive_oracle(st).sym == cb.expectation_closed("p6", st).sym
+
+
+def test_momentum_normalization(suite):
+    suite("coulomb").assert_passed(["momentum norm n=%d" % n for n in range(1, 5)])
 
 
 def test_cx1_l_positive_branch():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -35,12 +36,22 @@ class TestSeriesCoefficients:
                 assert t.a[(1, 0)] == Q(1, 2)
                 assert t.a[(1, 1)] == Q(-1) / (2 * (1 + l) * (1 + 2 * eps))
 
+    def test_collapse_reproduces_laguerre_ratio(self, suite):
+        labels = ["collapse (%d,%d,%d)" % (n, l, j) for n in range(1, 9) for l in range(n) for j in range(n - l + 2)]
+        suite("dimreg-symbolic").assert_passed(labels)
+
     def test_singular_eps(self):
         with pytest.raises(DomainError):
             dr.series_coefficients(0, Q(-1, 2), 2)
 
 
 class TestShooting:
+    def test_eps_zero_reproduces_integers(self, suite):
+        suite("dimreg-numeric").assert_passed(["nbar(0)=n (%d,%d)" % nl for nl in [(1, 0), (2, 0), (2, 1), (3, 1)]])
+
+    def test_l_dependence(self, suite):
+        suite("dimreg-numeric").assert_passed(["nbar moves off n at eps = 0.01", "nbar l-dependence"])
+
     def test_eps_range_guard(self):
         with pytest.raises(DomainError):
             dr.eigenvalue_shoot(cb.QuantumState(1, 0), 0.2)
@@ -120,6 +131,12 @@ class TestEnergyExpansion:
         assert s.coeff(1) == Q(-1, 8) * SymExpr({lam("mu"): Q(4), ONE: Q(22, 3) + 1})
 
 
+    def test_order_of_accuracy(self, suite):
+        run = suite("dimreg-numeric")
+        for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
+            flags = run.matching(re.escape("energy order (%d,%d): ratio " % (n, l)) + ".*")
+            assert flags == [True], (n, l)
+
 class TestContactExpansion:
     def test_reference_value_1s(self):
         s = dr.contact_expansion(cb.QuantumState(1, 0))
@@ -140,6 +157,32 @@ class TestContactExpansion:
 
 
 class TestDivergentTables:
+    # each l = 0 row checks pole and finite part together, n <= 10
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_V3(self, suite, n):
+        suite("dimreg-symbolic").assert_passed(["V3 n=%d" % n, "V3 units n=%d" % n])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_VVprime(self, suite, n):
+        suite("dimreg-symbolic").assert_passed(["V.V' n=%d" % n])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_Vprime_sq(self, suite, n):
+        suite("dimreg-symbolic").assert_passed(["(V')2 n=%d" % n, "(V')2 units n=%d" % n])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_V2p2(self, suite, n):
+        suite("dimreg-symbolic").assert_passed(["V2.p2 n=%d" % n])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_p2Vp2(self, suite, n):
+        suite("dimreg-symbolic").assert_passed(["p2.V.p2 n=%d" % n])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_finite_composites(self, suite, n):
+        tags = ("p6", "p4.V", "V.p2.V", "r4e/r2.dr2", "r4e/r.dr3", "r4e.p2.V", "r4e.p4", "p.r4e.p.V", "r4e.p.V.p")
+        suite("dimreg-symbolic").assert_passed(["%s n=%d" % (tag, n) for tag in tags])
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_beta_composites(self, n):
         # the entries the table writes through (1/beta^2)<V3>
@@ -174,6 +217,11 @@ class TestDivergentTables:
 
 
 class TestLPositiveBranch:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tables(self, suite, n):
+        tags = ("V3", "(V')2", "V2.p2", "p2.V.p2", "V.p2.V", "V'.dr")
+        suite("dimreg-symbolic").assert_passed(["%s (%d,%d)" % (tag, n, l) for l in range(1, n) for tag in tags])
+
     @pytest.mark.parametrize(
         "tag,twin,sign",
         [
@@ -197,6 +245,20 @@ class TestLPositiveBranch:
     def test_units_must_agree(self):
         with pytest.raises(DomainError):
             dr._units([dr._Term((1,), -2, 2, beta=2), dr._Term((1,), -3, 3, beta=2)])
+
+
+class TestIdentityNetwork:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_l0(self, suite, n):
+        flags = suite("dimreg-symbolic").matching(r"identity .+ " + re.escape("(n=%d, l=0)" % n))
+        assert flags and all(flags)
+
+    def test_l_positive(self, suite):
+        run = suite("dimreg-symbolic")
+        for n in range(2, 9):
+            for l in range(1, n):
+                flags = run.matching(r"identity .+ " + re.escape("(%d,%d)" % (n, l)))
+                assert flags and all(flags), (n, l)
 
 
 class TestPrimitiveMemo:
@@ -264,6 +326,13 @@ def test_cold_reversed_values_match_warm():
     warm = {k: repr(f()) for k, f in namespace["queries"]()}
     assert len(warm) > 800
     assert cold == warm
+
+
+class TestPoleCrossCheck:
+    @pytest.mark.parametrize("tag", ["V3", "(V')2"], ids=["V3-v3_brace_numeric", "(V')2-vp2_brace_numeric"])
+    def test_pole_fit(self, suite, tag):
+        flags = suite("dimreg-pole").matching(re.escape(tag) + r" pole fit n=[12] .*")
+        assert flags == [True, True]
 
 
 class TestContractTypes:

@@ -18,6 +18,9 @@ class TestHarmonic:
         with pytest.raises(en.DomainError):
             en.harmonic(-1)
 
+    def test_recurrence(self, suite):
+        suite("exactnum").assert_passed(["harmonic recurrence n=%d" % n for n in range(1, 51)])
+
 
 class TestDiharmonic:
     def test_reference_values(self):
@@ -25,6 +28,10 @@ class TestDiharmonic:
         assert en.diharmonic("-", 0, 7) == 0
         h6, h62 = en.harmonic(6), en.harmonic(6, 2)
         assert en.diharmonic("+", 6, 0) == (h6 * h6 - h62) / 2
+
+    def test_double_sum_oracle(self, suite):
+        labels = ["diH oracle (%s,%d,%d)" % (s, n, m) for n in range(0, 11) for m in range(-8, 11) for s in "+-"]
+        suite("exactnum").assert_passed(labels)
 
 
 class TestGammaRatio:
@@ -41,6 +48,9 @@ class TestGammaRatio:
     def test_unsupported_order(self):
         with pytest.raises(en.UnsupportedOrderError):
             en.gamma_ratio_limit(2, 3)
+
+    def test_numeric_agreement(self, suite):
+        suite("exactnum").assert_passed(["gamma ratio N=%d" % N for N in range(0, 11)])
 
 
 class TestPolygamma:

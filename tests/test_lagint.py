@@ -106,6 +106,11 @@ class TestIntegralJ:
 
 
 class TestIntegralK:
+    def test_orthogonality_and_normalization(self, suite):
+        labels = ["orthogonality (%d,%d,%d)" % (n, k, m) for n in range(0, 13) for k in range(0, 7) for m in range(0, 13)]
+        labels += ["normalization (%d,%d)" % (n, k) for n in range(0, 13) for k in range(0, 7)]
+        suite("lagint").assert_passed(labels)
+
     def test_summary_rows(self):
         for n in range(0, 13):
             for k in range(0, 7):
@@ -203,6 +208,10 @@ class TestIntegralLM:
 
 
 class TestBruteForce:
+    def test_randomized_equivalence(self, suite):
+        flags = suite("lagint").matching(r"oracle equivalence seed 99 .*")
+        assert len(flags) == 200 and all(flags)
+
     def test_reference_values(self):
         spec = li.MomentSpec(Q(2), 0, (1, 1, 0), (1, 1))
         assert li.brute_force_moment(spec) == S(8)

@@ -19,6 +19,22 @@ def test_subtraction():
     assert subtract_laguerre(1, 1, 2).poly.is_zero()
 
 
+@pytest.mark.parametrize("n", range(0, 16))
+@pytest.mark.parametrize("k", range(0, 9))
+def test_derivative_identity(suite, n, k):
+    suite("laguerre").assert_passed(["dL (%d,%d)" % (n, k)])
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_three_term_recursions(suite, n, k):
+    suite("laguerre").assert_passed(["rec%d (%d,%d)" % (i, n, k) for i in range(1, 5)])
+
+
+def test_value_at_zero(suite):
+    suite("laguerre").assert_passed(["L(0) (%d,%d)" % (n, k) for n in range(0, 12) for k in range(0, 7)])
+
+
 def test_half_integer_order():
     p = assoc_laguerre(2, Q(1, 2))
     assert p.coeff(0) == binomial(Q(5, 2), 2)
@@ -33,6 +49,12 @@ def test_gegenbauer_spec_examples():
         assert gegenbauer(2, lam).poly == Poly([-lam, 0, 2 * lam * (lam + 1)])
     with pytest.raises(DomainError):
         gegenbauer(2, 0)
+
+
+@pytest.mark.parametrize("lam", [Q(1, 2), Q(1), Q(3, 2), Q(2)])
+def test_gegenbauer_derivative_and_ode(suite, lam):
+    labels = ["%s (%d,%s)" % (kind, n, lam) for n in range(1, 13) for kind in ("dC", "Gegenbauer ODE")]
+    suite("laguerre").assert_passed(labels)
 
 
 def test_gegenbauer_parity():
