@@ -23,6 +23,8 @@ from .exactnum import (
 from .coulomb import (
     QuantumState,
     Value,
+    _d0,
+    _d1,
     expectation_closed,
     momentum_radial,
 )
@@ -123,18 +125,6 @@ def fourier_kernel(alpha, rank: int, eps: bool = False) -> FourierKernel:
 
 def _s(x) -> SymExpr:
     return SymExpr.scalar(x)
-
-
-def _b(l) -> Fraction:
-    return (l - HALF) * (l + HALF) * (l + Q(3, 2))
-
-
-def _d0(l):
-    return 1 if l == 0 else 0
-
-
-def _d1(l):
-    return 1 if l == 1 else 0
 
 
 def _brk_qm1(st):

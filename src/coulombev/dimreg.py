@@ -14,7 +14,8 @@ and the result is a Laurent brace relative to the standing prefactor
 
 with pi phibar^2 -> (m_r Zalpha)^3/n^3 as eps -> 0.  For l > 0 every term is
 finite at eps = 0 and the exact finite Value is one radial integral.  Both
-take their units from the terms.
+take their units from the terms.  The float layer reads the l = 0 lists a
+third time, at finite eps on a shot wave function (`shoot._brace_numeric`).
 """
 
 from __future__ import annotations
@@ -174,21 +175,6 @@ def series_coefficients_eps(l: int, j_max: int, order: int = 2) -> Dict[Tuple[in
             den = _eps_lin(j, 2 * k, order).mul(_eps_lin(j + 2 * l + 1, 2 * (k - 1), order), order_cap=order)
             a[(j, k)] = num.mul(den.invert(order_cap=order), order_cap=order)
     return a
-
-
-def eval_series(table: CoeffTable, nbar: float, rho: float) -> Tuple[float, float]:
-    """(L, dL/drho) of the generalized series at numeric eps and nbar."""
-    eps = float(table.eps)
-    val = 0.0
-    der = 0.0
-    for (j, k), c in table.a.items():
-        c = float(c)
-        power = j + 2 * eps * k
-        term = c * nbar**k * rho**power
-        val += term
-        if power:
-            der += c * nbar**k * power * rho ** (power - 1)
-    return val, der
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +478,7 @@ def _grad(coef, sigma, c, beta) -> List[_Term]:
 _V = [_Term((-1,), -1, 1, beta=1)]
 _V2 = [_Term((1,), -2, 2, beta=2)]
 _V3 = [_Term((-1,), -3, 3, beta=3)]
-_VP2 = [_Term((1, -4), -4, 2, beta=2)]
+_VP2 = [_Term((1, -4, 4), -4, 2, beta=2)]  # (1-2e)^2
 _VP_DR = [_Term((1, -2), -2, 1, b=1, beta=1)]
 _VVP_DR = [_Term((-1, 2), -3, 2, b=1, beta=2)]
 # <r^{4eps} dr^2 Vbar> = <r^{4eps}[Vbar'' + 2 Vbar' dr + Vbar dr^2]>

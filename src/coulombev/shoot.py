@@ -1,12 +1,14 @@
 """Floating-point shooting and quadrature in D = 3 - 2*eps.
 
 The eigenvalue nbar is shot from the generalized power series of the radial
-equation (`dimreg.series_coefficients`) with a DOP853 solve to rho_max and
-Brent's method on the tail value; the shot wave function then gives numeric
-braces and phibar^2 by quadrature.  This layer only cross-checks the exact
-eps-poles of `dimreg`, and it is the one part of the package that needs
-numpy and scipy, so the exact modules do not import it: `dimreg` and the
-package resolve its names on first use.
+equation (`dimreg.series_coefficients`, summed by `eval_series`) with a
+DOP853 solve to rho_max and Brent's method on the tail value.  The shot wave
+function then gives phibar^2 and the numeric braces by quadrature; the
+braces read the term lists of `dimreg._TERMS`, so each divergent operator is
+still described once.  This layer only cross-checks the exact eps-poles of
+`dimreg`, and it is the one part of the package that needs numpy and scipy,
+so the exact modules do not import it: `dimreg` and the package resolve its
+names on first use.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .exactnum import DomainError, EULER_GAMMA, lam
 from .coulomb import QuantumState
 from .dimreg import (
     CoeffTable,
+    _TERMS,
     _eps_value,
     contact_expansion,
     energy_expansion,
-    eval_series,
     nbar_expansion,
     series_coefficients,
 )
@@ -80,14 +82,33 @@ def gammabar_from_nbar(nbar: float, eps: float, mu: float) -> float:
     return (w * 2.0 ** (-2.0 * eps) / nbar) ** (1.0 / (1.0 + 2.0 * eps))
 
 
-def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
-    y0 = eval_series(table, nbar, rho0)
+def eval_series(table: CoeffTable, nbar: float, rho: float) -> Tuple[float, float]:
+    """(L, dL/drho) of the generalized series at numeric eps and nbar."""
+    eps = float(table.eps)
+    val = der = 0.0
+    for (j, k), c in table.a.items():
+        c = float(c)
+        power = j + 2 * eps * k
+        val += c * nbar**k * rho**power
+        if power:
+            der += c * nbar**k * power * rho ** (power - 1)
+    return val, der
+
+
+def _radial_rhs(l, eps, nbar):
+    """The radial equation as solve_ivp takes it: (rho, (L, L')) -> (L', L'')."""
+    c = l + 1 - eps
 
     def rhs(rho, y):
         L, dL = y
-        d2 = -(2.0 * (l + 1 - eps) / rho - 1.0) * dL + ((l + 1 - eps) - nbar * rho ** (2 * eps)) / rho * L
-        return (dL, d2)
+        return (dL, -(2.0 * c / rho - 1.0) * dL + (c - nbar * rho ** (2 * eps)) / rho * L)
 
+    return rhs
+
+
+def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
+    y0 = eval_series(table, nbar, rho0)
+    rhs = _radial_rhs(l, eps, nbar)
     sol = solve_ivp(rhs, (rho0, rhomax), y0, method="DOP853", rtol=1e-12, atol=1e-250, dense_output=dense)
     if not sol.success:
         raise ShootingError("ODE integration failed: %s" % sol.message)
@@ -169,34 +190,61 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     raise failure("no sign change of the tail in any bracket")
 
 
-def wavefunction_moment(eig: DimRegEigen, power: float, quad_dps: int = 20) -> float:
-    """int_0^inf rho^power e^{-rho} L(rho)^2 drho from the shot solution.
+def _rho_integral(eig: DimRegEigen, s: float, a: int, b: int, p: int) -> float:
+    """int_0^inf rho^s e^{-rho} F_a F_b drho, where e^{-rho/2} F_a = d_rho^a [e^{-rho/2} L].
 
-    The L(0)^2 = 1 part is integrated analytically (Gamma function); for
-    power near -1 the quadrature alone cannot resolve the mass hiding at
-    exponentially small rho.
-    """
+    The series terms with j < p, pushed through the same derivatives, give
+    H_a = sum w rho^q; H_a H_b integrates to Gamma functions and only the
+    regular remainder F_a F_b - H_a H_b goes to quadrature, which alone could
+    not resolve the mass of rho^s at exponentially small rho."""
     import mpmath as mp
 
-    table, nbar = eig.table, eig.nbar
+    if max(a, b) > 2:
+        raise DomainError("numeric braces take at most two radial derivatives, got (%d, %d)" % (a, b))
+    eps, nbar, rhs = eig.eps, eig.nbar, _radial_rhs(eig.state.l, eig.eps, eig.nbar)
+    head = [[(j + 2.0 * eps * k, float(c) * nbar**k) for (j, k), c in eig.table.a.items() if j < p]]
+    for _ in range(max(a, b)):
+        head.append([t for q, w in head[-1] for t in ((q - 1.0, w * q), (q, -0.5 * w)) if t[1]])
 
-    def l_sq_minus_1(rho):
-        rho = float(rho)
-        if rho <= eig.rho0:
-            L = eval_series(table, nbar, rho)[0]
-        elif rho >= eig.rhomax:
-            return -1.0
-        else:
-            L = float(eig.sol.sol(rho)[0])
-        return L * L - 1.0
+    def remainder(x):
+        L, dL = eval_series(eig.table, nbar, x) if x <= eig.rho0 else eig.sol.sol(x).tolist()
+        F = (L, dL - 0.5 * L, rhs(x, (L, dL))[1] - dL + 0.25 * L)
+        Ha, Hb = (sum(w * x**q for q, w in h) for h in (head[a], head[b]))
+        return F[a] * F[b] - Ha * Hb
 
     def f(rho):
-        return mp.mpf(rho) ** power * mp.e ** (-rho) * l_sq_minus_1(rho)
+        return mp.mpf(rho) ** s * mp.e ** (-rho) * remainder(float(rho))
 
-    with mp.workdps(quad_dps):
-        analytic = mp.gamma(power + 1.0)
-        rest = mp.quad(f, [0, 1.0, 10.0, eig.rhomax])
-        return float(analytic + rest)
+    with mp.workdps(25):
+        analytic = mp.fsum(w1 * w2 * mp.gamma(s + q1 + q2 + 1.0) for q1, w1 in head[a] for q2, w2 in head[b])
+        return float(analytic + mp.quad(f, [0, 1.0, 10.0, eig.rhomax]))
+
+
+def _brace_numeric(tag: str, eig: DimRegEigen) -> float:
+    """`dimreg.divergent_expectation(tag, n, 0)` at the shot's eps, from the same
+    terms: each mirrors `dimreg._head_tail_primitive` in rho = 2 gammabar r, with
+    rho power s = 2 + sigma + 2 (c - 1) eps, head depth p = max(0, max(a, b) - 2 - sigma)
+    and weight coef(eps) Ebar^k beta^beta (2 gammabar)^{a+b-s-1}."""
+    if eig.state.l != 0:
+        raise DomainError("numeric braces implemented for S states")
+    eps = eig.eps
+    mub = _mubar(eig.mu) ** (2 * eps)
+    beta = math.gamma(0.5 - eps) * mub * math.pi ** (eps - 0.5)
+    total = 0.0
+    for t in _TERMS[tag]:
+        if t.ang:
+            continue
+        s = 2.0 + t.sigma + 2.0 * (t.c - 1) * eps
+        w = sum(x * eps**i for i, x in enumerate(t.coef)) * eig.ebar**t.k * beta**t.beta
+        p = max(0, max(t.a, t.b) - 2 - t.sigma)
+        total += w * (2.0 * eig.gammabar) ** (t.a + t.b - s - 1.0) * _rho_integral(eig, s, t.a, t.b, p)
+    D = 3.0 - 2.0 * eps
+    return 2.0 * math.pi ** (D / 2.0) / math.gamma(D / 2.0) * total / (math.pi * mub)
+
+
+def wavefunction_moment(eig: DimRegEigen, power: float) -> float:
+    """int_0^inf rho^power e^{-rho} L(rho)^2 drho, with L(0)^2 = 1 integrated analytically."""
+    return _rho_integral(eig, power, 0, 0, 1)
 
 
 def phibar2_numeric(eig: DimRegEigen) -> float:
@@ -210,61 +258,12 @@ def phibar2_numeric(eig: DimRegEigen) -> float:
 
 def v3_brace_numeric(eig: DimRegEigen) -> float:
     """Numeric <Vbar^3>/(pi phibar^2 (Za)^3 mubar^{2 eps}) from the shot wave function."""
-    eps = eig.eps
-    D = 3.0 - 2.0 * eps
-    omega = 2.0 * math.pi ** (D / 2.0) / math.gamma(D / 2.0)
-    beta3 = (math.gamma(0.5 - eps) * _mubar(eig.mu) ** (2 * eps) * math.pi ** (eps - 0.5)) ** 3
-    i3 = wavefunction_moment(eig, -1.0 + 4.0 * eps, quad_dps=25)
-    return -omega * beta3 * (2.0 * eig.gammabar) ** (-4.0 * eps) * i3 / (math.pi * _mubar(eig.mu) ** (2 * eps))
+    return _brace_numeric("V3", eig)
 
 
 def vp2_brace_numeric(eig: DimRegEigen) -> float:
-    """Numeric <(Vbar')^2>/(pi phibar^2 m_r (Za)^3 mubar^{2 eps}).
-
-    The rho integral carries rho^{-2+2 eps}, so the three-term head of the
-    generalized series is integrated analytically and only the regular
-    remainder L^2 - Lhat^2 goes to quadrature.
-    """
-    import mpmath as mp
-
-    eps, nbar = eig.eps, eig.nbar
-    table = eig.table
-
-    def lhat(rho):
-        return 1.0 + 0.5 * rho - nbar * rho ** (1.0 + 2.0 * eps) / (2.0 * (1.0 + 2.0 * eps))
-
-    def l_val(rho):
-        rho = float(rho)
-        if rho <= eig.rho0:
-            return eval_series(table, nbar, rho)[0]
-        if rho >= eig.rhomax:
-            return 0.0
-        return float(eig.sol.sol(rho)[0])
-
-    def f(rho):
-        rho_f = float(rho)
-        diff = l_val(rho_f) ** 2 - lhat(rho_f) ** 2
-        return mp.mpf(rho) ** (-2.0 + 2.0 * eps) * mp.e ** (-rho) * diff
-
-    with mp.workdps(25):
-        rest = mp.quad(f, [0, 1.0, 10.0, eig.rhomax])
-        # int rho^{-2+2eps} e^-rho Lhat^2: powers 0,1,1+2e,2,2+2e,2+4e
-        c = 1.0 / (1.0 + 2.0 * eps)
-        head_terms = (
-            (0.0, 1.0),
-            (1.0, 1.0),
-            (1.0 + 2 * eps, -nbar * c),
-            (2.0, 0.25),
-            (2.0 + 2 * eps, -0.5 * nbar * c),
-            (2.0 + 4 * eps, 0.25 * nbar * nbar * c * c),
-        )
-        analytic = mp.fsum(w * mp.gamma(-1.0 + 2.0 * eps + p) for p, w in head_terms)
-        i2 = float(analytic + rest)
-    D = 3.0 - 2.0 * eps
-    omega = 2.0 * math.pi ** (D / 2.0) / math.gamma(D / 2.0)
-    beta2 = (math.gamma(0.5 - eps) * _mubar(eig.mu) ** (2 * eps) * math.pi ** (eps - 0.5)) ** 2
-    pref = omega * beta2 * (1.0 - 2.0 * eps) ** 2 * (2.0 * eig.gammabar) ** (1.0 - 2.0 * eps)
-    return pref * i2 / (math.pi * _mubar(eig.mu) ** (2 * eps))
+    """Numeric <(Vbar')^2>/(pi phibar^2 m_r (Za)^3 mubar^{2 eps}) from the shot wave function."""
+    return _brace_numeric("(V')2", eig)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 from .exactnum import (
@@ -392,31 +393,32 @@ def suite_dimreg_symbolic() -> SuiteResult:
     return r
 
 
+@lru_cache(maxsize=None)
+def _shot(n: int, l: int, eps: float):
+    """The shoot of (n, l) at eps and mu = 1, shared by the dimreg suites."""
+    from . import shoot
+
+    return shoot.eigenvalue_shoot(cb.QuantumState(n, l), eps)
+
+
 def suite_dimreg_numeric() -> SuiteResult:
     from . import shoot
 
     r = SuiteResult("dimreg-numeric")
-    shots: Dict = {}  # one shoot per (n, l, eps) point within this call
-
-    def shot(n, l, eps):
-        if (n, l, eps) not in shots:
-            shots[n, l, eps] = shoot.eigenvalue_shoot(cb.QuantumState(n, l), eps)
-        return shots[n, l, eps]
-
     for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
         st = cb.QuantumState(n, l)
-        r.check(abs(shot(n, l, 0.0).nbar - n) < 1e-10, "nbar(0)=n (%d,%d)" % (n, l))
+        r.check(abs(_shot(n, l, 0.0).nbar - n) < 1e-10, "nbar(0)=n (%d,%d)" % (n, l))
         en = 1.0 / (2.0 * n * n)
-        d1 = abs(shot(n, l, 1e-3).ebar - shoot.energy_series_numeric(st, 1e-3)) / en
-        d2 = abs(shot(n, l, 5e-4).ebar - shoot.energy_series_numeric(st, 5e-4)) / en
+        d1 = abs(_shot(n, l, 1e-3).ebar - shoot.energy_series_numeric(st, 1e-3)) / en
+        d2 = abs(_shot(n, l, 5e-4).ebar - shoot.energy_series_numeric(st, 5e-4)) / en
         r.check(d1 / d2 >= 3.6, "energy order (%d,%d): ratio %.2f" % (n, l, d1 / d2))
     # monotonicity/continuity of nbar in eps for n <= 3
     for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
-        vals = [shot(n, l, e).nbar for e in (0.0, 0.005, 0.01, 0.02)]
+        vals = [_shot(n, l, e).nbar for e in (0.0, 0.005, 0.01, 0.02)]
         diffs = [vals[i + 1] - vals[i] for i in range(3)]
         r.check(all(d < 0 for d in diffs) or all(d > 0 for d in diffs), "nbar monotone (%d,%d)" % (n, l))
     # l-dependence at fixed n
-    e31, e32 = shot(3, 1, 0.01).nbar, shot(3, 2, 0.01).nbar
+    e31, e32 = _shot(3, 1, 0.01).nbar, _shot(3, 2, 0.01).nbar
     r.check(abs(e31 - 3) > 1e-3, "nbar moves off n at eps = 0.01")
     r.check(abs(e31 - e32) > 1e-4, "nbar l-dependence")
     return r
@@ -428,14 +430,12 @@ def suite_dimreg_pole() -> SuiteResult:
     from . import shoot
 
     r = SuiteResult("dimreg-pole")
-    mu = 1.0
     eps_list = (0.02, 0.01, 0.005)
     A = np.array([[1.0 / e, 1.0] for e in eps_list])
     for n in (1, 2):
-        st = cb.QuantumState(n, 0)
-        eigs = [shoot.eigenvalue_shoot(st, e, mu=mu) for e in eps_list]
-        for tag, numeric in (("V3", shoot.v3_brace_numeric), ("(V')2", shoot.vp2_brace_numeric)):
-            vals = [numeric(eig) for eig in eigs]
+        eigs = [_shot(n, 0, e) for e in eps_list]
+        for tag in ("V3", "(V')2", "r4e.dr2.V"):
+            vals = [shoot._brace_numeric(tag, eig) for eig in eigs]
             coef, *_ = np.linalg.lstsq(A, np.array(vals), rcond=None)
             pole_exact = float(dimreg.divergent_expectation(tag, n, 0).pole().numeric())
             r.check(

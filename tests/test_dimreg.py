@@ -12,7 +12,7 @@ import pytest
 import coulombev
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
-from coulombev import shoot
+from coulombev import shoot, suites
 from coulombev.exactnum import (
     DomainError,
     GAMMA_E,
@@ -329,10 +329,30 @@ def test_cold_reversed_values_match_warm():
 
 
 class TestPoleCrossCheck:
-    @pytest.mark.parametrize("tag", ["V3", "(V')2"], ids=["V3-v3_brace_numeric", "(V')2-vp2_brace_numeric"])
+    @pytest.mark.parametrize(
+        "tag",
+        ["V3", "(V')2", "r4e.dr2.V"],
+        ids=["V3-v3_brace_numeric", "(V')2-vp2_brace_numeric", "r4e.dr2.V-_brace_numeric"],
+    )
     def test_pole_fit(self, suite, tag):
         flags = suite("dimreg-pole").matching(re.escape(tag) + r" pole fit n=[12] .*")
         assert flags == [True, True]
+
+    # the braces of the hand-written <Vbar^3> and <(Vbar')^2> integrals that
+    # the evaluator of the term table replaced
+    @pytest.mark.parametrize(
+        "n, eps, v3, vp2",
+        [(1, 0.01, -99.57943508956775, -195.05829758281675), (2, 0.005, -199.17192026526033, -395.31358535069415)],
+        ids=["1-0.01", "2-0.005"],
+    )
+    def test_braces_pinned(self, n, eps, v3, vp2):
+        eig = suites._shot(n, 0, eps)
+        assert abs(dr.v3_brace_numeric(eig) / v3 - 1) < 1e-12
+        assert abs(dr.vp2_brace_numeric(eig) / vp2 - 1) < 1e-12
+
+    def test_brace_takes_two_derivatives_at_most(self):
+        with pytest.raises(DomainError, match="at most two radial derivatives"):
+            shoot._brace_numeric("r4e/r.dr3", suites._shot(1, 0, 0.01))
 
 
 class TestContractTypes:
