@@ -289,16 +289,6 @@ def bracket_lnq(state: QuantumState) -> Value:
     return Value(v.sym * Q(-1, 4), 3, 3, -1)
 
 
-def _ln_angular_average(p1: float, p2: float) -> float:
-    """(1/2) int_{-1}^{1} dc ln|p2 - p1| over the relative angle."""
-    apb = (p1 + p2) ** 2
-    amb = (p1 - p2) ** 2
-    # (1/(8 p1 p2)) [ u ln u - u ]_{amb}^{apb}
-    hi = apb * math.log(apb) - apb
-    lo = amb * math.log(amb) - amb if amb > 0 else 0.0
-    return (hi - lo) / (8.0 * p1 * p2)
-
-
 def bracket_lnq_oracle(n: int) -> float:
     """Direct momentum-space double integral of <ln q> for S states.
 
@@ -312,12 +302,27 @@ def bracket_lnq_oracle(n: int) -> float:
 
     st = QuantumState(n, 0)
     R = momentum_radial(st)
+    # R(p) = R.norm gamma_n / D^2 C(beta) at l = 0, in `MomentumRadialWF`'s order
+    gamma_n, coeffs = 1.0 / n, R.coeffs
+    pref, g2 = R.norm * gamma_n, gamma_n * gamma_n
     # (1/(2pi)^6) * angular factor (4 pi)^2 * |Y00|^2 = 4 pi/(2 pi)^6
     norm = 4.0 * math.pi / (2.0 * math.pi) ** 6
 
     def inner(p2):
         def f(p1):
-            return p1 * p1 * R(p1) * _ln_angular_average(p1, p2)
+            # p1^2 R(p1) times (1/2) int_{-1}^{1} dc ln|p2 - p1| over the relative
+            # angle, (1/(8 p1 p2)) [u ln u - u] between (p1 - p2)^2 and (p1 + p2)^2
+            p1sq = p1 * p1
+            D = p1sq + g2
+            beta = (p1sq - g2) / D
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * beta + c
+            apb = (p1 + p2) ** 2
+            amb = (p1 - p2) ** 2
+            hi = apb * math.log(apb) - apb
+            lo = amb * math.log(amb) - amb if amb > 0 else 0.0
+            return p1sq * (pref / D**2 * acc) * ((hi - lo) / (8.0 * p1 * p2))
 
         # split at the log line p1 = p2; map [0, inf) in two pieces
         v1, _ = _sint.quad(f, 0.0, p2, limit=200, epsabs=1e-13, epsrel=1e-12)

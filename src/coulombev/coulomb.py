@@ -16,10 +16,10 @@ restored afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .exactnum import (
     DivergenceError,
@@ -789,6 +789,10 @@ class MomentumRadialWF:
     state: QuantumState
     gegenbauer: GegenbauerPoly  # degree n-l-1, order l+1
     norm: float  # phi_n * N_{nl}
+    coeffs: Tuple[float, ...] = field(init=False)  # the Gegenbauer coefficients as floats, highest degree first
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in reversed(self.gegenbauer.poly.coeffs)))
 
     def __call__(self, p: float) -> float:
         n, l = self.state.n, self.state.l
@@ -796,8 +800,8 @@ class MomentumRadialWF:
         D = p * p + gamma_n * gamma_n
         beta = (p * p - gamma_n * gamma_n) / D
         acc = 0.0
-        for c in reversed(self.gegenbauer.poly.coeffs):
-            acc = acc * beta + float(c)
+        for c in self.coeffs:
+            acc = acc * beta + c
         return self.norm * p**l * gamma_n ** (l + 1) / D ** (l + 2) * acc
 
 

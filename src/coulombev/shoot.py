@@ -3,12 +3,12 @@
 The eigenvalue nbar is shot from the generalized power series of the radial
 equation (`dimreg.series_coefficients`, summed by `eval_series`) with a
 DOP853 solve to rho_max and Brent's method on the tail value.  The shot wave
-function then gives phibar^2 and the numeric braces by quadrature; the
-braces read the term lists of `dimreg._TERMS`, so each divergent operator is
-still described once.  This layer only cross-checks the exact eps-poles of
-`dimreg`, and it is the one part of the package that needs numpy and scipy,
-so the exact modules do not import it: `dimreg` and the package resolve its
-names on first use.
+function then gives phibar^2 and the numeric braces by one fixed tanh-sinh
+rule, evaluated on arrays of nodes; the braces read the term lists of
+`dimreg._TERMS`, so each divergent operator is still described once.  This
+layer only cross-checks the exact eps-poles of `dimreg`, and it is the one
+part of the package that needs numpy and scipy, so the exact modules do not
+import it: `dimreg` and the package resolve its names on first use.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def gammabar_from_nbar(nbar: float, eps: float, mu: float) -> float:
 
 
 def eval_series(table: CoeffTable, nbar: float, rho: float) -> Tuple[float, float]:
-    """(L, dL/drho) of the generalized series at numeric eps and nbar."""
+    """(L, dL/drho) of the generalized series at numeric eps and nbar; rho may be an array."""
     eps = float(table.eps)
     val = der = 0.0
     for (j, k), c in table.a.items():
@@ -190,34 +190,55 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     raise failure("no sign change of the tail in any bracket")
 
 
-def _rho_integral(eig: DimRegEigen, s: float, a: int, b: int, p: int) -> float:
+def _tanh_sinh(h: float, tmax: float):
+    """Nodes y in (0, 1) and weights of the tanh-sinh rule on [0, 1] with step h
+    and |t| <= tmax; y = 1/(1 + e^{-2u}) keeps the nodes next to 0 at full
+    relative precision."""
+    t = np.arange(-round(tmax / h), round(tmax / h) + 1) * h
+    u = 0.5 * np.pi * np.sinh(t)
+    return 1.0 / (1.0 + np.exp(-2.0 * u)), h * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+
+
+# the shot solution is a double, so one rule at a fixed degree resolves the
+# braces: at h = 2^-7 they agree with a 25-digit adaptive quadrature to 4.4e-16
+_TS_Y, _TS_W = _tanh_sinh(2.0**-7, 3.5)
+
+
+def _nodes(eig: DimRegEigen):
+    """The rule's nodes x on [0, 1], [1, 10] and [10, rho_max], their weights and
+    (F_0, F_1, F_2) at x (see `_rho_integral`), shared by a brace's terms."""
+    cuts = (0.0, 1.0, 10.0, eig.rhomax)
+    x = np.concatenate([a + (b - a) * _TS_Y for a, b in zip(cuts, cuts[1:])])
+    w = np.concatenate([(b - a) * _TS_W for a, b in zip(cuts, cuts[1:])])
+    # below rho0 the generalized series is the solution, as at the shoot's start
+    near = x <= eig.rho0
+    L, dL = np.empty_like(x), np.empty_like(x)
+    L[near], dL[near] = eval_series(eig.table, eig.nbar, x[near])
+    L[~near], dL[~near] = eig.sol.sol(x[~near])
+    d2L = _radial_rhs(eig.state.l, eig.eps, eig.nbar)(x, (L, dL))[1]
+    return x, w, (L, dL - 0.5 * L, d2L - dL + 0.25 * L)
+
+
+def _rho_integral(eig: DimRegEigen, nodes, s: float, a: int, b: int, p: int) -> float:
     """int_0^inf rho^s e^{-rho} F_a F_b drho, where e^{-rho/2} F_a = d_rho^a [e^{-rho/2} L].
 
     The series terms with j < p, pushed through the same derivatives, give
     H_a = sum w rho^q; H_a H_b integrates to Gamma functions and only the
-    regular remainder F_a F_b - H_a H_b goes to quadrature, which alone could
-    not resolve the mass of rho^s at exponentially small rho."""
+    regular remainder F_a F_b - H_a H_b goes to the tanh-sinh rule, which alone
+    could not resolve the mass of rho^s at exponentially small rho."""
     import mpmath as mp
 
     if max(a, b) > 2:
         raise DomainError("numeric braces take at most two radial derivatives, got (%d, %d)" % (a, b))
-    eps, nbar, rhs = eig.eps, eig.nbar, _radial_rhs(eig.state.l, eig.eps, eig.nbar)
+    eps, nbar, (x, weights, F) = eig.eps, eig.nbar, nodes
     head = [[(j + 2.0 * eps * k, float(c) * nbar**k) for (j, k), c in eig.table.a.items() if j < p]]
     for _ in range(max(a, b)):
         head.append([t for q, w in head[-1] for t in ((q - 1.0, w * q), (q, -0.5 * w)) if t[1]])
-
-    def remainder(x):
-        L, dL = eval_series(eig.table, nbar, x) if x <= eig.rho0 else eig.sol.sol(x).tolist()
-        F = (L, dL - 0.5 * L, rhs(x, (L, dL))[1] - dL + 0.25 * L)
-        Ha, Hb = (sum(w * x**q for q, w in h) for h in (head[a], head[b]))
-        return F[a] * F[b] - Ha * Hb
-
-    def f(rho):
-        return mp.mpf(rho) ** s * mp.e ** (-rho) * remainder(float(rho))
-
+    Ha, Hb = (sum((w * x**q for q, w in h), 0.0) for h in (head[a], head[b]))
+    remainder = F[a] * F[b] - Ha * Hb
     with mp.workdps(25):
         analytic = mp.fsum(w1 * w2 * mp.gamma(s + q1 + q2 + 1.0) for q1, w1 in head[a] for q2, w2 in head[b])
-        return float(analytic + mp.quad(f, [0, 1.0, 10.0, eig.rhomax]))
+    return float(analytic) + float(np.dot(weights, x**s * np.exp(-x) * remainder))
 
 
 def _brace_numeric(tag: str, eig: DimRegEigen) -> float:
@@ -227,7 +248,7 @@ def _brace_numeric(tag: str, eig: DimRegEigen) -> float:
     and weight coef(eps) Ebar^k beta^beta (2 gammabar)^{a+b-s-1}."""
     if eig.state.l != 0:
         raise DomainError("numeric braces implemented for S states")
-    eps = eig.eps
+    eps, nodes = eig.eps, _nodes(eig)
     mub = _mubar(eig.mu) ** (2 * eps)
     beta = math.gamma(0.5 - eps) * mub * math.pi ** (eps - 0.5)
     total = 0.0
@@ -237,14 +258,14 @@ def _brace_numeric(tag: str, eig: DimRegEigen) -> float:
         s = 2.0 + t.sigma + 2.0 * (t.c - 1) * eps
         w = sum(x * eps**i for i, x in enumerate(t.coef)) * eig.ebar**t.k * beta**t.beta
         p = max(0, max(t.a, t.b) - 2 - t.sigma)
-        total += w * (2.0 * eig.gammabar) ** (t.a + t.b - s - 1.0) * _rho_integral(eig, s, t.a, t.b, p)
+        total += w * (2.0 * eig.gammabar) ** (t.a + t.b - s - 1.0) * _rho_integral(eig, nodes, s, t.a, t.b, p)
     D = 3.0 - 2.0 * eps
     return 2.0 * math.pi ** (D / 2.0) / math.gamma(D / 2.0) * total / (math.pi * mub)
 
 
 def wavefunction_moment(eig: DimRegEigen, power: float) -> float:
     """int_0^inf rho^power e^{-rho} L(rho)^2 drho, with L(0)^2 = 1 integrated analytically."""
-    return _rho_integral(eig, power, 0, 0, 1)
+    return _rho_integral(eig, _nodes(eig), power, 0, 0, 1)
 
 
 def phibar2_numeric(eig: DimRegEigen) -> float:

@@ -434,10 +434,13 @@ def suite_dimreg_pole() -> SuiteResult:
     A = np.array([[1.0 / e, 1.0] for e in eps_list])
     for n in (1, 2):
         eigs = [_shot(n, 0, e) for e in eps_list]
-        for tag in ("V3", "(V')2", "r4e.dr2.V"):
+        for tag in dimreg.divergent_tags():
+            pole = dimreg.divergent_expectation(tag, n, 0).pole()
+            if not pole:
+                continue
             vals = [shoot._brace_numeric(tag, eig) for eig in eigs]
             coef, *_ = np.linalg.lstsq(A, np.array(vals), rcond=None)
-            pole_exact = float(dimreg.divergent_expectation(tag, n, 0).pole().numeric())
+            pole_exact = float(pole.numeric())
             r.check(
                 abs(coef[0] / pole_exact - 1) < 0.01,
                 "%s pole fit n=%d (%.4f vs %.4f)" % (tag, n, coef[0], pole_exact),

@@ -21,14 +21,14 @@ S = SymExpr.scalar
 
 # suite -> (criteria, wall-clock budget in s or None, least number of checks)
 TABLE = {
-    "coulomb": ((1,), 60, 0),  # finite 3D catalog against the exact oracle, n <= 10
-    "lagint": ((2,), 30, 0),  # I/J/K/L/M tables and the randomized brute-force sweeps
-    "dimreg-symbolic": ((3, 6), None, 0),  # Laurent tables, l > 0 closed forms, identity network
-    "dimreg-pole": ((4,), 120, 0),  # fitted 1/eps coefficients within 1%
-    "dimreg-numeric": ((5,), 60, 0),  # shooting: nbar(0) = n and the O(eps^2) energy order
-    "brackets": ((7,), 30, 0),  # momentum brackets and <ln q> against quadrature to 1e-8
-    "exactnum": ((8,), 10, 8000),  # diharmonic recursions, reflections and closed forms
-    "laguerre": ((), None, 0),  # Laguerre and Gegenbauer identities
+    "coulomb": ((1,), 60, 1),  # finite 3D catalog against the exact oracle, n <= 10
+    "lagint": ((2,), 30, 1),  # I/J/K/L/M tables and the randomized brute-force sweeps
+    "dimreg-symbolic": ((3, 6), None, 1),  # Laurent tables, l > 0 closed forms, identity network
+    "dimreg-pole": ((4,), 120, 26),  # fitted 1/eps coefficients within 1%, 13 tags x n = 1, 2
+    "dimreg-numeric": ((5,), 60, 1),  # shooting: nbar(0) = n and the O(eps^2) energy order
+    "brackets": ((7,), 30, 1),  # momentum brackets and <ln q> against quadrature to 1e-8
+    "exactnum": ((8,), 10, 8001),  # diharmonic recursions, reflections and closed forms
+    "laguerre": ((), None, 1),  # Laguerre and Gegenbauer identities
 }
 
 
@@ -40,7 +40,7 @@ def _check_row(suite, name):
     _, budget, least = TABLE[name]
     run = suite(name)
     assert run.result.ok, run.result.failures
-    assert run.result.passed > least
+    assert run.result.passed >= least
     if budget is not None:
         assert run.elapsed < budget
     return run
@@ -74,7 +74,7 @@ def test_criterion_3_divergent_tables(suite):
 
 
 def test_criterion_4_numeric_pole_cross_check(suite):
-    """Fitted 1/eps coefficients of <V3> and <(V')2> within 1%."""
+    """Fitted 1/eps coefficients of every l = 0 tag with a nonzero pole within 1%, n = 1, 2."""
     _criterion(suite, 4)
 
 

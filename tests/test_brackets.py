@@ -95,6 +95,12 @@ def test_lnq_oracle(suite, n):
     suite("brackets").assert_passed(["lnq oracle n=%d" % n])
 
 
+@pytest.mark.parametrize("n, value", [(1, 0.5389454861995201), (2, 0.06963028758619476)])
+def test_lnq_oracle_pinned(n, value):
+    # the oracle's quadratures and the order of its floating-point operations are fixed
+    assert abs(br.bracket_lnq_oracle(n) / value - 1) <= 1e-15
+
+
 def test_unknown_bracket():
     with pytest.raises(br.BracketCatalogError):
         br.bracket("q^-7", cb.QuantumState(1, 0))

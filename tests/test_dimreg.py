@@ -328,12 +328,17 @@ def test_cold_reversed_values_match_warm():
     assert cold == warm
 
 
+# every l = 0 tag whose exact pole is nonzero is pole-fitted at n = 1 and 2
+POLE_TAGS = [tag for tag in dr.divergent_tags() if dr.divergent_expectation(tag, 1, 0).pole()]
+POLE_IDS = {"V3": "V3-v3_brace_numeric", "(V')2": "(V')2-vp2_brace_numeric"}
+
+
 class TestPoleCrossCheck:
-    @pytest.mark.parametrize(
-        "tag",
-        ["V3", "(V')2", "r4e.dr2.V"],
-        ids=["V3-v3_brace_numeric", "(V')2-vp2_brace_numeric", "r4e.dr2.V-_brace_numeric"],
-    )
+    def test_pole_tags(self):
+        assert len(POLE_TAGS) == 13
+        assert POLE_TAGS == [tag for tag in dr.divergent_tags() if dr.divergent_expectation(tag, 2, 0).pole()]
+
+    @pytest.mark.parametrize("tag", POLE_TAGS, ids=lambda tag: POLE_IDS.get(tag, tag + "-_brace_numeric"))
     def test_pole_fit(self, suite, tag):
         flags = suite("dimreg-pole").matching(re.escape(tag) + r" pole fit n=[12] .*")
         assert flags == [True, True]
@@ -349,6 +354,17 @@ class TestPoleCrossCheck:
         eig = suites._shot(n, 0, eps)
         assert abs(dr.v3_brace_numeric(eig) / v3 - 1) < 1e-12
         assert abs(dr.vp2_brace_numeric(eig) / vp2 - 1) < 1e-12
+
+    # the 25-digit adaptive quadrature that the tanh-sinh rule replaced gave these
+    @pytest.mark.parametrize(
+        "n, eps, r4e_dr2_v, phibar2",
+        [(1, 0.01, -193.52998450487118, 0.31176021186913216), (2, 0.005, -392.20674403956065, 0.03995240149367191)],
+        ids=["1-0.01", "2-0.005"],
+    )
+    def test_quadratures_pinned(self, n, eps, r4e_dr2_v, phibar2):
+        eig = suites._shot(n, 0, eps)
+        assert abs(shoot._brace_numeric("r4e.dr2.V", eig) / r4e_dr2_v - 1) < 1e-12
+        assert abs(dr.phibar2_numeric(eig) / phibar2 - 1) < 1e-12
 
     def test_brace_takes_two_derivatives_at_most(self):
         with pytest.raises(DomainError, match="at most two radial derivatives"):
