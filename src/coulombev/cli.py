@@ -102,6 +102,8 @@ def _phys_from(args):
 
 
 def cmd_eval(args) -> int:
+    if bool(args.op) == bool(args.bracket):
+        raise DomainError("eval needs exactly one of --op and --bracket")
     st = QuantumState(args.n, args.l)
     phys = _phys_from(args)
     if args.op:
@@ -113,11 +115,8 @@ def cmd_eval(args) -> int:
                 v = dimreg.divergent_expectation(args.op, st.n, st.l)
             else:
                 raise
-    elif args.bracket:
-        v = br.bracket(args.bracket, st)
     else:
-        print("eval needs --op or --bracket", file=sys.stderr)
-        return 1
+        v = br.bracket(args.bracket, st)
     if phys is not None and not isinstance(v, Value):
         raise DomainError(
             "--mr/--zalpha/--mu/--kappa apply only to a finite value; %r at (n, l) = (%d, %d) is a %s"

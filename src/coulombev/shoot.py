@@ -1,25 +1,25 @@
 """Floating-point shooting and quadrature in D = 3 - 2*eps.
 
 The eigenvalue nbar is shot from the generalized power series of the radial
-equation (`dimreg.series_coefficients`, summed by `eval_series`) with a
-DOP853 solve to rho_max and Brent's method on the tail value.  The shot wave
-function then gives phibar^2 and the numeric braces by one fixed tanh-sinh
-rule, evaluated on arrays of nodes; the braces read the term lists of
-`dimreg._TERMS`, so each divergent operator is still described once.  This
-layer only cross-checks the exact eps-poles of `dimreg`, and it is the one
-part of the package that needs numpy and scipy, so the exact modules do not
-import it: `dimreg` and the package resolve its names on first use.
+equation (`dimreg.series_coefficients`, summed by `eval_series`) with DOP853
+solves to rho_max and a secant, from the O(eps) expansion, on the mismatch
+with the decaying solution there.  The shot wave function then gives phibar^2
+and the numeric braces by one fixed tanh-sinh rule, evaluated on arrays of
+nodes; the braces read the term lists of `dimreg._TERMS`, so each divergent
+operator is still described once.  This layer only cross-checks the exact
+eps-poles of `dimreg`, and it is the one part of the package that needs numpy
+and scipy, so the exact modules do not import it: `dimreg` and the package
+resolve its names on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .exactnum import DomainError, EULER_GAMMA, lam
 from .coulomb import QuantumState
@@ -37,22 +37,21 @@ from .dimreg import (
 class ShootingError(RuntimeError):
     """A shoot that found no eigenvalue.
 
-    Besides the reason it carries the state, eps and mu, the brackets tried
-    as (lo, hi, tail(lo), tail(hi)), and the nodes counted in the last
-    bracket that held a sign change (None if none did) against the nodes
-    expected.  The message repeats these facts on one line.
+    Besides the reason it carries the state, eps and mu, the secant's iterates
+    as (nbar, mismatch) pairs, and the nodes counted at the last iterate (None
+    if none were) against the nodes expected, all repeated on one line.
     """
 
-    def __init__(self, reason, state=None, eps=None, mu=None, brackets=(), nodes=None, nodes_expected=None):
+    def __init__(self, reason, state=None, eps=None, mu=None, iterates=(), nodes=None, nodes_expected=None):
         self.reason = reason
         self.state, self.eps, self.mu = state, eps, mu
-        self.brackets = tuple(brackets)
+        self.iterates = tuple(iterates)
         self.nodes, self.nodes_expected = nodes, nodes_expected
         bits = [reason]
         if state is not None:
             bits.append("(n, l) = (%d, %d), eps = %r, mu = %r" % (state.n, state.l, eps, mu))
-        if self.brackets:
-            bits.append("brackets " + ", ".join("[%.17g, %.17g] tails (%.3e, %.3e)" % b for b in self.brackets))
+        if self.iterates:
+            bits.append("nbar %.17g mismatch %.3e after %d solves" % (self.iterates[-1] + (len(self.iterates),)))
         if nodes_expected is not None:
             bits.append("nodes %s, expected %d" % ("none counted" if nodes is None else nodes, nodes_expected))
         super().__init__("; ".join(bits))
@@ -116,8 +115,9 @@ def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
 
 
 def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
+    """Sign changes of e^{-rho/2} L on a grid of [rho0, rho_hi]."""
     xs = np.linspace(rho0, rho_hi, 1600)
-    vals = sol.sol(xs)[0]
+    vals = np.exp(-0.5 * xs) * sol.sol(xs)[0]
     # ignore crossings inside the noise floor: after strong decay the
     # leftover e^{+rho} contamination of the shot solution flips sign at
     # amplitudes ~1e-15 of the maximum, which are not nodes
@@ -133,61 +133,51 @@ def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
     return nodes
 
 
+_N_MAX = 12  # every l < n shoots to its branch at eps = 0, +-0.02 and +-0.05 up to here
+
+
 def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimRegEigen:
-    """Find nbar as the root of the tail value L(rho_max; nbar) by Brent's
-    method inside a sign-changing bracket, verifying the node count."""
+    """Find nbar by a secant on the mismatch f = L' - g L at rho_max with the
+    decaying solution, whose log-derivative is g = (nbar rho_max^{2 eps} - l - 1
+    + eps)/rho_max, started at the O(eps) expansion; the node count of the
+    result then checks that the secant found the branch of (n, l)."""
     eps = float(_eps_value(eps))
     if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError("mu = %r must be finite and positive" % (mu,))
     n, l = state.n, state.l
+    if n > _N_MAX:
+        raise DomainError("n = %d outside the validated shooting range n <= %d" % (n, _N_MAX))
     rho0, rhomax = 1e-3, 20.0 + 10.0 * n
     table = series_coefficients(l, eps, 12)
-    tails: Dict[float, float] = {}  # this call only: brentq re-asks for the bracket ends
-    brackets: List[Tuple[float, float, float, float]] = []
-    nodes = None
+    iterates = []
 
-    def tail(nbar):
-        if nbar not in tails:
-            tails[nbar] = float(_integrate(l, eps, nbar, rho0, rhomax, table).y[0][-1])
-        return tails[nbar]
+    def mismatch(nbar):
+        L, dL = _integrate(l, eps, nbar, rho0, rhomax, table).y[:, -1].tolist()
+        iterates.append((nbar, dL - (nbar * rhomax ** (2 * eps) - l - 1 + eps) / rhomax * L))
+        return iterates[-1][1]
 
-    def failure(reason):
-        return ShootingError(reason, state, eps, mu, brackets, nodes, state.nr)
+    def failure(reason, nodes=None):
+        return ShootingError(reason, state, eps, mu, iterates, nodes, state.nr)
 
-    # candidate brackets: [n-1/2, n+1/2] and one centered on the expansion
-    # estimate.  Near the range edge the O(eps) shift can exceed 1/2, and then
-    # the primary window misses nbar or holds a neighboring eigenvalue, so the
-    # estimate's bracket goes first; the node count selects the branch
-    centers = [float(n)]
-    est = float(nbar_expansion(state).numeric(eps))
-    if abs(est - n) > 0.5:
-        centers.insert(0, est)
-    elif abs(est - n) > 0.1:
-        centers.append(est)
     try:
-        for center in centers:
-            lo, hi = center - 0.5, center + 0.5
-            t_lo, t_hi = tail(lo), tail(hi)
-            brackets.append((lo, hi, t_lo, t_hi))
-            if math.copysign(1.0, t_lo) == math.copysign(1.0, t_hi):
-                continue
-            nbar, res = brentq(tail, lo, hi, xtol=1e-15, maxiter=100, full_output=True, disp=False)
-            if not res.converged:
-                raise failure("Brent root-finding did not converge in %d iterations (%s)" % (res.iterations, res.flag))
-            sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense=True)
-            nodes = _count_nodes(sol, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
-            if nodes == state.nr:
-                gb = gammabar_from_nbar(nbar, eps, mu)
-                return DimRegEigen(state, eps, mu, nbar, gb, -0.5 * gb * gb, sol, rho0, rhomax, table)
+        x0 = float(nbar_expansion(state).numeric(eps))
+        x1, f0, step = x0 + 1e-6 * n, mismatch(x0), math.inf
+        while abs(step) > 4e-16 * x1 and len(iterates) < 30:
+            f1 = mismatch(x1)
+            step = f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+            x0, f0, x1 = x1, f1, x1 - step
+        if not abs(step) <= 4e-16 * x1:
+            raise ShootingError("the secant did not converge")
+        sol = _integrate(l, eps, x1, rho0, rhomax, table, dense=True)
     except ShootingError as exc:
-        if exc.state is not None:
-            raise
         raise failure(exc.reason) from exc
-    if nodes is not None:
-        raise failure("wrong eigenvalue branch")
-    raise failure("no sign change of the tail in any bracket")
+    nodes = _count_nodes(sol, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
+    if nodes != state.nr:
+        raise failure("wrong eigenvalue branch", nodes)
+    gb = gammabar_from_nbar(x1, eps, mu)
+    return DimRegEigen(state, eps, mu, x1, gb, -0.5 * gb * gb, sol, rho0, rhomax, table)
 
 
 def _tanh_sinh(h: float, tmax: float):
@@ -225,17 +215,26 @@ def _rho_integral(eig: DimRegEigen, nodes, s: float, a: int, b: int, p: int) -> 
     The series terms with j < p, pushed through the same derivatives, give
     H_a = sum w rho^q; H_a H_b integrates to Gamma functions and only the
     regular remainder F_a F_b - H_a H_b goes to the tanh-sinh rule, which alone
-    could not resolve the mass of rho^s at exponentially small rho."""
+    could not resolve the mass of rho^s at exponentially small rho.  The
+    remainder is formed as T_a F_b + H_a T_b from the tail T = F - H, which
+    for rho <= 1/2 is summed from the terms with j >= p, so it does not cancel."""
     import mpmath as mp
 
     if max(a, b) > 2:
         raise DomainError("numeric braces take at most two radial derivatives, got (%d, %d)" % (a, b))
     eps, nbar, (x, weights, F) = eig.eps, eig.nbar, nodes
-    head = [[(j + 2.0 * eps * k, float(c) * nbar**k) for (j, k), c in eig.table.a.items() if j < p]]
+    terms = [(j >= p, j + 2.0 * eps * k, float(c) * nbar**k) for (j, k), c in eig.table.a.items()]
+    head, tail = ([[(q, w) for in_tail, q, w in terms if in_tail == side]] for side in (False, True))
     for _ in range(max(a, b)):
-        head.append([t for q, w in head[-1] for t in ((q - 1.0, w * q), (q, -0.5 * w)) if t[1]])
-    Ha, Hb = (sum((w * x**q for q, w in h), 0.0) for h in (head[a], head[b]))
-    remainder = F[a] * F[b] - Ha * Hb
+        for h in (head, tail):
+            h.append([t for q, w in h[-1] for t in ((q - 1.0, w * q), (q, -0.5 * w)) if t[1]])
+    near = x <= 0.5
+    H, T = {}, {}
+    for i in {a, b}:
+        H[i] = sum((w * x**q for q, w in head[i]), 0.0)
+        T[i] = F[i] - H[i]
+        T[i][near] = sum((w * x[near] ** q for q, w in tail[i]), 0.0)
+    remainder = T[a] * F[b] + H[a] * T[b]
     with mp.workdps(25):
         analytic = mp.fsum(w1 * w2 * mp.gamma(s + q1 + q2 + 1.0) for q1, w1 in head[a] for q2, w2 in head[b])
     return float(analytic) + float(np.dot(weights, x**s * np.exp(-x) * remainder))

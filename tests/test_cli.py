@@ -58,6 +58,15 @@ def test_eval_unknown_tag(capsys):
         assert lines[0].startswith("error: unknown %s 'junk'; " % kind) and not lines[0].endswith("'")
 
 
+@pytest.mark.parametrize("argv", [["--op", "1/r", "--bracket", "1/q"], []], ids=["both", "neither"])
+def test_eval_needs_one_of_op_and_bracket(capsys, argv):
+    code = cli.main(["eval", "--n", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: eval needs exactly one of --op and --bracket"]
+
+
 def test_eval_below_min_l(capsys):
     # a finite catalog tag below its min_l names the l it needs
     code = cli.main(["eval", "--n", "3", "--l", "1", "--op", "1/r5"])
@@ -131,6 +140,14 @@ def test_dimreg_shooting_failure(capsys, monkeypatch):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert "nodes 3, expected 0" in lines[0]
+
+
+def test_dimreg_n_outside_validated_range(capsys):
+    code = cli.main(["dimreg", "--n", "13", "--eps", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n = 13 outside the validated shooting range n <= 12"]
 
 
 @pytest.mark.parametrize(

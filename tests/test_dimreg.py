@@ -58,13 +58,22 @@ class TestShooting:
 
     def test_range_edge_branch_selection(self):
         # at eps = 0.05 the (3,2) eigenvalue drops below n - 1/2 while the
-        # (4,2) one enters the primary window; node counting must pick the
-        # right branch via the expansion-centered bracket
+        # (4,2) one rises above 4 - 1/2; node counting must accept the branch
+        # that the secant, started at the expansion, converges to
         eig = dr.eigenvalue_shoot(cb.QuantumState(3, 2), 0.05)
         est = dr.nbar_expansion(cb.QuantumState(3, 2)).numeric(0.05)
         assert abs(eig.nbar - est) < 0.05
         eig4 = dr.eigenvalue_shoot(cb.QuantumState(4, 2), 0.05)
         assert eig4.nbar > eig.nbar + 0.5
+
+    def test_high_n(self):
+        # n = 12 is the largest n at which every l shoots at |eps| <= 0.05;
+        # the node count sees all 11 nodes, also those where |L| < 1.  The
+        # reference is the series root of test_nbar_pinned, at 130 digits
+        eig = dr.eigenvalue_shoot(cb.QuantumState(12, 0), 0.01)
+        assert abs(eig.nbar - 11.392605468840447) < 1e-12
+        with pytest.raises(DomainError, match="n <= 12"):
+            dr.eigenvalue_shoot(cb.QuantumState(13, 0), 0.01)
 
     def test_nbar_expansion_against_shooting(self):
         st = cb.QuantumState(2, 1)
@@ -78,15 +87,20 @@ class TestShooting:
     @pytest.mark.parametrize(
         "n,l,eps,mu,ref",
         [
-            (1, 0, 0.01, 0.7, 0.9815731310511095),
-            (3, 1, 1e-3, 1.0, 2.989971739002553),
-            (3, 2, 0.01, 1.0, 2.8891993327996968),
-            (3, 2, -0.048, 1.2, 3.5761036800380657),  # second bracket centre
-            (4, 2, 0.05, 1.0, 3.2550851967937966),
+            (1, 0, 0.01, 0.7, 0.9815731309597329),
+            (3, 1, 1e-3, 1.0, 2.9899717390024225),
+            (3, 2, 0.01, 1.0, 2.8891993327996628),
+            (3, 2, -0.048, 1.2, 3.5761036800380764),  # beyond n + 1/2
+            (4, 2, 0.05, 1.0, 3.255085196793786),
         ],
+        ids=["1-0-0.01-0.7", "3-1-0.001-1.0", "3-2-0.01-1.0", "3-2--0.048-1.2", "4-2-0.05-1.0"],
     )
     def test_nbar_pinned(self, n, l, eps, mu, ref):
-        # reference values from a 60-step bisection on the tail sign
+        # reference values: the root in nbar of the generalized series
+        # sum a_jk nbar^k rho^(j + 2 eps k), summed to convergence with mpmath
+        # at 60 digits at rho = 50 + 10 n, where the decaying solution's
+        # remaining weight moves the root by far less than 1e-16; nbar does
+        # not depend on mu
         eig = dr.eigenvalue_shoot(cb.QuantumState(n, l), eps, mu)
         assert abs(eig.nbar - ref) <= 1e-13
 
@@ -102,7 +116,7 @@ class TestShooting:
         monkeypatch.setattr(shoot, "_integrate", counting)
         dr.eigenvalue_shoot(cb.QuantumState(n, l), eps)
         assert calls  # the patch reached the solver
-        assert len(calls) <= 20
+        assert len(calls) <= 12
 
     def test_error_context(self, monkeypatch):
         monkeypatch.setattr(shoot, "_count_nodes", lambda sol, rho0, rho_hi: 3)
@@ -112,14 +126,15 @@ class TestShooting:
         exc = info.value
         assert (exc.state, exc.eps, exc.mu) == (st, 0.01, 0.7)
         assert (exc.nodes, exc.nodes_expected) == (3, 0)
-        assert len(exc.brackets) == 1
-        lo, hi, t_lo, t_hi = exc.brackets[0]
-        assert (lo, hi) == (0.5, 1.5)
-        assert t_lo * t_hi < 0
+        # the secant starts at the expansion and converges on the 1s root
+        nbar, mismatch = exc.iterates[-1]
+        assert exc.iterates[0][0] == float(dr.nbar_expansion(st).numeric(0.01))
+        assert abs(nbar - 0.9815731309597329) < 1e-13 and abs(mismatch) < abs(exc.iterates[0][1])
         msg = str(exc)
         assert "\n" not in msg
         assert "wrong eigenvalue branch" in msg and "nodes 3, expected 0" in msg
-        assert "eps = 0.01, mu = 0.7" in msg and "[0.5, 1.5]" in msg
+        assert "eps = 0.01, mu = 0.7" in msg
+        assert "nbar %.17g mismatch %.3e after %d solves" % (nbar, mismatch, len(exc.iterates)) in msg
 
 
 class TestEnergyExpansion:
@@ -343,11 +358,16 @@ class TestPoleCrossCheck:
         flags = suite("dimreg-pole").matching(re.escape(tag) + r" pole fit n=[12] .*")
         assert flags == [True, True]
 
-    # the braces of the hand-written <Vbar^3> and <(Vbar')^2> integrals that
-    # the evaluator of the term table replaced
+    # references for the braces and phibar^2 at mu = 1, from the definitions
+    # of `_brace_numeric` (Gamma head on [0, inf), remainder on [0, rho_max])
+    # but computed independently of the shoot and the tanh-sinh rule: nbar is
+    # the 60-digit series root of test_nbar_pinned, L, L' and L'' come from
+    # the generalized series summed to convergence at 50 digits, the remainder
+    # is summed as T_a F_b + H_a T_b from the split series, and the quadrature
+    # is mpmath's adaptive quad at 50 digits
     @pytest.mark.parametrize(
         "n, eps, v3, vp2",
-        [(1, 0.01, -99.57943508956775, -195.05829758281675), (2, 0.005, -199.17192026526033, -395.31358535069415)],
+        [(1, 0.01, -99.579435089686825, -195.05829756460476), (2, 0.005, -199.17192026526143, -395.31358533252745)],
         ids=["1-0.01", "2-0.005"],
     )
     def test_braces_pinned(self, n, eps, v3, vp2):
@@ -355,10 +375,9 @@ class TestPoleCrossCheck:
         assert abs(dr.v3_brace_numeric(eig) / v3 - 1) < 1e-12
         assert abs(dr.vp2_brace_numeric(eig) / vp2 - 1) < 1e-12
 
-    # the 25-digit adaptive quadrature that the tanh-sinh rule replaced gave these
     @pytest.mark.parametrize(
         "n, eps, r4e_dr2_v, phibar2",
-        [(1, 0.01, -193.52998450487118, 0.31176021186913216), (2, 0.005, -392.20674403956065, 0.03995240149367191)],
+        [(1, 0.01, -193.52998450554085, 0.31176021097767898), (2, 0.005, -392.20674403957079, 0.039952401489147370)],
         ids=["1-0.01", "2-0.005"],
     )
     def test_quadratures_pinned(self, n, eps, r4e_dr2_v, phibar2):
