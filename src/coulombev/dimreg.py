@@ -21,6 +21,7 @@ third time, at finite eps on a shot wave function (`shoot._brace_numeric`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,6 +138,8 @@ def series_coefficients(l: int, eps, j_max: int) -> CoeffTable:
     With |eps| < 1/4 no denominator (j + 2 eps k)(j + 2l + 1 + 2 eps (k-1))
     can vanish.
     """
+    if not isinstance(l, numbers.Integral) or l < 0:
+        raise DomainError("l must be a non-negative integer, got %r" % (l,))
     eps = _eps_value(eps)
     if j_max < 1:
         raise DomainError("j_max must be >= 1")
@@ -327,6 +330,8 @@ class SplitWF:
 
 def split_wavefunction(n: int, p: int) -> SplitWF:
     """Split L_{n0} into its eps-sensitive head (j < p) and regular tail."""
+    if n < 1 or p < 0:
+        raise DomainError("split needs n >= 1 and p >= 0, got n=%r, p=%r" % (n, p))
     head = _series_head(p)
     l0 = _l0_poly(n)
     # the eps = 0 collapse of the head must be the Taylor head of L_{n0}

@@ -1,7 +1,7 @@
 """Exact-rational substrate: harmonic and diharmonic numbers, a small basis of
-symbolic constants (Euler gamma, zeta(2), logs), expansions of gamma and
-digamma functions near integers, and truncated Laurent series in the
-dimensional-regularization parameter epsilon.
+symbolic constants (Euler gamma, zeta(2), logs), expansions of the gamma
+function near integers, digamma and trigamma values at integers, and
+truncated Laurent series in the dimensional-regularization parameter epsilon.
 
 Scalars are `fractions.Fraction` throughout; nothing here ever rounds.
 """
@@ -521,7 +521,7 @@ def exp_series(x: EpsSeries, order_cap: int) -> EpsSeries:
 
 
 # ---------------------------------------------------------------------------
-# gamma / digamma expansions near integers
+# gamma expansions near integers, digamma and trigamma at integers
 # ---------------------------------------------------------------------------
 
 
@@ -535,11 +535,13 @@ def _psi1_int(m: int) -> SymExpr:
     return SymExpr({ZETA2: Q(1), ONE: -harmonic(m - 1, 2)})
 
 
+@lru_cache(maxsize=None)
 def gamma_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
     """Expansion of Gamma(m + c*eps) about eps = 0 for integer m.
 
     For m >= 1 the series is regular; for m <= 0 it has a simple pole.
-    Supported through relative order 2.
+    Supported through relative order 2.  The series is immutable, so one
+    instance per argument tuple is shared.
     """
     c = Q(c)
     if c == 0:
@@ -570,75 +572,6 @@ def gamma_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
     prodinv = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr.scalar(c * hn), SymExpr.scalar(c * c * (hn * hn + hn2) / 2)])
     sign = Q(-1) ** N / factorial(N)
     return (g_eps.mul(prodinv, order_cap=order) * sign).truncate(order)
-
-
-def inv_gamma_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
-    """Expansion of 1/Gamma(m + c*eps) about eps = 0 for integer m."""
-    c = Q(c)
-    if c == 0:
-        raise DomainError("inv_gamma_series needs a nonzero eps coefficient")
-    if m >= 1:
-        if order > 2:
-            raise UnsupportedOrderError("inv_gamma_series supports relative order <= 2")
-        psi = _psi_int(m)
-        coeffs = [SYM_ONE, -c * psi]
-        if order >= 2:
-            coeffs.append(c * c * Q(1, 2) * (psi * psi - _psi1_int(m)))
-        return EpsSeries.from_coeffs(0, coeffs[: order + 1]).truncate(order) * (1 / factorial(m - 1))
-    N = -m
-    if order - 1 > 2:
-        raise UnsupportedOrderError("inv_gamma_series at zeros supports order <= 3")
-    # 1/Gamma(c*eps) = c*eps*(1 + gamma*c*eps + (gamma^2 - zeta2)(c*eps)^2/2 + ...)
-    inv_g = EpsSeries.from_coeffs(
-        1,
-        [
-            SymExpr.scalar(c),
-            c * c * SymExpr.of(GAMMA_E),
-            c * c * c * Q(1, 2) * SymExpr({GAMMA2: Q(1), ZETA2: Q(-1)}),
-        ],
-    )
-    hn = harmonic(N)
-    hn2 = harmonic(N, 2)
-    # prod_{j=1..N} (1 - c*eps/j) = 1 - c*eps*H_N + (c*eps)^2 (H^2-H2)/2 - ...
-    prod = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr.scalar(-c * hn), SymExpr.scalar(c * c * (hn * hn - hn2) / 2)])
-    sign = Q(-1) ** N * factorial(N)
-    return (inv_g.mul(prod, order_cap=order) * sign).truncate(order)
-
-
-def psi_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
-    """Expansion of psi(m + c*eps) about eps = 0 for integer m (order <= 1)."""
-    c = Q(c)
-    if order > 1:
-        raise UnsupportedOrderError("psi_series supports order <= 1")
-    if m >= 1:
-        return EpsSeries.from_coeffs(0, [_psi_int(m), c * _psi1_int(m)]).truncate(order)
-    N = -m
-    return EpsSeries.from_coeffs(
-        -1,
-        [
-            SymExpr.scalar(-1 / c),
-            SymExpr({ONE: harmonic(N), GAMMA_E: Q(-1)}),
-            c * SymExpr({ZETA2: Q(1), ONE: harmonic(N, 2)}),
-        ],
-    ).truncate(order)
-
-
-def psi1_series(m: int, c: Scalar = 1, order: int = 0) -> EpsSeries:
-    """Expansion of psi'(m + c*eps) about eps = 0 for integer m (order 0 only)."""
-    c = Q(c)
-    if order > 0:
-        raise UnsupportedOrderError("psi1_series supports order 0 only")
-    if m >= 1:
-        return EpsSeries.from_coeffs(0, [_psi1_int(m)])
-    N = -m
-    return EpsSeries.from_coeffs(
-        -2,
-        [
-            SymExpr.scalar(1 / (c * c)),
-            SYM_ZERO,
-            SymExpr({ZETA2: Q(1), ONE: harmonic(N, 2)}),
-        ],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@ variants, with the integer-power limiting machinery, plus an independent
 brute-force oracle that integrates monomial by monomial.
 
 All integrals are of the shape  int_0^inf dx e^{-x} x^s (ln x)^m  P(x) Q(x).
-Integer s gives exact SymExpr values over {1, gamma_E, zeta(2), gamma_E^2};
-non-integer rational s falls back to high-precision floating gamma functions
-and returns a plain float that must not enter exact comparisons.
+Integer s gives exact SymExpr values over {1, gamma_E, zeta(2), gamma_E^2}:
+each term is a Gamma-ratio limit, an exact Pochhammer polynomial in eps times
+one regular Gamma series (see `_term_limit`).  Non-integer rational s falls
+back to high-precision floating gamma functions and returns a plain float
+that must not enter exact comparisons.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +21,6 @@ from typing import Optional, Tuple, Union
 from .exactnum import (
     DivergenceError,
     DomainError,
-    EpsSeries,
     Q,
     SYM_ZERO,
     SymExpr,
@@ -29,9 +31,6 @@ from .exactnum import (
     factorial,
     gamma_series,
     harmonic,
-    inv_gamma_series,
-    psi1_series,
-    psi_series,
 )
 from .laguerre import Poly, assoc_laguerre, subtract_laguerre
 
@@ -131,41 +130,53 @@ def brute_force_moment(spec: MomentSpec):
 # ---------------------------------------------------------------------------
 
 
+def _pochhammer_eps(a: int, c: int, sign: int, order: int) -> list:
+    """eps^0..eps^order of Gamma(a + sign*eps)/Gamma(c + sign*eps) for a >= c,
+    the polynomial prod_{i=c..a-1} (i + sign*eps), as exact Fractions."""
+    if a < c:
+        raise DomainError("Gamma(%d + eps)/Gamma(%d + eps) is no polynomial" % (a, c))
+    coeffs = [Q(1)] + [Q(0)] * order
+    for i in range(c, a):
+        for j in range(order, 0, -1):
+            coeffs[j] = coeffs[j] * i + coeffs[j - 1] * sign
+        coeffs[0] *= i
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def _term_limit(a: int, b: int, c: int, logpow: int) -> SymExpr:
     """eps^0 of Gamma(a+e)Gamma(b+e)/Gamma(c+e) * {d/ds brace}^logpow at e -> 0.
 
-    This is the limiting procedure for integer powers: every term of the K/L/M
-    sums has this shape with b >= 1.
+    This is the limiting procedure for integer powers: every term of the I/J
+    and K/L/M sums has this shape with b >= 1 and c <= a.  The brace makes
+    this the logpow-th derivative in e at e = 0, i.e. logpow! [e^logpow] of
+    the Pochhammer polynomial Gamma(a+e)/Gamma(c+e) times Gamma(b+e).
     """
     if b < 1:
         raise DivergenceError("Gamma(%d + eps) signals a divergent integral" % b)
-    ga = gamma_series(a, 1, order=1 if a <= 0 else 2)
-    gb = gamma_series(b, 1, order=2)
-    gc = inv_gamma_series(c, 1, order=2)
-    pref = ga.mul(gb, order_cap=2).mul(gc, order_cap=1)
-    if logpow == 0:
-        series = pref.truncate(0)
+    if a >= c:
+        ratio = _pochhammer_eps(a, c, 1, logpow)
     else:
-        s_a = psi_series(a, 1, order=1)
-        s_b = psi_series(b, 1, order=1)
-        s_c = psi_series(c, 1, order=1)
-        sser = s_a + s_b - s_c
-        if logpow == 1:
-            brace = sser
-        else:
-            t_ser = psi1_series(a, 1) + psi1_series(b, 1) - psi1_series(c, 1)
-            brace = sser.mul(sser, order_cap=0) + t_ser
-        series = pref.mul(brace, order_cap=0)
-    for kk in range(series.low, 0):
-        if series.coeff(kk):
+        # 1/prod_{i=a..c-1} (i+e), with a pole when one factor is e itself
+        den = _pochhammer_eps(c, a, 1, logpow)
+        if not den[0]:
             raise DivergenceError("residual 1/eps pole in gamma-limit term")
-    return series.coeff(0)
+        ratio = []
+        for k in range(logpow + 1):
+            ratio.append((Q(k == 0) - sum(den[j] * ratio[k - j] for j in range(1, k + 1))) / den[0])
+    gb = gamma_series(b, 1, order=logpow)
+    return factorial(logpow) * sum((ratio[i] * gb.coeff(logpow - i) for i in range(logpow + 1)), SYM_ZERO)
 
 
 def _require_convergent(s: Scalar, p: int):
     if Q(s) + p <= -1:
         raise DivergenceError("integral nonconvergent: s + p = %s <= -1" % (Q(s) + p))
+
+
+def _require_integer_orders(**orders):
+    for name, v in orders.items():
+        if not isinstance(v, numbers.Integral):
+            raise DomainError("Laguerre order %s must be an integer, got %r" % (name, v))
 
 
 def _laguerre_prefactors(n: int, k: int, r: int) -> Fraction:
@@ -183,6 +194,7 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0):
     p = 0 uses the no-sum closed form with the gamma-ratio limit; p = 1, 2 use
     the 2F1-reduced forms; larger p falls back to the explicit sum over r >= p.
     """
+    _require_integer_orders(n=n, k=k)
     _require_convergent(s, p)
     if n < 0:
         return SYM_ZERO
@@ -193,22 +205,17 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0):
         pref = Q(-1) ** n / factorial(n)
         return pref * _term_limit(s - k + 1, s + 1, s - k - n + 1, 0)
     if p in (1, 2):
-        if p > n:
-            return SYM_ZERO
         # Gamma(s+1+e) * { G(e) - 1 [+ n(s+1+e)/(k+1) for p=2] } with
-        # G(e) = Gamma(n+k-s-e) Gamma(k+1) / ( Gamma(k-s-e) Gamma(n+k+1) )
-        gs1 = gamma_series(s + 1, 1, order=1 if s + 1 <= 0 else 2)
-        g = gamma_series(n + k - s, -1, order=1 if n + k - s <= 0 else 2)
-        g = g.mul(inv_gamma_series(k - s, -1, order=2), order_cap=2)
-        g = g * (factorial(k) / factorial(n + k))
-        brace = g - 1
+        # G(e) = k!/(n+k)! prod_{i=0..n-1} (k-s+i-e)
+        g0, g1 = (g * factorial(k) / factorial(n + k) for g in _pochhammer_eps(n + k - s, k - s, -1, 1))
+        brace0, brace1 = g0 - 1, g1
         if p == 2:
-            brace = brace + EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(n * (s + 1), k + 1)), SymExpr.scalar(Q(n, k + 1))])
-        series = gs1.mul(brace, order_cap=0)
-        for kk in range(series.low, 0):
-            if series.coeff(kk):
-                raise DivergenceError("residual pole in subtracted I")
-        return (factorial(n + k) / (factorial(n) * factorial(k))) * series.coeff(0)
+            brace0, brace1 = brace0 + Q(n * (s + 1), k + 1), brace1 + Q(n, k + 1)
+        gs1 = gamma_series(s + 1, 1, order=0)
+        if gs1.coeff(-1) and brace0:
+            raise DivergenceError("residual pole in subtracted I")
+        value = gs1.coeff(0) * brace0 + gs1.coeff(-1) * brace1
+        return (factorial(n + k) / (factorial(n) * factorial(k))) * value
     out = SYM_ZERO
     for r in range(p, n + 1):
         out = out + _laguerre_prefactors(n, k, r) * _mono_int(s + r, 0)
@@ -217,6 +224,7 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0):
 
 def integral_J(s: Scalar, n: int, k: int):
     """J_s(n,k) = int e^{-x} x^s ln x L_n^k(x) dx; value in span{1, gamma_E}."""
+    _require_integer_orders(n=n, k=k)
     _require_convergent(s, 0)
     if n < 0:
         return SYM_ZERO
@@ -228,6 +236,7 @@ def integral_J(s: Scalar, n: int, k: int):
 
 
 def _bilinear_closed(s: Scalar, n: int, k: int, n2: int, k2: int, p: int, logpow: int):
+    _require_integer_orders(n=n, k=k, n2=n2, k2=k2)
     _require_convergent(s, p)
     if n < 0 or n2 < 0:
         return SYM_ZERO

@@ -44,6 +44,11 @@ class TestSeriesCoefficients:
         with pytest.raises(DomainError):
             dr.series_coefficients(0, Q(-1, 2), 2)
 
+    def test_l_must_be_a_non_negative_integer(self):
+        for l in (-1, Q(1, 2), 1.0):
+            with pytest.raises(DomainError, match="l must be a non-negative integer"):
+                dr.series_coefficients(l, 0, 3)
+
 
 class TestShooting:
     def test_eps_zero_reproduces_integers(self, suite):
@@ -420,3 +425,8 @@ class TestContractTypes:
         coeffs = {(j, k): c for (j, k, c) in split.head}
         assert coeffs[(1, 1)].coeff(0).rational == Q(-1, 2)
         assert coeffs[(1, 1)].coeff(1).rational == Q(1)
+
+    def test_split_wavefunction_guards(self):
+        for n, p in ((0, 1), (2, -1)):
+            with pytest.raises(DomainError, match="split needs n >= 1 and p >= 0"):
+                dr.split_wavefunction(n, p)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coulombev import exactnum as en
+from coulombev import lagint as li
 
 
 class TestHarmonic:
@@ -177,8 +178,9 @@ class TestSymExpr:
 
 
 class TestExpansionsAgainstSympy:
-    """The Gamma/psi eps-expansions against sympy.series, coefficient by
-    coefficient, as exact rational polynomials in gamma_E and pi."""
+    """The Gamma eps-expansions and the Laguerre Gamma-limits against
+    sympy.series, coefficient by coefficient, as exact rational polynomials in
+    gamma_E and pi."""
 
     @staticmethod
     def _sympy_poly(expr):
@@ -215,20 +217,9 @@ class TestExpansionsAgainstSympy:
         order = 2 if m >= 1 else 1  # the pole expansion stops at eps^1
         self._check(en.gamma_series(m, c, order), lambda e: sp.gamma(m + sp.Rational(c) * e), order)
 
-    @pytest.mark.parametrize("m,c", CASES)
-    def test_inv_gamma_series(self, m, c):
+    @pytest.mark.parametrize("a,b,c", [(3, 2, 1), (1, 1, -1), (0, 1, -1), (-2, 1, -2), (0, 3, 0)])
+    def test_term_limit(self, a, b, c):
+        # m! [eps^m] of Gamma(a+e)Gamma(b+e)/Gamma(c+e) is the m-th Laguerre Gamma-limit
         sp = pytest.importorskip("sympy")
-        self._check(en.inv_gamma_series(m, c, 2), lambda e: 1 / sp.gamma(m + sp.Rational(c) * e), 2)
-
-    @pytest.mark.parametrize("m,c", CASES)
-    def test_psi_series(self, m, c):
-        sp = pytest.importorskip("sympy")
-
-        def psi(e):
-            x = m + sp.Rational(c) * e
-            if m >= 1:
-                return sp.polygamma(0, x)
-            # sympy cannot expand psi at a pole: psi(x) = psi(x + N + 1) - sum_{j=0..N} 1/(x + j)
-            return sp.polygamma(0, x - m + 1) - sum(1 / (x + j) for j in range(-m + 1))
-
-        self._check(en.psi_series(m, c, 1), psi, 1)
+        series = en.EpsSeries.from_coeffs(0, [li._term_limit(a, b, c, m) / math.factorial(m) for m in range(3)])
+        self._check(series, lambda e: sp.gamma(a + e) * sp.gamma(b + e) / sp.gamma(c + e), 2)

@@ -5,6 +5,7 @@ import pytest
 from coulombev import lagint as li
 from coulombev.exactnum import (
     DivergenceError,
+    DomainError,
     GAMMA2,
     GAMMA_E,
     ONE,
@@ -228,3 +229,25 @@ class TestBruteForce:
         vc = li.integral_K(Q(1, 2), 2, 1, 2, 1)
         assert isinstance(v, float) and isinstance(vc, float)
         assert abs(v - vc) < 1e-12
+
+
+class TestIntegerOrders:
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: li.integral_I(1, 2, Q(1, 2)), "k"),
+            (lambda: li.integral_J(1, 2.0, 1), "n"),
+            (lambda: li.integral_K(1, 2, 1, 1.0, 1), "n2"),
+            (lambda: li.integral_L(0, 1, 1, 1, Q(3, 2)), "k2"),
+            (lambda: li.integral_M(1, Q(1, 2), 1, 1, 1), "n"),
+        ],
+        ids=["I", "J", "K", "L", "M"],
+    )
+    def test_non_integer_order_is_named(self, call, name):
+        with pytest.raises(DomainError, match=r"order %s must be an integer" % name):
+            call()
+
+    def test_negative_order_and_half_integer_power_still_evaluate(self):
+        assert li.integral_I(0, -1, 1) == S(0)
+        assert li.integral_K(1, 2, 1, -1, 1) == S(0)
+        assert isinstance(li.integral_J(Q(1, 2), 1, 1), float)
