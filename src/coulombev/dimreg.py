@@ -157,6 +157,7 @@ def _eps_lin(c0, c1, order: int = 2) -> EpsSeries:
     return EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(c0)), SymExpr.scalar(Q(c1))]).truncate(order)
 
 
+@lru_cache(maxsize=None)
 def _eps_poly(*coeffs) -> EpsSeries:
     # exact polynomial in eps; pad the truncation so products keep full order
     cs = [SymExpr.scalar(Q(x)) for x in coeffs]
@@ -283,9 +284,9 @@ def value_as_brace(v: Value, n: int, mr_pow: int, za_pow: int) -> DivergentValue
     return DivergentValue(EpsSeries.constant(v.sym * Q(n**3), 0), mr_pow, za_pow)
 
 
-def _head_terms(p: int, a_eps: Dict[Tuple[int, int], EpsSeries], derivs: int):
-    """Terms (j, k, coeff-series) of D_rho^derivs [ e^{-rho/2} Lhat ]."""
-    terms = [(j, k, c) for (j, k), c in a_eps.items() if j < p]
+def _head_terms(head: tuple, derivs: int):
+    """Terms (j, k, coeff-series) of D_rho^derivs [ e^{-rho/2} Lhat ] for a head of `_series_head`."""
+    terms = list(head)
     for _ in range(derivs):
         new = []
         for (j, k, c) in terms:
@@ -367,31 +368,18 @@ def _primitive_memo(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -
     return _head_tail_primitive(n, sigma, c, a, b, beta_pow)
 
 
-def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -> DivergentValue:
-    """Brace of beta^beta_pow int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
+@lru_cache(maxsize=None)
+def _head_sums(p: int, sig_rho: int, c: int, a: int, b: int) -> Tuple[Tuple[int, EpsSeries], ...]:
+    """((K, S_K), ...): the head x head integral summed per power nbar^K.
 
-    This is the head/tail split: the head-squared part integrates to gamma
-    functions expanded in eps; the tail cross terms are finite at eps = 0 and
-    reduce to subtracted-Laguerre moments.
+    S_K = sum over k1 + k2 = K of c1 c2 Gamma(sig_rho + 1 + j1 + j2 + 2(c-1+K) eps),
+    with c1, c2 the eps-series of the (j, k) terms of d^a and d^b of the head;
+    none of it depends on n.
     """
-    m = beta_pow
-    sig_rho = 2 + sigma
-    p = max(0, max(a, b) - sig_rho)
-    A = a + b - 3 - sigma
-
-    # --- analytic head x head ---
-    split = split_wavefunction(n, p)
-    a_eps = {(j, k): cser for (j, k, cser) in split.head}
-    fa_terms = _head_terms(p, a_eps, a)
-    fb_terms = _head_terms(p, a_eps, b)
-    nu1 = SymExpr({GAMMA_E: Q(2), ONE: -2 * harmonic(n) - Q(1, n)})
-
-    def nbar_pow(k: int) -> EpsSeries:
-        return EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(n**k)), (n**k) * (k * nu1)])
-
-    int_total = EpsSeries.zero(0)
-    for (j1, k1, c1) in fa_terms:
-        for (j2, k2, c2) in fb_terms:
+    head = _series_head(p)
+    sums: Dict[int, EpsSeries] = {}
+    for (j1, k1, c1) in _head_terms(head, a):
+        for (j2, k2, c2) in _head_terms(head, b):
             marg = sig_rho + 1 + j1 + j2
             ceps = 2 * (c - 1 + k1 + k2)
             if ceps == 0:
@@ -400,9 +388,55 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
                 gam = EpsSeries.constant(factorial(marg - 1), 1)
             else:
                 gam = gamma_series(marg, Q(ceps), order=1)
-            int_total = int_total + c1.mul(c2, order_cap=1).mul(nbar_pow(k1 + k2), order_cap=1).mul(
-                gam, order_cap=0
-            )
+            K = k1 + k2
+            sums[K] = sums.get(K, EpsSeries.zero(0)) + c1.mul(c2, order_cap=1).mul(gam, order_cap=0)
+    return tuple(sorted(sums.items()))
+
+
+@lru_cache(maxsize=None)
+def _prefactor_base(m: int, c: int) -> EpsSeries:
+    """The n-independent factors of the prefactor chain, through eps^1:
+
+        u^m / v * exp((m-1) eps ln pi) * exp(2(m-1) eps x0) * exp(2(m-c) eps ln(2 m_r Zalpha/n)).
+    """
+    x0 = SymExpr({lam("mu"): Q(1), GAMMA_E: HALF, LN2: Q(-1), LN_PI: -HALF})  # ln(mubar/2gamma_n)
+    pref = EpsSeries.constant(1, 1)
+    u = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({GAMMA_E: Q(1), LN2: Q(2)})])
+    for _ in range(m):
+        pref = pref.mul(u, order_cap=1)
+    inv_v = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({ONE: Q(2), GAMMA_E: Q(-1), LN2: Q(-2)})])
+    pref = pref.mul(inv_v, order_cap=1)
+    if m != 1:
+        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [(m - 1) * SymExpr.of(LN_PI)]), 1), order_cap=1)
+        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [2 * (m - 1) * x0]), 1), order_cap=1)
+    if m != c:
+        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [2 * (m - c) * SymExpr.of(LNQN)]), 1), order_cap=1)
+    return pref
+
+
+def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -> DivergentValue:
+    """Brace of beta^beta_pow int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
+
+    This is the head/tail split.  The head-squared part integrates to gamma
+    functions expanded in eps; their sum S_K per power nbar^K does not depend
+    on n and is cached (`_head_sums`), so each n adds one product
+    S_K * nbar^K per K, with nbar^K = n^K (1 + K nu1 eps).  The tail cross
+    terms are finite at eps = 0 and reduce to subtracted-Laguerre moments.
+    The prefactor is the cached n-independent chain (`_prefactor_base`)
+    times 4 (2/n)^A (1 + A g1 eps).
+    """
+    m = beta_pow
+    sig_rho = 2 + sigma
+    p = max(0, max(a, b) - sig_rho)
+    A = a + b - 3 - sigma
+
+    # --- analytic head x head ---
+    split_wavefunction(n, p)  # checks the head against L_{n0}
+    nu1 = SymExpr({GAMMA_E: Q(2), ONE: -2 * harmonic(n) - Q(1, n)})
+    int_total = EpsSeries.zero(0)
+    for K, s_k in _head_sums(p, sig_rho, c, a, b):
+        nbar_pow = EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(n**K)), (n**K) * (K * nu1)])
+        int_total = int_total + s_k.mul(nbar_pow, order_cap=0)
 
     # --- tail cross terms at eps = 0: head x tail + tail x (head + tail) ---
     den, pairs = int_table(dict(enumerate(_l0_coeffs(n))))
@@ -420,23 +454,10 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
     int_total = int_total + EpsSeries.constant(Q(b_val, left[0] * right[0]), 0)
 
     # --- prefactor chain ---
-    g1 = SymExpr({lam("mu"): Q(2), ONE: 2 * harmonic(n) + Q(1, n)})  # gammabar/gamma_n - 1 at O(eps)
-    x0 = SymExpr({lam("mu"): Q(1), GAMMA_E: HALF, LN2: Q(-1), LN_PI: -HALF})  # ln(mubar/2gamma_n)
-    pref = EpsSeries.constant(4 * Q(2, n) ** A, 1)
-    u = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({GAMMA_E: Q(1), LN2: Q(2)})])
-    for _ in range(m):
-        pref = pref.mul(u, order_cap=1)
-    inv_v = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({ONE: Q(2), GAMMA_E: Q(-1), LN2: Q(-2)})])
-    pref = pref.mul(inv_v, order_cap=1)
-    if m != 1:
-        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [(m - 1) * SymExpr.of(LN_PI)]), 1), order_cap=1)
-        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [2 * (m - 1) * x0]), 1), order_cap=1)
+    pref = _prefactor_base(m, c) * (4 * Q(2, n) ** A)
     if A:
+        g1 = SymExpr({lam("mu"): Q(2), ONE: 2 * harmonic(n) + Q(1, n)})  # gammabar/gamma_n - 1 at O(eps)
         pref = pref.mul(EpsSeries.from_coeffs(0, [SYM_ONE, A * g1]), order_cap=1)
-    if m != c:
-        pref = pref.mul(
-            exp_series(EpsSeries.from_coeffs(1, [2 * (m - c) * (SymExpr.of(LNQN) )]), 1), order_cap=1
-        )
     return DivergentValue(pref.mul(int_total, order_cap=0), A, A + m)
 
 
@@ -583,19 +604,22 @@ def _units(terms) -> Tuple[int, int]:
     return units.pop()
 
 
+@lru_cache(maxsize=None)
+def _ebar_pow(n: int, k: int) -> EpsSeries:
+    """Ebar^k of the S state n through eps^1."""
+    ebar = energy_expansion(QuantumState(n, 0))
+    return ebar if k == 1 else _ebar_pow(n, k - 1).mul(ebar, order_cap=1)
+
+
 def _eval_l0(terms, n: int, units: Tuple[int, int]) -> DivergentValue:
     """Sum of head/tail primitives times Ebar^k; l(l+1) terms vanish."""
-    ebar = energy_expansion(QuantumState(n, 0))
-    epow = [None, ebar]
     total = DivergentValue(EpsSeries.zero(0), *units)
     for t in terms:
         if t.ang:
             continue
         v = _divergent_primitive(n, t.sigma, t.c, t.a, t.b, t.beta, _eps_poly(*t.coef))
         if t.k:
-            while len(epow) <= t.k:
-                epow.append(epow[-1].mul(ebar, order_cap=1))
-            v = v.mul_series(epow[t.k], mr=t.k, za=2 * t.k)
+            v = v.mul_series(_ebar_pow(n, t.k), mr=t.k, za=2 * t.k)
         total = total + v.shift_dims(mr=t.m)
     return total
 

@@ -467,9 +467,6 @@ class EpsSeries:
         out = out * inv_lead
         return EpsSeries(out.low - v, list(out.coeffs), out.order - v).truncate(out_order)
 
-    def shift(self, k: int) -> "EpsSeries":
-        return EpsSeries(self.low + k, list(self.coeffs), self.order + k)
-
     def truncate(self, order: int) -> "EpsSeries":
         order = min(order, self.order)
         return EpsSeries(self.low, [self.coeff(k) for k in range(self.low, order + 1)], order)

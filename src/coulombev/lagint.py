@@ -179,6 +179,11 @@ def _require_integer_orders(**orders):
             raise DomainError("Laguerre order %s must be an integer, got %r" % (name, v))
 
 
+def _require_depth(p):
+    if not isinstance(p, numbers.Integral) or p < 0:
+        raise DomainError("subtraction depth p must be a non-negative integer, got %r" % (p,))
+
+
 def _laguerre_prefactors(n: int, k: int, r: int) -> Fraction:
     # (-1)^r (n+k)! / ( r! (n-r)! (k+r)! )
     return Q(-1) ** r * factorial(n + k) / (factorial(r) * factorial(n - r) * factorial(k + r))
@@ -195,6 +200,7 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0):
     the 2F1-reduced forms; larger p falls back to the explicit sum over r >= p.
     """
     _require_integer_orders(n=n, k=k)
+    _require_depth(p)
     _require_convergent(s, p)
     if n < 0:
         return SYM_ZERO
@@ -237,6 +243,7 @@ def integral_J(s: Scalar, n: int, k: int):
 
 def _bilinear_closed(s: Scalar, n: int, k: int, n2: int, k2: int, p: int, logpow: int):
     _require_integer_orders(n=n, k=k, n2=n2, k2=k2)
+    _require_depth(p)
     _require_convergent(s, p)
     if n < 0 or n2 < 0:
         return SYM_ZERO

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -346,6 +347,22 @@ def test_cold_reversed_values_match_warm():
     warm = {k: repr(f()) for k, f in namespace["queries"]()}
     assert len(warm) > 800
     assert cold == warm
+
+
+def test_exact_divergent_outputs_pinned():
+    # every divergent tag and every identity residual for n <= 10, all l, as
+    # "tag/n/l<TAB>repr" lines: the exact layer must stay identical symbol for symbol
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 11):
+        for l in range(n):
+            for tag in dr.divergent_tags():
+                h.update(("%s/%d/%d\t%r\n" % (tag, n, l, dr.divergent_expectation(tag, n, l))).encode())
+                count += 1
+            h.update(("identity/%d/%d\t%r\n" % (n, l, dr.identity_residuals(n, l))).encode())
+            count += 1
+    assert count == 1320
+    assert h.hexdigest() == "922d82abf25118574e75e76a72b4a91858c2389469e545bc1267286817eb08a6"
 
 
 # every l = 0 tag whose exact pole is nonzero is pole-fitted at n = 1 and 2

@@ -247,6 +247,20 @@ class TestIntegerOrders:
         with pytest.raises(DomainError, match=r"order %s must be an integer" % name):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: li.integral_I(1, 2, 1, p=-1),
+            lambda: li.integral_I(1, -1, 1, p=-1),
+            lambda: li.integral_K(1, 2, 1, 1, 1, p=-1),
+            lambda: li.integral_L(1, 2, 1, 1, 1, p=-2),
+        ],
+        ids=["I", "I-negative-n", "K", "L"],
+    )
+    def test_negative_depth_is_named(self, call):
+        with pytest.raises(DomainError, match=r"subtraction depth p must be a non-negative integer"):
+            call()
+
     def test_negative_order_and_half_integer_power_still_evaluate(self):
         assert li.integral_I(0, -1, 1) == S(0)
         assert li.integral_K(1, 2, 1, -1, 1) == S(0)
