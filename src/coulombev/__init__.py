@@ -55,15 +55,15 @@ from .dimreg import (
     series_coefficients,
     split_wavefunction,
 )
-from .brackets import bracket, bracket_lnq, bracket_lnq_oracle, bracket_tags, fourier_kernel
+from .brackets import bracket, bracket_lnq, bracket_tags, fourier_kernel
 
 __version__ = "1.0.0"
 
 
 def __getattr__(name):
-    # PEP 562: the shooting layer loads numpy and scipy on first use only
-    if name == "eigenvalue_shoot":
-        from .shoot import eigenvalue_shoot
+    # PEP 562: the float layer loads numpy and scipy on first use only
+    if name in ("eigenvalue_shoot", "bracket_lnq_oracle"):
+        from . import shoot
 
-        return eigenvalue_shoot
+        return getattr(shoot, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -1,7 +1,8 @@
 """Momentum-space brackets: D-dimensional Fourier-transform kernels of rank
 0 through 4, the bracket-to-expectation reductions, and the <ln q> special
-case evaluated both from its closed form and by direct momentum-space
-quadrature."""
+case from its closed form.  Its oracle, a direct momentum-space quadrature,
+is floating-point and lives in `shoot`; `bracket_lnq_oracle` resolves to it
+on first use, so importing this module loads no numpy or scipy."""
 
 from __future__ import annotations
 
@@ -26,11 +27,19 @@ from .coulomb import (
     _d0,
     _d1,
     expectation_closed,
-    momentum_radial,
 )
 from . import dimreg
 
 HALF = Q(1, 2)
+
+
+def __getattr__(name):
+    # PEP 562: the oracle's module loads numpy and scipy, so wait for a caller
+    if name == "bracket_lnq_oracle":
+        from .shoot import bracket_lnq_oracle
+
+        return bracket_lnq_oracle
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class KernelSingularityError(DomainError):
@@ -287,56 +296,3 @@ def bracket_lnq(state: QuantumState) -> Value:
         return Value(sym, 3, 3, -1)
     v = expectation_closed("1/r3", state)
     return Value(v.sym * Q(-1, 4), 3, 3, -1)
-
-
-def bracket_lnq_oracle(n: int) -> float:
-    """Direct momentum-space double integral of <ln q> for S states.
-
-    Units m_r Zalpha = 1.  Agrees with bracket_lnq to ~1e-8 relative.
-    """
-    if n > 4:
-        raise DomainError("oracle implemented for small n (quadrature cost)")
-    import warnings
-
-    from scipy import integrate as _sint
-
-    st = QuantumState(n, 0)
-    R = momentum_radial(st)
-    # R(p) = R.norm gamma_n / D^2 C(beta) at l = 0, in `MomentumRadialWF`'s order
-    gamma_n, coeffs = 1.0 / n, R.coeffs
-    pref, g2 = R.norm * gamma_n, gamma_n * gamma_n
-    # (1/(2pi)^6) * angular factor (4 pi)^2 * |Y00|^2 = 4 pi/(2 pi)^6
-    norm = 4.0 * math.pi / (2.0 * math.pi) ** 6
-
-    def inner(p2):
-        def f(p1):
-            # p1^2 R(p1) times (1/2) int_{-1}^{1} dc ln|p2 - p1| over the relative
-            # angle, (1/(8 p1 p2)) [u ln u - u] between (p1 - p2)^2 and (p1 + p2)^2
-            p1sq = p1 * p1
-            D = p1sq + g2
-            beta = (p1sq - g2) / D
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * beta + c
-            apb = (p1 + p2) ** 2
-            amb = (p1 - p2) ** 2
-            hi = apb * math.log(apb) - apb
-            lo = amb * math.log(amb) - amb if amb > 0 else 0.0
-            return p1sq * (pref / D**2 * acc) * ((hi - lo) / (8.0 * p1 * p2))
-
-        # split at the log line p1 = p2; map [0, inf) in two pieces
-        v1, _ = _sint.quad(f, 0.0, p2, limit=200, epsabs=1e-13, epsrel=1e-12)
-        v2, _ = _sint.quad(f, p2, max(4.0, 8.0 * p2), limit=200, epsabs=1e-13, epsrel=1e-12)
-        v3, _ = _sint.quad(f, max(4.0, 8.0 * p2), math.inf, limit=200, epsabs=1e-13, epsrel=1e-12)
-        return v1 + v2 + v3
-
-    def outer(p2):
-        return p2 * p2 * R(p2) * inner(p2)
-
-    with warnings.catch_warnings():
-        # tolerances are requested at the machine floor on purpose; accuracy
-        # is certified against the closed form, not by scipy's estimate
-        warnings.simplefilter("ignore", _sint.IntegrationWarning)
-        o1, _ = _sint.quad(outer, 0.0, 4.0 / n, limit=200, epsabs=1e-12, epsrel=1e-11)
-        o2, _ = _sint.quad(outer, 4.0 / n, math.inf, limit=200, epsabs=1e-12, epsrel=1e-11)
-    return norm * (o1 + o2)

@@ -8,8 +8,12 @@ and the numeric braces by one fixed tanh-sinh rule, evaluated on arrays of
 nodes; the braces read the term lists of `dimreg._TERMS`, so each divergent
 operator is still described once.  This layer only cross-checks the exact
 eps-poles of `dimreg`, and it is the one part of the package that needs numpy
-and scipy, so the exact modules do not import it: `dimreg` and the package
-resolve its names on first use.
+and scipy, so the exact modules do not import it: `dimreg`, `brackets` and
+the package resolve its names on first use.
+
+The same tanh-sinh rule, in theta with p = gamma_n tan(theta/2), gives the
+momentum-space quadratures: the <ln q> oracle `bracket_lnq_oracle` and the
+normalization check `momentum_norm_numeric`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exactnum import DomainError, EULER_GAMMA, lam
-from .coulomb import QuantumState
+from .coulomb import MomentumRadialWF, QuantumState, momentum_radial
 from .dimreg import (
     CoeffTable,
     _TERMS,
@@ -37,9 +41,10 @@ from .dimreg import (
 class ShootingError(RuntimeError):
     """A shoot that found no eigenvalue.
 
-    Besides the reason it carries the state, eps and mu, the secant's iterates
-    as (nbar, mismatch) pairs, and the nodes counted at the last iterate (None
-    if none were) against the nodes expected, all repeated on one line.
+    Besides the reason it carries the state, eps and mu, the (nbar, mismatch)
+    pair of every solve, the secant's iterates and, once it converged, the
+    final dense solve, and the nodes counted at the last iterate (None if none
+    were) against the nodes expected, all repeated on one line.
     """
 
     def __init__(self, reason, state=None, eps=None, mu=None, iterates=(), nodes=None, nodes_expected=None):
@@ -105,19 +110,22 @@ def _radial_rhs(l, eps, nbar):
     return rhs
 
 
+_RTOL = 1e-12  # the solves' relative tolerance
+
+
 def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
     y0 = eval_series(table, nbar, rho0)
     rhs = _radial_rhs(l, eps, nbar)
-    sol = solve_ivp(rhs, (rho0, rhomax), y0, method="DOP853", rtol=1e-12, atol=1e-250, dense_output=dense)
+    sol = solve_ivp(rhs, (rho0, rhomax), y0, method="DOP853", rtol=_RTOL, atol=1e-250, dense_output=dense)
     if not sol.success:
         raise ShootingError("ODE integration failed: %s" % sol.message)
     return sol
 
 
-def _count_nodes(sol, rho0: float, rho_hi: float) -> int:
-    """Sign changes of e^{-rho/2} L on a grid of [rho0, rho_hi]."""
+def _count_nodes(sol, l: int, rho0: float, rho_hi: float) -> int:
+    """Sign changes of the radial function rho^l e^{-rho/2} L on a grid of [rho0, rho_hi]."""
     xs = np.linspace(rho0, rho_hi, 1600)
-    vals = np.exp(-0.5 * xs) * sol.sol(xs)[0]
+    vals = xs**l * np.exp(-0.5 * xs) * sol.sol(xs)[0]
     # ignore crossings inside the noise floor: after strong decay the
     # leftover e^{+rho} contamination of the shot solution flips sign at
     # amplitudes ~1e-15 of the maximum, which are not nodes
@@ -140,7 +148,13 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     """Find nbar by a secant on the mismatch f = L' - g L at rho_max with the
     decaying solution, whose log-derivative is g = (nbar rho_max^{2 eps} - l - 1
     + eps)/rho_max, started at the O(eps) expansion; the node count of the
-    result then checks that the secant found the branch of (n, l)."""
+    result then checks that the secant found the branch of (n, l).
+
+    A solve at relative tolerance rtol fixes nbar only to about rtol nbar, so
+    the secant stops once the mismatch reaches that noise floor,
+    |f| <= rtol nbar |df/dnbar|, i.e. once its step is below rtol nbar.  The
+    scale |L'| + |g L| does not measure the floor: at rho_max the growing
+    e^rho solution dominates L at nearly every iterate, so |f| stays near it."""
     eps = float(_eps_value(eps))
     if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
@@ -153,27 +167,28 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     table = series_coefficients(l, eps, 12)
     iterates = []
 
-    def mismatch(nbar):
-        L, dL = _integrate(l, eps, nbar, rho0, rhomax, table).y[:, -1].tolist()
+    def solve(nbar, dense=False):
+        sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense)
+        L, dL = sol.y[:, -1].tolist()
         iterates.append((nbar, dL - (nbar * rhomax ** (2 * eps) - l - 1 + eps) / rhomax * L))
-        return iterates[-1][1]
+        return iterates[-1][1], sol
 
     def failure(reason, nodes=None):
         return ShootingError(reason, state, eps, mu, iterates, nodes, state.nr)
 
     try:
         x0 = float(nbar_expansion(state).numeric(eps))
-        x1, f0, step = x0 + 1e-6 * n, mismatch(x0), math.inf
-        while abs(step) > 4e-16 * x1 and len(iterates) < 30:
-            f1 = mismatch(x1)
+        x1, (f0, _), step = x0 + 1e-6 * n, solve(x0), math.inf
+        while abs(step) > _RTOL * x1 and len(iterates) < 30:
+            f1 = solve(x1)[0]
             step = f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
             x0, f0, x1 = x1, f1, x1 - step
-        if not abs(step) <= 4e-16 * x1:
+        if not abs(step) <= _RTOL * x1:
             raise ShootingError("the secant did not converge")
-        sol = _integrate(l, eps, x1, rho0, rhomax, table, dense=True)
+        sol = solve(x1, dense=True)[1]
     except ShootingError as exc:
         raise failure(exc.reason) from exc
-    nodes = _count_nodes(sol, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
+    nodes = _count_nodes(sol, l, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
     if nodes != state.nr:
         raise failure("wrong eigenvalue branch", nodes)
     gb = gammabar_from_nbar(x1, eps, mu)
@@ -284,6 +299,84 @@ def v3_brace_numeric(eig: DimRegEigen) -> float:
 def vp2_brace_numeric(eig: DimRegEigen) -> float:
     """Numeric <(Vbar')^2>/(pi phibar^2 m_r (Za)^3 mubar^{2 eps}) from the shot wave function."""
     return _brace_numeric("(V')2", eig)
+
+
+# ---------------------------------------------------------------------------
+# momentum-space quadratures
+# ---------------------------------------------------------------------------
+
+# p = gamma_n tan(theta/2) maps [0, inf) onto [0, pi] and turns the momentum
+# integrands into bounded functions of theta, which a coarse rule resolves
+_MOMENTUM_Y, _MOMENTUM_W = _tanh_sinh(2.0**-5, 3.5)
+_LNQ_N_MAX = 10
+_LNQ_BLOCK = 16  # outer nodes per block, so each temporary holds 16 x 225 doubles
+
+
+def _momentum_theta(R: MomentumRadialWF, theta):
+    """(p, sin(theta/2), cos(theta/2), C(-cos theta)) at p = gamma_n tan(theta/2),
+    where C is R's Gegenbauer polynomial: there D_n = gamma_n^2/cos^2(theta/2)
+    and Dbar_n/D_n = -cos theta."""
+    s, c = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    beta = -np.cos(theta)
+    C = np.zeros_like(theta)
+    for coef in R.coeffs:
+        C = C * beta + coef
+    return s / (c * R.state.n), s, c, C
+
+
+def momentum_norm_numeric(state: QuantumState) -> float:
+    """int_0^inf p^2 R(p)^2 dp/(2 pi)^3, which is 1.  In theta the integrand is
+    n^3/2 norm^2 sin^{2l+2}(theta/2) cos^{2l+4}(theta/2) C^2, so R is never
+    evaluated at the huge p next to theta = pi, where D^(l+2) overflows."""
+    R = momentum_radial(state)
+    n, l = state.n, state.l
+    _, s, c, C = _momentum_theta(R, np.pi * _MOMENTUM_Y)
+    f = s ** (l + 1) * c ** (l + 2) * C
+    return 0.5 * n**3 * R.norm**2 * np.pi * float(_MOMENTUM_W @ (f * f)) / (2.0 * math.pi) ** 3
+
+
+def _log_average(lo, hi):
+    """(1/2) int_{-1}^{1} ln|p_2 - p_1| dc over the cosine c of the angle between
+    momenta of magnitudes lo <= hi, in the stable form
+    ln(lo + hi) + (1 - t)^2 atanh(t)/(2 t) - 1/2 with t = lo/hi: the middle
+    term tends to 1/2 as t -> 0 and to 0 as t -> 1, and both limits are set
+    explicitly, so no node forms inf * 0."""
+    t = lo / hi
+    inside = (t > 0.0) & (t < 1.0)
+    ti = np.where(inside, t, 0.5)
+    middle = np.where(inside, (1.0 - ti) ** 2 * np.arctanh(ti) / (2.0 * ti), np.where(t > 0.0, 0.0, 0.5))
+    return np.log(lo + hi) + middle - 0.5
+
+
+def bracket_lnq_oracle(n: int) -> float:
+    """Direct momentum-space double integral of <ln q> for S states, in units
+    m_r Zalpha = 1; it reads only `momentum_radial`, never the closed form
+    `brackets.bracket_lnq` that it checks.
+
+    In theta, p^2 R(p) dp = 1/2 norm sin^2(theta/2) C(-cos theta) dtheta.  The
+    kernel is symmetric in p_1 and p_2, so the rule covers the triangle
+    theta_1 < theta_2 once, with theta_2 = pi y and theta_1 = theta_2 y', and
+    doubles it; the kernel's weak singularity at p_1 = p_2 then lies on an
+    edge.  Agrees with `bracket_lnq` to ~3e-14 relative for n <= 10."""
+    if n > _LNQ_N_MAX:
+        raise DomainError("n = %d outside the validated <ln q> oracle range n <= %d" % (n, _LNQ_N_MAX))
+    R = momentum_radial(QuantumState(n, 0))
+    y, w = _MOMENTUM_Y, _MOMENTUM_W
+
+    def weighted(theta):
+        p, s, _, C = _momentum_theta(R, theta)
+        return p, 0.5 * R.norm * s * s * C
+
+    theta2 = np.pi * y
+    p2, f2 = weighted(theta2)
+    outer = np.pi * w * theta2 * f2
+    total = 0.0
+    for i in range(0, len(y), _LNQ_BLOCK):
+        block = slice(i, i + _LNQ_BLOCK)
+        p1, f1 = weighted(theta2[block, None] * y)
+        total += float(outer[block] @ ((f1 * _log_average(p1, p2[block, None])) @ w))
+    # twice the triangle, over (2 pi)^6, times the angular factor (4 pi)^2 |Y00|^2 = 4 pi
+    return 2.0 * 4.0 * math.pi / (2.0 * math.pi) ** 6 * total
 
 
 # ---------------------------------------------------------------------------

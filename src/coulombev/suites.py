@@ -298,12 +298,10 @@ def suite_coulomb() -> SuiteResult:
     for n in range(1, 11):
         wf = cb.radial_wavefunction(cb.QuantumState(n, 0))
         r.check(wf.contact_limit_sq() == Q(4, n**3), "contact n=%d" % n)
-    import scipy.integrate as si
+    from . import shoot
 
-    for n in range(1, 5):
-        R = cb.momentum_radial(cb.QuantumState(n, 0))
-        val, _ = si.quad(lambda p: p * p * R(p) ** 2 / (2 * math.pi) ** 3, 0, math.inf, limit=400)
-        r.check(abs(val - 1) < 1e-10, "momentum norm n=%d" % n)
+    for st in states:
+        r.check(abs(shoot.momentum_norm_numeric(st) - 1) < 1e-10, "momentum norm (%d,%d)" % (st.n, st.l))
     return r
 
 
@@ -495,11 +493,11 @@ def suite_brackets() -> SuiteResult:
         lhs = k2.prefactor_float(epsv) * (D - (D + 2 - float(alpha)))
         r.check(abs(lhs / k0.prefactor_float(epsv) - 1) < 1e-12, "FT_2 trace alpha=%s" % alpha)
     # lnq closed form vs quadrature oracle
-    for n in range(1, 5):
+    for n in range(1, 11):
         closed = brackets.bracket_lnq(cb.QuantumState(n, 0))
         val_closed = closed.sym.numeric({LNQN: math.log(2.0 / n)}) / math.pi
         val_oracle = brackets.bracket_lnq_oracle(n)
-        r.check(abs(val_closed / val_oracle - 1) < 1e-8, "lnq oracle n=%d" % n)
+        r.check(abs(val_closed / val_oracle - 1) < 1e-12, "lnq oracle n=%d" % n)
     return r
 
 

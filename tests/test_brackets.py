@@ -6,7 +6,7 @@ import pytest
 from coulombev import brackets as br
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
-from coulombev.exactnum import LNQN, ONE, SymExpr, harmonic as H
+from coulombev.exactnum import LNQN, ONE, DomainError, SymExpr, harmonic as H
 
 S = SymExpr.scalar
 STATES = [cb.QuantumState(n, l) for n in range(1, 9) for l in range(n)]
@@ -90,15 +90,20 @@ def test_lnq_closed_forms():
     assert v.sym == S(Q(-1, 4) * Q(1, 2 * Q(3, 2) * 27))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 11))
 def test_lnq_oracle(suite, n):
     suite("brackets").assert_passed(["lnq oracle n=%d" % n])
 
 
-@pytest.mark.parametrize("n, value", [(1, 0.5389454861995201), (2, 0.06963028758619476)])
+@pytest.mark.parametrize("n, value", [(1, 0.5389454863364408), (2, 0.06963028760270386)])
 def test_lnq_oracle_pinned(n, value):
-    # the oracle's quadratures and the order of its floating-point operations are fixed
+    # the oracle's rule and the order of its floating-point operations are fixed
     assert abs(br.bracket_lnq_oracle(n) / value - 1) <= 1e-15
+
+
+def test_lnq_oracle_cap():
+    with pytest.raises(DomainError, match="n <= 10"):
+        br.bracket_lnq_oracle(11)
 
 
 def test_unknown_bracket():

@@ -132,7 +132,7 @@ def test_dimreg_command(capsys):
 
 
 def test_dimreg_shooting_failure(capsys, monkeypatch):
-    monkeypatch.setattr(shoot, "_count_nodes", lambda sol, rho0, rho_hi: 3)
+    monkeypatch.setattr(shoot, "_count_nodes", lambda sol, l, rho0, rho_hi: 3)
     code = cli.main(["dimreg", "--n", "1", "--eps", "0.01"])
     captured = capsys.readouterr()
     assert code == 3
@@ -222,14 +222,16 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["eval", "--n", "2", "--l", "1", "--op", "1/r", "--mr", "2"],
         ["eval", "--n", "1", "--op", "V3"],
         ["eval", "--n", "2", "--bracket", "1/q2"],
+        ["eval", "--n", "1", "--bracket", "lnq"],
         ["table", "--ops", "1/r,p2,V3", "--n-range", "1:2"],
         ["demo-cx1"],
     )]
 out["codes"], out["exact"] = codes, loaded()
-from coulombev import dimreg as dr
+from coulombev import brackets as br, dimreg as dr
 names = ["eigenvalue_shoot", "v3_brace_numeric", "vp2_brace_numeric", "energy_series_numeric", "ShootingError"]
 out["resolved"] = [getattr(dr, name).__module__ for name in names]
-out["resolved"].append(coulombev.eigenvalue_shoot.__module__)
+for fn in (coulombev.eigenvalue_shoot, coulombev.bracket_lnq_oracle, br.bracket_lnq_oracle):
+    out["resolved"].append(fn.__module__)
 out["numeric"] = loaded()
 print(json.dumps(out))
 """
@@ -240,15 +242,16 @@ def test_exact_commands_load_no_numeric_layer():
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True)
     out = json.loads(proc.stdout)
     assert out["import"] == [] and out["exact"] == []
-    assert out["codes"] == [0] * 6
-    assert out["resolved"] == ["coulombev.shoot"] * 6
+    assert out["codes"] == [0] * 7
+    assert out["resolved"] == ["coulombev.shoot"] * 8
     assert {"numpy", "scipy"} <= set(out["numeric"])
 
 
 def test_unknown_attribute():
-    from coulombev import dimreg
+    from coulombev import brackets, dimreg
 
     # shoot's private helpers are not forwarded, so patching them on dimreg fails loudly
-    for module, name in ((coulombev, "no_such_name"), (dimreg, "no_such_name"), (dimreg, "_integrate")):
+    pairs = [(coulombev, "no_such_name"), (dimreg, "no_such_name"), (brackets, "no_such_name"), (dimreg, "_integrate")]
+    for module, name in pairs:
         with pytest.raises(AttributeError):
             getattr(module, name)

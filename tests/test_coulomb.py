@@ -128,7 +128,7 @@ def test_p6_naive_divergence():
 
 
 def test_momentum_normalization(suite):
-    suite("coulomb").assert_passed(["momentum norm n=%d" % n for n in range(1, 5)])
+    suite("coulomb").assert_passed(["momentum norm (%d,%d)" % (n, l) for n in range(1, 11) for l in range(n)])
 
 
 def test_cx1_l_positive_branch():

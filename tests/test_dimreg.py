@@ -7,13 +7,16 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import coulombev
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
 from coulombev import shoot, suites
+from coulombev.laguerre import assoc_laguerre
 from coulombev.exactnum import (
     DomainError,
     GAMMA_E,
@@ -81,6 +84,16 @@ class TestShooting:
         with pytest.raises(DomainError, match="n <= 12"):
             dr.eigenvalue_shoot(cb.QuantumState(13, 0), 0.01)
 
+    @pytest.mark.parametrize("n,l", [(14, 6), (14, 7)])
+    def test_count_nodes_high_l(self, n, l):
+        # the exact eps = 0 solution L = L_{n-l-1}^{2l+1}(rho)/L(0): the lobes
+        # of e^{-rho/2} L next to its outer nodes lie far below L(0) = 1,
+        # those of the radial function rho^l e^{-rho/2} L do not
+        coeffs = [float(c) for c in assoc_laguerre(n - l - 1, 2 * l + 1).coeffs]
+        L = np.polynomial.Polynomial(coeffs) / coeffs[0]
+        sol = SimpleNamespace(sol=lambda x: np.array([L(x), L.deriv()(x)]))
+        assert shoot._count_nodes(sol, l, 1e-3, 4.0 * n + 2.0 * l + 4.0) == n - l - 1
+
     def test_nbar_expansion_against_shooting(self):
         st = cb.QuantumState(2, 1)
         slope = float(dr.nbar_expansion(st).coeff(1).numeric())
@@ -125,7 +138,7 @@ class TestShooting:
         assert len(calls) <= 12
 
     def test_error_context(self, monkeypatch):
-        monkeypatch.setattr(shoot, "_count_nodes", lambda sol, rho0, rho_hi: 3)
+        monkeypatch.setattr(shoot, "_count_nodes", lambda sol, l, rho0, rho_hi: 3)
         st = cb.QuantumState(1, 0)
         with pytest.raises(dr.ShootingError) as info:
             dr.eigenvalue_shoot(st, 0.01, mu=0.7)
