@@ -1,6 +1,7 @@
 """Momentum-space brackets: D-dimensional Fourier-transform kernels of rank
-0 through 4, the bracket-to-expectation reductions, and the <ln q> special
-case from its closed form.  Its oracle, a direct momentum-space quadrature,
+0 through 4, the tables that reduce brackets to 3D and dimensionally
+regularized expectation values, the closed forms that reduce to neither,
+and <ln q>.  Its oracle, a direct momentum-space quadrature,
 is floating-point and lives in `shoot`; `bracket_lnq_oracle` resolves to it
 on first use, so importing this module loads no numpy or scipy."""
 
@@ -58,18 +59,15 @@ class BracketCatalogError(KeyError):
 class FourierKernel:
     """FT[p_{i1}..p_{ir} / p^alpha] = pref * r^{-(D + r - alpha)} * tensor.
 
-    pref = i^delta 2^{r'} Gamma(num_arg)/(2^alpha pi^{D/2} Gamma(alpha/2)) with
-    num_arg = (D + 2*ceil(r/2)... stored explicitly; in D = 3-2 eps the
-    numerator argument is num_c0 - eps.
+    pref = i^r 2^two_pow Gamma(num_arg)/(2^alpha pi^{D/2} Gamma(alpha/2)) with
+    num_arg = (D + 2 ceil(r/2) - alpha)/2; in D = 3-2 eps it is num_c0 - eps.
     """
 
     alpha: Fraction
     rank: int
-    eps_mode: bool
     num_c0: Fraction  # numerator Gamma argument at eps = 0
     den_arg: Fraction  # Gamma(alpha/2)
     two_pow: int  # overall power of 2 in the prefactor (before 2^-alpha)
-    r_pow_c0: Fraction  # power of r at eps = 0 (positive means 1/r^...)
     tensor: str
 
     def prefactor_float(self, eps: float = 0.0) -> float:
@@ -118,11 +116,9 @@ def fourier_kernel(alpha, rank: int, eps: bool = False) -> FourierKernel:
     return FourierKernel(
         alpha=alpha,
         rank=rank,
-        eps_mode=eps,
         num_c0=num_c0,
         den_arg=den_arg,
         two_pow=(rank + 1) // 2,
-        r_pow_c0=Q(3) + rank - alpha,
         tensor=_TENSORS[rank],
     )
 
@@ -131,27 +127,45 @@ def fourier_kernel(alpha, rank: int, eps: bool = False) -> FourierKernel:
 # bracket catalog
 # ---------------------------------------------------------------------------
 
+# Brackets that the D-dimensional kernels reduce to 3D catalog values:
+# tag -> ((m_r, Za, pi) powers, {catalog tag: coefficient}).
+_VIA_CATALOG = {
+    "1/q": ((2, 2, -2), {"1/r2": HALF}),  # (1/2 pi^2) <1/r^2>
+    "1/q2": ((1, 1, -1), {"1/r": Q(1, 4)}),
+    # the D -> 3 limit of the eps kernel: -(1/8 pi) <r>
+    "1/q4": ((-1, -1, -1), {"r": Q(-1, 8)}),
+    "p2.p1/q": ((4, 4, -2), {"p.1/r2.p": HALF}),  # (1/2 pi^2) <p_i r^-2 p_i>
+    # (1/2 pi^2) [ <p_i r^-2 p_i> - 2 <drd r^-2 dr> ]
+    "(p2.q)(q.p1)/q3": ((4, 4, -2), {"p.1/r2.p": HALF, "px.1/r2.xp": Q(-1)}),
+    "p2.p1/q2": ((3, 3, -1), {"p.1/r.p": Q(1, 4)}),
+    "(p2.q)(q.p1)/q4": ((3, 3, -1), {"p.1/r.p": Q(1, 8), "px.1/r.xp": Q(-1, 8)}),
+}
+
+# Brackets that reduce to a dimensionally regularized value:
+# tag -> (dimreg tag, coefficient, m_r shift, Za shift).  At l = 0 the pi and
+# mubar^{2 eps} of the prefactor cancel against the brace's.
+_VIA_DIMREG = {
+    "(p22-p12)2/q2": ("(V')2", Q(1), 1, -1),  # (m/(pi Za mubar^2eps)) <(V')^2>
+    "p22p12/q2": ("p2.V.p2", Q(-1, 4), 0, -1),  # -(1/(4 pi Za mubar^2eps)) <p^2 V p^2>
+}
+
+
+def _from_catalog(row, st: QuantumState) -> Value:
+    (mr, za, pi), terms = row
+    sym = sum((expectation_closed(tag, st).sym * c for tag, c in terms.items()), SymExpr())
+    return Value(sym, mr, za, pi)
+
+
+def _from_dimreg(row, st: QuantumState):
+    tag, c, mr, za = row
+    val = dimreg.divergent_expectation(tag, st.n, st.l).scale(c)
+    if isinstance(val, Value):
+        return val.shift_dims(mr, za, -1)
+    return val.shift_dims(mr, za)
+
 
 def _s(x) -> SymExpr:
     return SymExpr.scalar(x)
-
-
-def _brk_qm1(st):
-    # (1/2 pi^2) <1/r^2>
-    v = expectation_closed("1/r2", st)
-    return Value(v.sym * HALF, 2, 2, -2)
-
-
-def _brk_qm2(st):
-    v = expectation_closed("1/r", st)
-    return Value(v.sym * Q(1, 4), 1, 1, -1)
-
-
-def _brk_qm4(st):
-    # through the D-dimensional kernel: -(1/8 pi) <r> in the D -> 3 limit
-    fourier_kernel(4, 0, eps=True)
-    v = expectation_closed("r", st)
-    return Value(v.sym * Q(-1, 8), -1, -1, -1)
 
 
 def _brk_lnq_q2(st):
@@ -166,52 +180,11 @@ def _brk_p2p1(st):
     return Value(_s(Q((n * n - 1) * _d1(l), 3 * n**5)), 5, 5, -1)
 
 
-def _brk_p2p1_qm1(st):
-    # (1/2 pi^2) <p_i r^-2 p_i>
-    v = expectation_closed("p.1/r2.p", st)
-    return Value(v.sym * HALF, 4, 4, -2)
-
-
-def _brk_p2qqp1_qm3(st):
-    # (1/2 pi^2) [ <p_i r^-2 p_i> - 2 <drd r^-2 dr> ]
-    v1 = expectation_closed("p.1/r2.p", st)
-    v2 = expectation_closed("px.1/r2.xp", st)
-    return Value((v1.sym - 2 * v2.sym) * HALF, 4, 4, -2)
-
-
-def _brk_p2p1_qm2(st):
-    v = expectation_closed("p.1/r.p", st)
-    return Value(v.sym * Q(1, 4), 3, 3, -1)
-
-
-def _brk_p2qqp1_qm4(st):
-    v1 = expectation_closed("p.1/r.p", st)
-    v2 = expectation_closed("px.1/r.xp", st)
-    return Value((v1.sym - v2.sym) * Q(1, 8), 3, 3, -1)
-
-
 def _brk_asym_qm4(st):
     # (p2^2 p1^2 - (p2.p1)^2)/q^4
     n, l = st.n, st.l
     sym = _s((-Q(1, n) + Q(3, 2) / (l + HALF) - _d0(l)) * Q(1, 4 * n**3))
     return Value(sym, 3, 3, -1)
-
-
-def _brk_dp2sq_q2(st):
-    # (p2^2-p1^2)^2/q^2 -> (m/(pi Za mubar^2eps)) <(V')^2>
-    val = dimreg.divergent_expectation("(V')2", st.n, st.l)
-    if isinstance(val, Value):
-        return Value(val.sym, val.mr_pow + 1, val.za_pow - 1, -1)
-    # l = 0: pi and mubar^{2 eps} cancel against the prefactor
-    return dimreg.DivergentValue(val.series, val.mr_pow + 1, val.za_pow - 1)
-
-
-def _brk_p22p12_q2(st):
-    # p2^2 p1^2 / q^2 -> -(1/(4 pi Za mubar^2eps)) <p^2 V p^2>
-    val = dimreg.divergent_expectation("p2.V.p2", st.n, st.l)
-    if isinstance(val, Value):
-        return Value(val.sym * Q(-1, 4), val.mr_pow, val.za_pow - 1, -1)
-    return dimreg.DivergentValue(val.series * Q(-1, 4), val.mr_pow, val.za_pow - 1)
 
 
 def _brk_vq(st):
@@ -241,50 +214,9 @@ def _brk_asym_q2(st):
     #   { -<(V')^2>/(4 m^4 Za^6 mubar^2eps) - d_l0/(2n^5) + (n^2-1) d_l1/(6 n^5) }
     #   * (m_r Za)^5/pi
     n, l = st.n, st.l
-    extra = Value(
-        _s(-Q(_d0(l), 2 * n**5) + Q((n * n - 1) * _d1(l), 6 * n**5)), 5, 5, -1
-    )
-    ref = dimreg.divergent_expectation("(V')2", st.n, st.l)
-    return BracketReduction(
-        "(m_r Za)^5/pi * [ -<(V')^2>/(4 m^4 Za^6 mubar^2eps) + finite_extra ]",
-        extra,
-        Q(-1, 4),
-        ref,
-    )
-
-
-_BRACKETS: Dict[str, Callable] = {
-    "1/q": _brk_qm1,
-    "1/q2": _brk_qm2,
-    "1/q4": _brk_qm4,
-    "lnq": None,  # handled by bracket_lnq
-    "lnq/q2": _brk_lnq_q2,
-    "p2.p1": _brk_p2p1,
-    "p2.p1/q": _brk_p2p1_qm1,
-    "(p2.q)(q.p1)/q3": _brk_p2qqp1_qm3,
-    "p2.p1/q2": _brk_p2p1_qm2,
-    "(p2.q)(q.p1)/q4": _brk_p2qqp1_qm4,
-    "(p22p12-(p2.p1)2)/q4": _brk_asym_qm4,
-    "(p22p12-(p2.p1)2)/q2": _brk_asym_q2,
-    "(p22-p12)2/q2": _brk_dp2sq_q2,
-    "p22p12/q2": _brk_p22p12_q2,
-    "V(q)": _brk_vq,
-}
-
-
-def bracket_tags():
-    return sorted(_BRACKETS)
-
-
-def bracket(tag: str, state: QuantumState):
-    if tag == "lnq":
-        return bracket_lnq(state)
-    fn = _BRACKETS.get(tag)
-    if fn is None:
-        raise BracketCatalogError(
-            "unknown bracket %r; valid: %s" % (tag, ", ".join(bracket_tags()))
-        )
-    return fn(state)
+    extra = Value(_s(-Q(_d0(l), 2 * n**5) + Q((n * n - 1) * _d1(l), 6 * n**5)), 5, 5, -1)
+    formula = "(m_r Za)^5/pi * [ -<(V')^2>/(4 m^4 Za^6 mubar^2eps) + finite_extra ]"
+    return BracketReduction(formula, extra, Q(-1, 4), dimreg.divergent_expectation("(V')2", n, l))
 
 
 def bracket_lnq(state: QuantumState) -> Value:
@@ -294,5 +226,29 @@ def bracket_lnq(state: QuantumState) -> Value:
     if l == 0:
         sym = SymExpr({LNQN: Q(1), ONE: harmonic(n) + Q(n - 1, 2 * n)}) * Q(1, n**3)
         return Value(sym, 3, 3, -1)
-    v = expectation_closed("1/r3", state)
-    return Value(v.sym * Q(-1, 4), 3, 3, -1)
+    return _from_catalog(((3, 3, -1), {"1/r3": Q(-1, 4)}), state)
+
+
+# the closed forms that reduce to no other table
+_BRACKETS: Dict[str, Callable] = {
+    "lnq": bracket_lnq,
+    "lnq/q2": _brk_lnq_q2,
+    "p2.p1": _brk_p2p1,
+    "(p22p12-(p2.p1)2)/q4": _brk_asym_qm4,
+    "(p22p12-(p2.p1)2)/q2": _brk_asym_q2,
+    "V(q)": _brk_vq,
+}
+
+
+def bracket_tags():
+    return sorted([*_VIA_CATALOG, *_VIA_DIMREG, *_BRACKETS])
+
+
+def bracket(tag: str, state: QuantumState):
+    if tag in _VIA_CATALOG:
+        return _from_catalog(_VIA_CATALOG[tag], state)
+    if tag in _VIA_DIMREG:
+        return _from_dimreg(_VIA_DIMREG[tag], state)
+    if tag in _BRACKETS:
+        return _BRACKETS[tag](state)
+    raise BracketCatalogError("unknown bracket %r; valid: %s" % (tag, ", ".join(bracket_tags())))

@@ -91,7 +91,11 @@ class PhysScale:
         scale = {"mu": self.mu, "kappa": self.kappa}.get(label)
         if scale is None:
             raise DomainError("unknown log-scale label %r" % label)
-        return math.log(scale * n / (2.0 * self.mr * self.zalpha))
+        arg = scale * n / (2.0 * self.mr * self.zalpha)
+        if not 0.0 < arg < math.inf:
+            msg = "ln(%s n/(2 m_r Zalpha)) is outside the float range at %s = %g, m_r = %g, Zalpha = %g"
+            raise DomainError(msg % (label, label, scale, self.mr, self.zalpha))
+        return math.log(arg)
 
     def tag_values(self, n: int) -> Dict:
         out = {}
@@ -136,8 +140,13 @@ class Value:
     def numeric(self, phys: Optional[PhysScale] = None, n: Optional[int] = None) -> float:
         phys = phys or PhysScale()
         tags = phys.tag_values(n) if n is not None else None
-        base = self.sym.numeric(tags)
-        return base * phys.mr**self.mr_pow * phys.zalpha**self.za_pow * math.pi**self.pi_pow
+        try:
+            out = self.sym.numeric(tags) * phys.mr**self.mr_pow * phys.zalpha**self.za_pow * math.pi**self.pi_pow
+            if math.isfinite(out):
+                return out
+        except OverflowError:
+            pass
+        raise DomainError("%r is outside the float range at m_r = %g, Zalpha = %g" % (self, phys.mr, phys.zalpha))
 
     def __repr__(self):
         unit = []
@@ -784,6 +793,8 @@ class MomentumRadialWF:
 
     D_n = p^2 + gamma_n^2, Dbar_n = p^2 - gamma_n^2; units m_r Zalpha = 1 so
     gamma_n = 1/n and the normalization is int p^2 R^2 dp/(2 pi)^3 = 1.
+    Evaluated in t = p/gamma_n, where it is n^3 t^l/(1+t^2)^{l+2} C(1 - 2/(1+t^2)),
+    so that large p underflows to 0 instead of overflowing.
     """
 
     state: QuantumState
@@ -796,13 +807,13 @@ class MomentumRadialWF:
 
     def __call__(self, p: float) -> float:
         n, l = self.state.n, self.state.l
-        gamma_n = 1.0 / n
-        D = p * p + gamma_n * gamma_n
-        beta = (p * p - gamma_n * gamma_n) / D
+        t = p * n
+        u = 1.0 + t * t
+        beta = 1.0 - 2.0 / u
         acc = 0.0
         for c in self.coeffs:
             acc = acc * beta + c
-        return self.norm * p**l * gamma_n ** (l + 1) / D ** (l + 2) * acc
+        return self.norm * n**3 * (t / u) ** l / (u * u) * acc
 
 
 def momentum_radial(state: QuantumState) -> MomentumRadialWF:

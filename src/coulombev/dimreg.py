@@ -267,10 +267,6 @@ class DivergentValue:
     def total_mr_pow(self) -> int:
         return self.mr_pow + 3  # phibar^2 carries (m_r Zalpha)^3 / pi
 
-    @property
-    def total_za_pow(self) -> int:
-        return self.za_pow + 3
-
     def __repr__(self):
         return "pi.phibar2.mubar^2eps m_r^%d Za^%d * [%r]" % (self.mr_pow, self.za_pow, self.series)
 

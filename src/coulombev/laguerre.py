@@ -58,10 +58,6 @@ class Poly:
     def deriv(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shift_x(self, k: int) -> "Poly":
-        """Multiply by x**k (k >= 0)."""
-        return Poly([Q(0)] * k + self.coeffs)
-
     def drop_low(self, p: int) -> "Poly":
         """Remove the monomials of degree < p."""
         return Poly([Q(0)] * p + self.coeffs[p:]) if p > 0 else self

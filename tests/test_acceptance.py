@@ -26,7 +26,7 @@ TABLE = {
     "dimreg-symbolic": ((3, 6), None, 1),  # Laurent tables, l > 0 closed forms, identity network
     "dimreg-pole": ((4,), 120, 26),  # fitted 1/eps coefficients within 1%, 13 tags x n = 1, 2
     "dimreg-numeric": ((5,), 60, 1),  # shooting: nbar(0) = n and the O(eps^2) energy order
-    "brackets": ((7,), 30, 1),  # momentum brackets and <ln q> against quadrature to 1e-8
+    "brackets": ((7,), 30, 1),  # momentum brackets and <ln q> against quadrature to 1e-12, n <= 10
     "exactnum": ((8,), 10, 8001),  # diharmonic recursions, reflections and closed forms
     "laguerre": ((), None, 1),  # Laguerre and Gegenbauer identities
 }
@@ -89,7 +89,7 @@ def test_criterion_6_identity_network(suite):
 
 
 def test_criterion_7_lnq(suite):
-    """The <ln q> closed form matches momentum quadrature to 1e-8, n = 1..4."""
+    """The <ln q> closed form matches momentum quadrature to 1e-12, n = 1..10."""
     _criterion(suite, 7)
 
 

@@ -180,6 +180,25 @@ def test_eval_bad_phys_scale(capsys, flag):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--op", "p4", "--mr", "1e300"],
+        ["--op", "p4", "--zalpha", "1e100"],
+        ["--op", "r4", "--mr", "1e-100"],
+        ["--op", "1/r", "--mr", "1e200", "--zalpha", "1e200"],
+        ["--op", "ln", "--kappa", "1e308", "--mr", "1e-308"],
+    ],
+)
+def test_eval_phys_scale_out_of_float_range(capsys, argv):
+    code = cli.main(["eval", "--n", "1", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flag", ["--c1", "--c2", "--m1", "--m2"])
 def test_demo_cx1_bad_fraction(capsys, flag):
     code = cli.main(["demo-cx1", flag, "x"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -159,4 +160,6 @@ def test_momentum_wavefunction_structure():
     assert isinstance(R, cb.MomentumRadialWF)
     assert R.state == cb.QuantumState(3, 1)
     assert R.gegenbauer.n == 1 and R.gegenbauer.lam == 2  # C_{n-l-1}^{l+1}
-    assert R(0.4) != 0.0
+    assert abs(R(0.4) / 22.00905236788859 - 1) <= 1e-14
+    for p in (1e60, 1e160):  # evaluated in p n, so large p underflows instead of overflowing
+        assert math.isfinite(R(p)) and abs(R(p)) <= 1e-100

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import coulombev
+from coulombev import brackets as br
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
 from coulombev import shoot, suites
@@ -376,6 +377,19 @@ def test_exact_divergent_outputs_pinned():
             count += 1
     assert count == 1320
     assert h.hexdigest() == "922d82abf25118574e75e76a72b4a91858c2389469e545bc1267286817eb08a6"
+
+
+def test_bracket_outputs_pinned():
+    # every momentum-space bracket for n <= 10, all l, as "tag/n/l<TAB>repr" lines
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 11):
+        for l in range(n):
+            for tag in br.bracket_tags():
+                h.update(("%s/%d/%d\t%r\n" % (tag, n, l, br.bracket(tag, cb.QuantumState(n, l)))).encode())
+                count += 1
+    assert count == 825
+    assert h.hexdigest() == "f2608ed81dddeb1bebe5a2add7f13d026a948a7ef6c80fe34861467f51a7ca84"
 
 
 # every l = 0 tag whose exact pole is nonzero is pole-fitted at n = 1 and 2
