@@ -139,6 +139,8 @@ _VIA_CATALOG = {
     "(p2.q)(q.p1)/q3": ((4, 4, -2), {"p.1/r2.p": HALF, "px.1/r2.xp": Q(-1)}),
     "p2.p1/q2": ((3, 3, -1), {"p.1/r.p": Q(1, 4)}),
     "(p2.q)(q.p1)/q4": ((3, 3, -1), {"p.1/r.p": Q(1, 8), "px.1/r.xp": Q(-1, 8)}),
+    # (p2^2 p1^2 - (p2.p1)^2)/q^4: (1/8 pi) [ <p_i r^-1 p_i> + <drd r^-1 dr> ]
+    "(p22p12-(p2.p1)2)/q4": ((3, 3, -1), {"p.1/r.p": Q(1, 8), "px.1/r.xp": Q(1, 8)}),
 }
 
 # Brackets that reduce to a dimensionally regularized value:
@@ -178,13 +180,6 @@ def _brk_lnq_q2(st):
 def _brk_p2p1(st):
     n, l = st.n, st.l
     return Value(_s(Q((n * n - 1) * _d1(l), 3 * n**5)), 5, 5, -1)
-
-
-def _brk_asym_qm4(st):
-    # (p2^2 p1^2 - (p2.p1)^2)/q^4
-    n, l = st.n, st.l
-    sym = _s((-Q(1, n) + Q(3, 2) / (l + HALF) - _d0(l)) * Q(1, 4 * n**3))
-    return Value(sym, 3, 3, -1)
 
 
 def _brk_vq(st):
@@ -234,7 +229,6 @@ _BRACKETS: Dict[str, Callable] = {
     "lnq": bracket_lnq,
     "lnq/q2": _brk_lnq_q2,
     "p2.p1": _brk_p2p1,
-    "(p22p12-(p2.p1)2)/q4": _brk_asym_qm4,
     "(p22p12-(p2.p1)2)/q2": _brk_asym_q2,
     "V(q)": _brk_vq,
 }

@@ -16,6 +16,7 @@ restored afterwards.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +30,7 @@ from .exactnum import (
     SymExpr,
     GAMMA_E,
     EULER_GAMMA,
+    LNQN,
     ONE,
     ZETA2,
     GAMMA2,
@@ -38,6 +40,7 @@ from .exactnum import (
     lam,
     lam2,
     gamma_lam,
+    _NUMERIC_TAGS,
 )
 from .laguerre import GegenbauerPoly, Poly, assoc_laguerre, gegenbauer
 from . import lagint
@@ -87,25 +90,27 @@ class PhysScale:
             if not (math.isfinite(x) and x > 0):
                 raise DomainError("%s must be finite and positive, got %r" % (name, x))
 
+    def _ln(self, num: float, den: float, what: str) -> float:
+        # ln(num/den), refused once the ratio leaves the float range
+        arg = num / den if den else math.inf
+        if not 0.0 < arg < math.inf:
+            msg = "ln(%s) is outside the float range at m_r = %g, Zalpha = %g, mu = %g, kappa = %g"
+            raise DomainError(msg % (what, self.mr, self.zalpha, self.mu, self.kappa))
+        return math.log(arg)
+
     def lambda_value(self, label: str, n: int) -> float:
         scale = {"mu": self.mu, "kappa": self.kappa}.get(label)
         if scale is None:
             raise DomainError("unknown log-scale label %r" % label)
-        arg = scale * n / (2.0 * self.mr * self.zalpha)
-        if not 0.0 < arg < math.inf:
-            msg = "ln(%s n/(2 m_r Zalpha)) is outside the float range at %s = %g, m_r = %g, Zalpha = %g"
-            raise DomainError(msg % (label, label, scale, self.mr, self.zalpha))
-        return math.log(arg)
+        return self._ln(scale * n, 2.0 * self.mr * self.zalpha, "%s n/(2 m_r Zalpha)" % label)
 
-    def tag_values(self, n: int) -> Dict:
-        out = {}
-        for label in ("mu", "kappa"):
-            lv = self.lambda_value(label, n)
-            out[lam(label)] = lv
-            out[lam2(label)] = lv * lv
-            out[gamma_lam(label)] = lv * EULER_GAMMA
-        out[("ln_2mrza_over_n",)] = math.log(2.0 * self.mr * self.zalpha / n)
-        return out
+    def tag_value(self, tag, n: int) -> float:
+        """Float value of one per-state log symbol: Lambda_kappa, its square,
+        gamma_E Lambda_kappa or ln(2 m_r Zalpha/n)."""
+        if tag == LNQN:
+            return self._ln(2.0 * self.mr * self.zalpha, n, "2 m_r Zalpha/n")
+        lv = self.lambda_value(tag[1], n)
+        return {"lambda": lv, "lambda2": lv * lv, "gamma_lambda": lv * EULER_GAMMA}[tag[0]]
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,16 @@ class Value:
         return self.sym.rational
 
     def numeric(self, phys: Optional[PhysScale] = None, n: Optional[int] = None) -> float:
+        """The float value at `phys`; the state's n resolves the log symbols it holds."""
         phys = phys or PhysScale()
-        tags = phys.tag_values(n) if n is not None else None
+        tags = None
+        if n is not None:
+            tags = {t: phys.tag_value(t, n) for t in self.sym.terms if t not in _NUMERIC_TAGS}
         try:
-            out = self.sym.numeric(tags) * phys.mr**self.mr_pow * phys.zalpha**self.za_pow * math.pi**self.pi_pow
-            if math.isfinite(out):
+            x = self.sym.numeric(tags)
+            out = x * phys.mr**self.mr_pow * phys.zalpha**self.za_pow * math.pi**self.pi_pow
+            # an underflow to 0 or to a subnormal float loses the value (or its digits) too
+            if math.isfinite(out) and (abs(out) >= sys.float_info.min or not x):
                 return out
         except OverflowError:
             pass

@@ -153,10 +153,6 @@ def series_coefficients(l: int, eps, j_max: int) -> CoeffTable:
     return CoeffTable(l, eps, j_max, a)
 
 
-def _eps_lin(c0, c1, order: int = 2) -> EpsSeries:
-    return EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(c0)), SymExpr.scalar(Q(c1))]).truncate(order)
-
-
 @lru_cache(maxsize=None)
 def _eps_poly(*coeffs) -> EpsSeries:
     # exact polynomial in eps; pad the truncation so products keep full order
@@ -175,8 +171,8 @@ def series_coefficients_eps(l: int, j_max: int, order: int = 2) -> Dict[Tuple[in
         for k in range(0, j + 1):
             prev = a.get((j - 1, k), zero)
             prev_k1 = a.get((j - 1, k - 1), zero)
-            num = prev.mul(_eps_lin(j + l, 2 * k - 1, order), order_cap=order) - prev_k1
-            den = _eps_lin(j, 2 * k, order).mul(_eps_lin(j + 2 * l + 1, 2 * (k - 1), order), order_cap=order)
+            num = prev.mul(_eps_poly(j + l, 2 * k - 1), order_cap=order) - prev_k1
+            den = _eps_poly(j, 2 * k).mul(_eps_poly(j + 2 * l + 1, 2 * (k - 1)), order_cap=order)
             a[(j, k)] = num.mul(den.invert(order_cap=order), order_cap=order)
     return a
 
@@ -286,7 +282,7 @@ def _head_terms(head: tuple, derivs: int):
     for _ in range(derivs):
         new = []
         for (j, k, c) in terms:
-            new.append((j - 1, k, c.mul(_eps_lin(j, 2 * k), order_cap=2)))
+            new.append((j - 1, k, c.mul(_eps_poly(j, 2 * k), order_cap=2)))
             new.append((j, k, c * Q(-1, 2)))
         terms = new
     return [(j, k, c) for (j, k, c) in terms if not c.is_zero()]

@@ -1,7 +1,12 @@
 """Exact-rational substrate: harmonic and diharmonic numbers, a small basis of
-symbolic constants (Euler gamma, zeta(2), logs), expansions of the gamma
-function near integers, digamma and trigamma values at integers, and
-truncated Laurent series in the dimensional-regularization parameter epsilon.
+symbolic constants (Euler gamma, zeta(2), logs), digamma and trigamma values
+at integers, and truncated Laurent series in the dimensional-regularization
+parameter epsilon.
+
+Every gamma expansion near integers is built on one exact series,
+`gamma_ratio_eps` for Gamma(a+x)/Gamma(c+x), with Gamma(1+x) as the one
+symbolic constant series: `gamma_series`, `gamma_ratio_limit`, the 3F2 tail
+of `f32_unit_negative` and the Laguerre Gamma-limits of `lagint`.
 
 Scalars are `fractions.Fraction` throughout; nothing here ever rounds.
 """
@@ -11,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -533,42 +538,58 @@ def _psi1_int(m: int) -> SymExpr:
 
 
 @lru_cache(maxsize=None)
+def gamma_ratio_eps(a: int, c: int, order: int) -> Tuple[Fraction, ...]:
+    """x^0..x^order of Gamma(a + x)/Gamma(c + x) for integers a and c, exact.
+
+    For a >= c this is the polynomial prod_{i=c..a-1} (i + x); otherwise it is
+    the reciprocal series of prod_{i=a..c-1} (i + x), which diverges when one
+    factor is x itself.
+    """
+    if order < 0:
+        return ()
+    poly = [Q(1)] + [Q(0)] * order
+    for i in range(min(a, c), max(a, c)):
+        for j in range(order, 0, -1):
+            poly[j] = poly[j] * i + poly[j - 1]
+        poly[0] *= i
+    if a >= c:
+        return tuple(poly)
+    if not poly[0]:
+        raise DivergenceError("Gamma(%d + x)/Gamma(%d + x) has a pole at x = 0" % (a, c))
+    inv = []
+    for k in range(order + 1):
+        inv.append((Q(k == 0) - sum(poly[j] * inv[k - j] for j in range(1, k + 1))) / poly[0])
+    return tuple(inv)
+
+
+# Gamma(1 + x) = 1 - gamma_E x + (gamma_E^2 + zeta(2)) x^2/2 + O(x^3): the basis
+# knows it through x^2, which caps every expansion built on it
+_GAMMA_1PX = (SYM_ONE, SymExpr.of(GAMMA_E, -1), SymExpr({GAMMA2: Q(1, 2), ZETA2: Q(1, 2)}))
+
+
+@lru_cache(maxsize=None)
 def gamma_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
     """Expansion of Gamma(m + c*eps) about eps = 0 for integer m.
 
-    For m >= 1 the series is regular; for m <= 0 it has a simple pole.
-    Supported through relative order 2.  The series is immutable, so one
-    instance per argument tuple is shared.
+    With x = c*eps it is Gamma(1 + x) times Gamma(m + x)/Gamma(1 + x) for
+    m >= 1 (regular, through relative order 2) and Gamma(1 + x)/x times
+    Gamma(m + x)/Gamma(x) for m <= 0 (a simple pole, through order 1).  The
+    series is immutable, so one instance per argument tuple is shared.
     """
     c = Q(c)
     if c == 0:
         raise DomainError("gamma_series needs a nonzero eps coefficient")
-    if m >= 1:
-        if order - 0 > 2:
-            raise UnsupportedOrderError("gamma_series supports relative order <= 2")
-        psi = _psi_int(m)
-        coeffs = [SYM_ONE, c * psi]
-        if order >= 2:
-            coeffs.append(c * c * Q(1, 2) * (psi * psi + _psi1_int(m)))
-        return factorial(m - 1) * EpsSeries.from_coeffs(0, coeffs[: order + 1]).truncate(order)
-    N = -m
-    if order + 1 > 2:
-        raise UnsupportedOrderError("gamma_series at poles supports order <= 1")
-    # Gamma(c*eps) = 1/(c*eps) - gamma + c*eps*(gamma^2+zeta2)/2 + ...
-    g_eps = EpsSeries.from_coeffs(
-        -1,
-        [
-            SymExpr.scalar(Q(1) / c),
-            SymExpr.of(GAMMA_E, -1),
-            c * Q(1, 2) * SymExpr({GAMMA2: Q(1), ZETA2: Q(1)}),
-        ],
-    )
-    hn = harmonic(N)
-    hn2 = harmonic(N, 2)
-    # prod_{j=1..N} 1/(1 - c*eps/j) = 1 + c*eps*H_N + (c*eps)^2 (H^2+H2)/2 + ...
-    prodinv = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr.scalar(c * hn), SymExpr.scalar(c * c * (hn * hn + hn2) / 2)])
-    sign = Q(-1) ** N / factorial(N)
-    return (g_eps.mul(prodinv, order_cap=order) * sign).truncate(order)
+    low = 0 if m >= 1 else -1
+    depth = order - low
+    if depth >= len(_GAMMA_1PX):
+        raise UnsupportedOrderError(
+            "gamma_series supports relative order <= 2" if m >= 1 else "gamma_series at poles supports order <= 1"
+        )
+    ratio = gamma_ratio_eps(m, low + 1, depth)
+    coeffs = [
+        sum((_GAMMA_1PX[i] * ratio[k - i] for i in range(k + 1)), SYM_ZERO) * c ** (k + low) for k in range(depth + 1)
+    ]
+    return EpsSeries(low, coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +598,13 @@ def gamma_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
 
 
 def gamma_ratio_limit(N: int, orders: int = 1) -> EpsSeries:
-    """Expansion of Gamma(eps)/Gamma(eps - N) = (-1)^N N! (1 - eps H_N + ...).
-
-    The ratio is a polynomial in eps; coefficients are signed elementary
-    symmetric functions of 1, 1/2, ..., 1/N.
-    """
+    """Expansion of Gamma(eps)/Gamma(eps - N) = (-1)^N N! (1 - eps H_N + ...),
+    a polynomial in eps."""
     if N < 0:
         raise DomainError("gamma_ratio_limit needs N >= 0")
     if orders > 2:
         raise UnsupportedOrderError("expansion depth capped at 2")
-    hn = harmonic(N)
-    hn2 = harmonic(N, 2)
-    e = [Q(1), hn, (hn * hn - hn2) / 2]
-    sign = Q(-1) ** N * factorial(N)
-    coeffs = [SymExpr.scalar(sign * (Q(-1) ** k) * e[k]) for k in range(orders + 1)]
-    return EpsSeries.from_coeffs(0, coeffs)
+    return EpsSeries.from_coeffs(0, [SymExpr.scalar(x) for x in gamma_ratio_eps(0, -N, orders)])
 
 
 def polygamma_int(k: int, N: int) -> SymExpr:
@@ -616,35 +629,12 @@ def hypergeometric_2f1_unit(a: Scalar, n: int, c: Scalar) -> Fraction:
     return rising(c - a, n) / den
 
 
-def _poly_mul_linear(poly, shift):
-    """poly(j) * (j + shift) with poly as coefficient list in j."""
-    out = [Q(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] += c
-        out[i] += c * shift
-    return out
-
-
-def _poly_shift_basis(poly):
-    """Rewrite sum_i c_i j^i as sum_m d_m (j+1)^m."""
-    # substitute j = (j+1) - 1
-    out = [Q(0)] * len(poly)
-    for i, c in enumerate(poly):
-        # expand ( (j+1) - 1 )^i
-        for m in range(i + 1):
-            out[m] += c * binomial(i, m) * Q(-1) ** (i - m)
-    return out
-
-
 def f32_unit_negative(n: int, k: int) -> SymExpr:
     """3F2(1,1,n+k+1; 2,n+2; -1) for integers n >= 0, k >= 1, in span{1, ln2}."""
-    num = [Q(1)]
-    den = Q(1)
-    for t in range(k - 1):
-        num = _poly_mul_linear(num, Q(n + 2 + t))
-        den *= Q(n + 2 + t)
-    # series sum_j (-1)^j R(j)/(j+1), R = num/den
-    d = _poly_shift_basis(num)
+    # series sum_j (-1)^j R(j)/(j+1) with R(j) = prod_{t=0..k-2} (j+n+2+t)/(n+2+t),
+    # whose numerator in powers of (j+1) is Gamma(n+k+x)/Gamma(n+1+x) at x = j+1
+    d = gamma_ratio_eps(n + k, n + 1, k - 1)
+    den = rising(n + 2, k - 1)
     out = SymExpr.of(LN2, d[0] / den)  # m = 0 term: sum (-1)^j/(j+1) = ln 2
     for m in range(1, len(d)):
         out = out + SymExpr.scalar(d[m] * eta_nonpositive(m - 1) / den)

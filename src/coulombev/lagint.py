@@ -4,10 +4,11 @@ brute-force oracle that integrates monomial by monomial.
 
 All integrals are of the shape  int_0^inf dx e^{-x} x^s (ln x)^m  P(x) Q(x).
 Integer s gives exact SymExpr values over {1, gamma_E, zeta(2), gamma_E^2}:
-each term is a Gamma-ratio limit, an exact Pochhammer polynomial in eps times
-one regular Gamma series (see `_term_limit`).  Non-integer rational s falls
-back to high-precision floating gamma functions and returns a plain float
-that must not enter exact comparisons.
+each term is a Gamma-ratio limit, the exact ratio Gamma(a+eps)/Gamma(c+eps)
+of `exactnum.gamma_ratio_eps` times one regular Gamma series (see
+`_term_limit`).  Non-integer rational s falls back to high-precision
+floating gamma functions and returns a plain float that must not enter
+exact comparisons.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .exactnum import (
     ZETA2,
     GAMMA2,
     factorial,
+    gamma_ratio_eps,
     gamma_series,
     harmonic,
 )
@@ -130,40 +132,18 @@ def brute_force_moment(spec: MomentSpec):
 # ---------------------------------------------------------------------------
 
 
-def _pochhammer_eps(a: int, c: int, sign: int, order: int) -> list:
-    """eps^0..eps^order of Gamma(a + sign*eps)/Gamma(c + sign*eps) for a >= c,
-    the polynomial prod_{i=c..a-1} (i + sign*eps), as exact Fractions."""
-    if a < c:
-        raise DomainError("Gamma(%d + eps)/Gamma(%d + eps) is no polynomial" % (a, c))
-    coeffs = [Q(1)] + [Q(0)] * order
-    for i in range(c, a):
-        for j in range(order, 0, -1):
-            coeffs[j] = coeffs[j] * i + coeffs[j - 1] * sign
-        coeffs[0] *= i
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _term_limit(a: int, b: int, c: int, logpow: int) -> SymExpr:
     """eps^0 of Gamma(a+e)Gamma(b+e)/Gamma(c+e) * {d/ds brace}^logpow at e -> 0.
 
     This is the limiting procedure for integer powers: every term of the I/J
-    and K/L/M sums has this shape with b >= 1 and c <= a.  The brace makes
-    this the logpow-th derivative in e at e = 0, i.e. logpow! [e^logpow] of
-    the Pochhammer polynomial Gamma(a+e)/Gamma(c+e) times Gamma(b+e).
+    and K/L/M sums has this shape with b >= 1.  The brace makes this the
+    logpow-th derivative in e at e = 0, i.e. logpow! [e^logpow] of the exact
+    ratio Gamma(a+e)/Gamma(c+e) (`gamma_ratio_eps`) times Gamma(b+e).
     """
     if b < 1:
         raise DivergenceError("Gamma(%d + eps) signals a divergent integral" % b)
-    if a >= c:
-        ratio = _pochhammer_eps(a, c, 1, logpow)
-    else:
-        # 1/prod_{i=a..c-1} (i+e), with a pole when one factor is e itself
-        den = _pochhammer_eps(c, a, 1, logpow)
-        if not den[0]:
-            raise DivergenceError("residual 1/eps pole in gamma-limit term")
-        ratio = []
-        for k in range(logpow + 1):
-            ratio.append((Q(k == 0) - sum(den[j] * ratio[k - j] for j in range(1, k + 1))) / den[0])
+    ratio = gamma_ratio_eps(a, c, logpow)
     gb = gamma_series(b, 1, order=logpow)
     return factorial(logpow) * sum((ratio[i] * gb.coeff(logpow - i) for i in range(logpow + 1)), SYM_ZERO)
 
@@ -213,8 +193,8 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0):
     if p in (1, 2):
         # Gamma(s+1+e) * { G(e) - 1 [+ n(s+1+e)/(k+1) for p=2] } with
         # G(e) = k!/(n+k)! prod_{i=0..n-1} (k-s+i-e)
-        g0, g1 = (g * factorial(k) / factorial(n + k) for g in _pochhammer_eps(n + k - s, k - s, -1, 1))
-        brace0, brace1 = g0 - 1, g1
+        g0, g1 = (g * factorial(k) / factorial(n + k) for g in gamma_ratio_eps(n + k - s, k - s, 1))
+        brace0, brace1 = g0 - 1, -g1  # the ratio's argument x is -e
         if p == 2:
             brace0, brace1 = brace0 + Q(n * (s + 1), k + 1), brace1 + Q(n, k + 1)
         gs1 = gamma_series(s + 1, 1, order=0)

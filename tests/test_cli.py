@@ -188,6 +188,9 @@ def test_eval_bad_phys_scale(capsys, flag):
         ["--op", "r4", "--mr", "1e-100"],
         ["--op", "1/r", "--mr", "1e200", "--zalpha", "1e200"],
         ["--op", "ln", "--kappa", "1e308", "--mr", "1e-308"],
+        ["--op", "p4", "--mr", "1e-100"],  # 5e-400 underflows
+        ["--op", "p4", "--mr", "3e-81"],  # 4.05e-322 is subnormal
+        ["--bracket", "lnq", "--mr", "1e-200", "--zalpha", "1e-200"],
     ],
 )
 def test_eval_phys_scale_out_of_float_range(capsys, argv):
@@ -197,6 +200,20 @@ def test_eval_phys_scale_out_of_float_range(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,expect",
+    [
+        (["--op", "1/r", "--mu", "1e-300", "--mr", "1e100"], 1e100),
+        (["--op", "1", "--mr", "1e-200", "--zalpha", "1e-200"], 1.0),
+    ],
+)
+def test_eval_phys_scale_resolves_only_held_logs(capsys, argv, expect):
+    # neither value holds Lambda_mu or ln(2 m_r Zalpha/n), whose floats overflow here
+    code, out = run(capsys, "eval", "--n", "1", "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out)["numeric"] == expect
 
 
 @pytest.mark.parametrize("flag", ["--c1", "--c2", "--m1", "--m2"])

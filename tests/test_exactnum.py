@@ -217,9 +217,16 @@ class TestExpansionsAgainstSympy:
         order = 2 if m >= 1 else 1  # the pole expansion stops at eps^1
         self._check(en.gamma_series(m, c, order), lambda e: sp.gamma(m + sp.Rational(c) * e), order)
 
-    @pytest.mark.parametrize("a,b,c", [(3, 2, 1), (1, 1, -1), (0, 1, -1), (-2, 1, -2), (0, 3, 0)])
+    @pytest.mark.parametrize(
+        "a,b,c", [(3, 2, 1), (1, 1, -1), (0, 1, -1), (-2, 1, -2), (0, 3, 0), (1, 2, 3), (-3, 1, -1)]
+    )
     def test_term_limit(self, a, b, c):
         # m! [eps^m] of Gamma(a+e)Gamma(b+e)/Gamma(c+e) is the m-th Laguerre Gamma-limit
         sp = pytest.importorskip("sympy")
         series = en.EpsSeries.from_coeffs(0, [li._term_limit(a, b, c, m) / math.factorial(m) for m in range(3)])
         self._check(series, lambda e: sp.gamma(a + e) * sp.gamma(b + e) / sp.gamma(c + e), 2)
+
+    def test_term_limit_residual_pole(self):
+        # Gamma(e)/Gamma(2+e) = 1/(e(1+e)) leaves a pole the limit cannot take
+        with pytest.raises(en.DivergenceError):
+            li._term_limit(0, 1, 2, 0)
