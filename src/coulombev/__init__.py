@@ -61,7 +61,7 @@ __version__ = "1.0.0"
 
 
 def __getattr__(name):
-    # PEP 562: the float layer loads numpy and scipy on first use only
+    # PEP 562: the float layer loads numpy on first use only
     if name in ("eigenvalue_shoot", "bracket_lnq_oracle"):
         from . import shoot
 

@@ -3,7 +3,7 @@
 regularized expectation values, the closed forms that reduce to neither,
 and <ln q>.  Its oracle, a direct momentum-space quadrature,
 is floating-point and lives in `shoot`; `bracket_lnq_oracle` resolves to it
-on first use, so importing this module loads no numpy or scipy."""
+on first use, so importing this module does not load numpy."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ HALF = Q(1, 2)
 
 
 def __getattr__(name):
-    # PEP 562: the oracle's module loads numpy and scipy, so wait for a caller
+    # PEP 562: the oracle's module loads numpy, so wait for a caller
     if name == "bracket_lnq_oracle":
         from .shoot import bracket_lnq_oracle
 

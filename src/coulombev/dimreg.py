@@ -3,7 +3,7 @@ radial equation, eps-expansions of the energy and of the wave function at
 contact, and analytic pole extraction for divergent S-state expectation
 values via the head/tail split of the series.  The numeric eigenvalue shoot
 and its quadratures live in `shoot`; this module resolves their names on
-first use (see `__getattr__`), so importing it loads neither numpy nor scipy.
+first use (see `__getattr__`), so importing it does not load numpy.
 
 Each divergent operator is one list of terms (see `_Term`) in `_TERMS`, and
 each relation of the identity network is a term list that sums to zero.  Two
@@ -74,7 +74,7 @@ _SHOOT_NAMES = frozenset(
 
 
 def __getattr__(name):
-    # PEP 562: importing `shoot` loads numpy and scipy, so wait for a caller
+    # PEP 562: importing `shoot` loads numpy, so wait for a caller
     if name in _SHOOT_NAMES:
         from . import shoot
 

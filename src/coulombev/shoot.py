@@ -1,15 +1,15 @@
 """Floating-point shooting and quadrature in D = 3 - 2*eps.
 
 The eigenvalue nbar is shot from the generalized power series of the radial
-equation (`dimreg.series_coefficients`, summed by `eval_series`) with DOP853
-solves to rho_max and a secant, from the O(eps) expansion, on the mismatch
-with the decaying solution there.  The shot wave function then gives phibar^2
-and the numeric braces by one fixed tanh-sinh rule, evaluated on arrays of
-nodes; the braces read the term lists of `dimreg._TERMS`, so each divergent
-operator is still described once.  This layer only cross-checks the exact
-eps-poles of `dimreg`, and it is the one part of the package that needs numpy
-and scipy, so the exact modules do not import it: `dimreg`, `brackets` and
-the package resolve its names on first use.
+equation (`dimreg.series_coefficients`, summed by `eval_series`), continued to
+rho_max by Taylor steps on a fixed grid, with Newton's method, from the O(eps)
+expansion, on the mismatch with the decaying solution there.  The shot wave
+function then gives phibar^2 and the numeric braces by one fixed tanh-sinh
+rule, evaluated on arrays of nodes; the braces read the term lists of
+`dimreg._TERMS`, so each divergent operator is still described once.  This
+layer only cross-checks the exact eps-poles of `dimreg`, and it is the one
+part of the package that needs numpy, so the exact modules do not import it:
+`dimreg`, `brackets` and the package resolve its names on first use.
 
 The same tanh-sinh rule, in theta with p = gamma_n tan(theta/2), gives the
 momentum-space quadratures: the <ln q> oracle `bracket_lnq_oracle` and the
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exactnum import DomainError, EULER_GAMMA, lam
 from .coulomb import MomentumRadialWF, QuantumState, momentum_radial
@@ -42,8 +42,8 @@ class ShootingError(RuntimeError):
     """A shoot that found no eigenvalue.
 
     Besides the reason it carries the state, eps and mu, the (nbar, mismatch)
-    pair of every solve, the secant's iterates and, once it converged, the
-    final dense solve, and the nodes counted at the last iterate (None if none
+    pair of every solve, Newton's iterates and, once it converged, the final
+    dense solve, and the nodes counted at the last iterate (None if none
     were) against the nodes expected, all repeated on one line.
     """
 
@@ -70,7 +70,7 @@ class DimRegEigen:
     nbar: float
     gammabar: float
     ebar: float
-    sol: object
+    sol: object  # rho -> (L, L') on [rho0, rhomax], rho an array
     rho0: float
     rhomax: float
     table: CoeffTable
@@ -86,46 +86,120 @@ def gammabar_from_nbar(nbar: float, eps: float, mu: float) -> float:
     return (w * 2.0 ** (-2.0 * eps) / nbar) ** (1.0 / (1.0 + 2.0 * eps))
 
 
-def eval_series(table: CoeffTable, nbar: float, rho: float) -> Tuple[float, float]:
-    """(L, dL/drho) of the generalized series at numeric eps and nbar; rho may be an array."""
+def eval_series(table: CoeffTable, nbar: float, rho: float, dnbar: bool = False) -> Tuple[float, float]:
+    """(L, dL/drho) of the generalized series at numeric eps and nbar, or with
+    dnbar their nbar-derivatives (M, dM/drho); rho may be an array."""
     eps = float(table.eps)
     val = der = 0.0
     for (j, k), c in table.a.items():
-        c = float(c)
+        if dnbar and not k:
+            continue
+        c = float(c) * (k * nbar ** (k - 1) if dnbar else nbar**k)
         power = j + 2 * eps * k
-        val += c * nbar**k * rho**power
+        val += c * rho**power
         if power:
-            der += c * nbar**k * power * rho ** (power - 1)
+            der += c * power * rho ** (power - 1)
     return val, der
 
 
-def _radial_rhs(l, eps, nbar):
-    """The radial equation as solve_ivp takes it: (rho, (L, L')) -> (L', L'')."""
+_TAYLOR_TERMS = 36  # truncation 3^-36 where the step is a/3, 2^36/36! where it is 2
+
+
+@lru_cache(maxsize=None)
+def _grid(rho0: float, rhomax: float):
+    """Starts a and lengths h of the steps h = min(a/3, 2) from rho0 to rhomax.
+    The Taylor series at a converges within a, because rho = 0 is singular;
+    the grid depends on nothing else, so every shoot to rhomax shares it."""
+    a = [rho0]
+    while a[-1] < rhomax:
+        a.append(min(a[-1] + min(a[-1] / 3.0, 2.0), rhomax))
+    a = np.array(a)
+    return a[:-1], np.diff(a)
+
+
+def _taylor_basis(l: int, eps: float, nbar: float, a):
+    """Taylor coefficients in t = rho - a, at every step start a at once, of the
+    basis solutions u ((L, L') = (1, 0) at a) and v ((0, 1)) and of the parts
+    p and q that u and v source in M = dL/dnbar from (M, M') = (0, 0); shape
+    (K, 4, steps).
+
+    Multiplied by rho the radial equation is
+    rho L'' + (2c - rho) L' - (c - nbar rho^{2 eps}) L = 0 with c = l + 1 - eps,
+    and rho^{2 eps} = a^{2 eps} sum_m C(2 eps, m) (t/a)^m, so
+      y_{k+2} = -[(k+1)(k+2c-a) y_{k+1} - (k+c) y_k + nbar S_k]/(a (k+1)(k+2))
+    with S_k = sum_m a^{2 eps - m} C(2 eps, m) y_{k-m}.  M obeys the same
+    recurrence with the source S_k of L added to nbar S_k."""
+    K = _TAYLOR_TERMS
     c = l + 1 - eps
+    binom = [1.0]
+    for m in range(1, K):
+        binom.append(binom[-1] * (2.0 * eps - m + 1) / m)
+    w = a ** (2.0 * eps - np.arange(K)[:, None]) * np.array(binom)[:, None]
+    y = np.zeros((K, 4, len(a)))
+    y[0, 0] = y[1, 1] = 1.0
+    for k in range(K - 2):
+        conv = np.einsum("msi,mi->si", y[k::-1], w[: k + 1])
+        rhs = (k + 1) * (k + 2 * c - a) * y[k + 1] - (k + c) * y[k] + nbar * conv
+        rhs[2:] += conv[:2]
+        y[k + 2] = -rhs / (a * ((k + 1) * (k + 2)))
+    return y
 
-    def rhs(rho, y):
-        L, dL = y
-        return (dL, -(2.0 * c / rho - 1.0) * dL + (c - nbar * rho ** (2 * eps)) / rho * L)
 
-    return rhs
+def _piecewise(a, coef):
+    """The dense output: rho -> (L, L') of the Taylor polynomials coef[:, i] in
+    rho - a[i] on the step that holds rho; rho is an array in [a[0], rho_max]."""
+
+    def sol(rho):
+        i = np.clip(np.searchsorted(a, rho, side="right") - 1, 0, len(a) - 1)
+        t = rho - a[i]
+        L = dL = 0.0
+        for c in coef[::-1]:
+            dL = dL * t + L
+            L = L * t + c[i]
+        return np.array([L, dL])
+
+    return sol
 
 
-_RTOL = 1e-12  # the solves' relative tolerance
+_RTOL = 1e-12  # Newton stops once its step is below _RTOL nbar
 
 
 def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
-    y0 = eval_series(table, nbar, rho0)
-    rhs = _radial_rhs(l, eps, nbar)
-    sol = solve_ivp(rhs, (rho0, rhomax), y0, method="DOP853", rtol=_RTOL, atol=1e-250, dense_output=dense)
-    if not sol.success:
-        raise ShootingError("ODE integration failed: %s" % sol.message)
-    return sol
+    """(L, L', M, M') at rhomax, M = dL/dnbar, from the series at rho0, and the
+    dense output of L if asked (else None).  Each step's end values of u, v,
+    p and q form the block transfer [[U, 0], [P, U]] of (L, L', M, M')."""
+    a, h = _grid(rho0, rhomax)
+    with np.errstate(all="ignore"):  # overflow is caught below, as a non-finite end value
+        nbar = np.float64(nbar)
+        start = eval_series(table, nbar, rho0) + eval_series(table, nbar, rho0, dnbar=True)
+        y = _taylor_basis(l, eps, nbar, a)
+        k = np.arange(_TAYLOR_TERMS)[:, None]
+        powers = h ** k
+        val = np.einsum("ksi,ki->is", y, powers).tolist()
+        der = np.einsum("ksi,ki->is", y[1:], k[1:] * powers[:-1]).tolist()
+    L, dL, M, dM = (float(v) for v in start)
+    starts = []
+    for (uL, vL, pL, qL), (ud, vd, pd, qd) in zip(val, der):
+        starts.append((L, dL))
+        L, dL, M, dM = (
+            uL * L + vL * dL,
+            ud * L + vd * dL,
+            uL * M + vL * dM + pL * L + qL * dL,
+            ud * M + vd * dM + pd * L + qd * dL,
+        )
+    end = (L, dL, M, dM)
+    if not all(math.isfinite(v) for v in end):
+        raise ShootingError("the solution left the float range before rho_max = %r" % rhomax)
+    if not dense:
+        return end, None
+    starts = np.array(starts).T
+    return end, _piecewise(a, starts[0] * y[:, 0] + starts[1] * y[:, 1])
 
 
 def _count_nodes(sol, l: int, rho0: float, rho_hi: float) -> int:
     """Sign changes of the radial function rho^l e^{-rho/2} L on a grid of [rho0, rho_hi]."""
     xs = np.linspace(rho0, rho_hi, 1600)
-    vals = xs**l * np.exp(-0.5 * xs) * sol.sol(xs)[0]
+    vals = xs**l * np.exp(-0.5 * xs) * sol(xs)[0]
     # ignore crossings inside the noise floor: after strong decay the
     # leftover e^{+rho} contamination of the shot solution flips sign at
     # amplitudes ~1e-15 of the maximum, which are not nodes
@@ -145,16 +219,13 @@ _N_MAX = 12  # every l < n shoots to its branch at eps = 0, +-0.02 and +-0.05 up
 
 
 def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimRegEigen:
-    """Find nbar by a secant on the mismatch f = L' - g L at rho_max with the
-    decaying solution, whose log-derivative is g = (nbar rho_max^{2 eps} - l - 1
-    + eps)/rho_max, started at the O(eps) expansion; the node count of the
-    result then checks that the secant found the branch of (n, l).
+    """Find nbar by Newton's method on the mismatch f = L' - g L at rho_max with
+    the decaying solution, whose log-derivative is g = (nbar rho_max^{2 eps} - l
+    - 1 + eps)/rho_max, started at the O(eps) expansion; the node count of the
+    result then checks that Newton found the branch of (n, l).
 
-    A solve at relative tolerance rtol fixes nbar only to about rtol nbar, so
-    the secant stops once the mismatch reaches that noise floor,
-    |f| <= rtol nbar |df/dnbar|, i.e. once its step is below rtol nbar.  The
-    scale |L'| + |g L| does not measure the floor: at rho_max the growing
-    e^rho solution dominates L at nearly every iterate, so |f| stays near it."""
+    Each solve also carries M = dL/dnbar, so f' = M' - g M - rho_max^{2 eps - 1} L
+    comes with f.  Newton stops once its step is below _RTOL nbar."""
     eps = float(_eps_value(eps))
     if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
@@ -168,31 +239,30 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     iterates = []
 
     def solve(nbar, dense=False):
-        sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense)
-        L, dL = sol.y[:, -1].tolist()
-        iterates.append((nbar, dL - (nbar * rhomax ** (2 * eps) - l - 1 + eps) / rhomax * L))
-        return iterates[-1][1], sol
+        (L, dL, M, dM), sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense)
+        g = (nbar * rhomax ** (2 * eps) - l - 1 + eps) / rhomax
+        f, df = dL - g * L, dM - g * M - rhomax ** (2 * eps - 1) * L
+        iterates.append((nbar, f))
+        return (f / df if df else math.nan), sol
 
     def failure(reason, nodes=None):
         return ShootingError(reason, state, eps, mu, iterates, nodes, state.nr)
 
     try:
-        x0 = float(nbar_expansion(state).numeric(eps))
-        x1, (f0, _), step = x0 + 1e-6 * n, solve(x0), math.inf
-        while abs(step) > _RTOL * x1 and len(iterates) < 30:
-            f1 = solve(x1)[0]
-            step = f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
-            x0, f0, x1 = x1, f1, x1 - step
-        if not abs(step) <= _RTOL * x1:
-            raise ShootingError("the secant did not converge")
-        sol = solve(x1, dense=True)[1]
+        x, step = float(nbar_expansion(state).numeric(eps)), math.inf
+        while abs(step) > _RTOL * x and len(iterates) < 30:
+            step = solve(x)[0]
+            x -= step
+        if not abs(step) <= _RTOL * x:
+            raise ShootingError("Newton's method did not converge")
+        sol = solve(x, dense=True)[1]
     except ShootingError as exc:
         raise failure(exc.reason) from exc
     nodes = _count_nodes(sol, l, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
     if nodes != state.nr:
         raise failure("wrong eigenvalue branch", nodes)
-    gb = gammabar_from_nbar(x1, eps, mu)
-    return DimRegEigen(state, eps, mu, x1, gb, -0.5 * gb * gb, sol, rho0, rhomax, table)
+    gb = gammabar_from_nbar(x, eps, mu)
+    return DimRegEigen(state, eps, mu, x, gb, -0.5 * gb * gb, sol, rho0, rhomax, table)
 
 
 def _tanh_sinh(h: float, tmax: float):
@@ -219,8 +289,9 @@ def _nodes(eig: DimRegEigen):
     near = x <= eig.rho0
     L, dL = np.empty_like(x), np.empty_like(x)
     L[near], dL[near] = eval_series(eig.table, eig.nbar, x[near])
-    L[~near], dL[~near] = eig.sol.sol(x[~near])
-    d2L = _radial_rhs(eig.state.l, eig.eps, eig.nbar)(x, (L, dL))[1]
+    L[~near], dL[~near] = eig.sol(x[~near])
+    c = eig.state.l + 1 - eig.eps
+    d2L = -(2.0 * c / x - 1.0) * dL + (c - eig.nbar * x ** (2 * eig.eps)) / x * L
     return x, w, (L, dL - 0.5 * L, d2L - dL + 0.25 * L)
 
 

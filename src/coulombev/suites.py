@@ -403,9 +403,12 @@ def suite_dimreg_numeric() -> SuiteResult:
     from . import shoot
 
     r = SuiteResult("dimreg-numeric")
+    # every state the shoot is validated for
+    for n in range(1, shoot._N_MAX + 1):
+        for l in range(n):
+            r.check(abs(_shot(n, l, 0.0).nbar - n) < 1e-13, "nbar(0)=n (%d,%d)" % (n, l))
     for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 1)]:
         st = cb.QuantumState(n, l)
-        r.check(abs(_shot(n, l, 0.0).nbar - n) < 1e-13, "nbar(0)=n (%d,%d)" % (n, l))
         en = 1.0 / (2.0 * n * n)
         d1 = abs(_shot(n, l, 1e-3).ebar - shoot.energy_series_numeric(st, 1e-3)) / en
         d2 = abs(_shot(n, l, 5e-4).ebar - shoot.energy_series_numeric(st, 5e-4)) / en

@@ -5,9 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as Q
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,7 +57,9 @@ class TestSeriesCoefficients:
 
 class TestShooting:
     def test_eps_zero_reproduces_integers(self, suite):
-        suite("dimreg-numeric").assert_passed(["nbar(0)=n (%d,%d)" % nl for nl in [(1, 0), (2, 0), (2, 1), (3, 1)]])
+        labels = ["nbar(0)=n (%d,%d)" % (n, l) for n in range(1, 13) for l in range(n)]
+        assert len(labels) == 78
+        suite("dimreg-numeric").assert_passed(labels)
 
     def test_l_dependence(self, suite):
         suite("dimreg-numeric").assert_passed(["nbar moves off n at eps = 0.01", "nbar l-dependence"])
@@ -69,7 +71,7 @@ class TestShooting:
     def test_range_edge_branch_selection(self):
         # at eps = 0.05 the (3,2) eigenvalue drops below n - 1/2 while the
         # (4,2) one rises above 4 - 1/2; node counting must accept the branch
-        # that the secant, started at the expansion, converges to
+        # that Newton, started at the expansion, converges to
         eig = dr.eigenvalue_shoot(cb.QuantumState(3, 2), 0.05)
         est = dr.nbar_expansion(cb.QuantumState(3, 2)).numeric(0.05)
         assert abs(eig.nbar - est) < 0.05
@@ -92,8 +94,27 @@ class TestShooting:
         # those of the radial function rho^l e^{-rho/2} L do not
         coeffs = [float(c) for c in assoc_laguerre(n - l - 1, 2 * l + 1).coeffs]
         L = np.polynomial.Polynomial(coeffs) / coeffs[0]
-        sol = SimpleNamespace(sol=lambda x: np.array([L(x), L.deriv()(x)]))
+        sol = lambda x: np.array([L(x), L.deriv()(x)])
         assert shoot._count_nodes(sol, l, 1e-3, 4.0 * n + 2.0 * l + 4.0) == n - l - 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_range_edge_every_l(self, n):
+        # eps = +0.05 is where the O(eps) start lies farthest from nbar; the
+        # node count inside the shoot checks that Newton found each branch
+        for l in range(n):
+            assert dr.eigenvalue_shoot(cb.QuantumState(n, l), 0.05).nbar < n
+
+    def test_integrate_overflow(self, capfd):
+        # nbar^k overflows in the series start; the solver reports it as one
+        # ShootingError line and lets no numpy warning through
+        table = dr.series_coefficients(0, 0.01, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dr.ShootingError) as info:
+                shoot._integrate(0, 0.01, 1e300, 1e-3, 30.0, table)
+        msg = str(info.value)
+        assert "\n" not in msg and "left the float range" in msg
+        assert capfd.readouterr().err == ""
 
     def test_nbar_expansion_against_shooting(self):
         st = cb.QuantumState(2, 1)
@@ -146,7 +167,7 @@ class TestShooting:
         exc = info.value
         assert (exc.state, exc.eps, exc.mu) == (st, 0.01, 0.7)
         assert (exc.nodes, exc.nodes_expected) == (3, 0)
-        # the secant starts at the expansion and converges on the 1s root
+        # Newton starts at the expansion and converges on the 1s root
         nbar, mismatch = exc.iterates[-1]
         assert exc.iterates[0][0] == float(dr.nbar_expansion(st).numeric(0.01))
         assert abs(nbar - 0.9815731309597329) < 1e-13 and abs(mismatch) < abs(exc.iterates[0][1])
