@@ -2,13 +2,12 @@
 variants, with the integer-power limiting machinery, plus an independent
 brute-force oracle that integrates monomial by monomial.
 
-All integrals are of the shape  int_0^inf dx e^{-x} x^s (ln x)^m  P(x) Q(x).
-Integer s gives exact SymExpr values over {1, gamma_E, zeta(2), gamma_E^2}:
-each term is a Gamma-ratio limit, the exact ratio Gamma(a+eps)/Gamma(c+eps)
-of `exactnum.gamma_ratio_eps` times one regular Gamma series (see
-`_term_limit`).  Non-integer rational s falls back to high-precision
-floating gamma functions and returns a plain float that must not enter
-exact comparisons.
+All integrals are of the shape  int_0^inf dx e^{-x} x^s (ln x)^m  P(x) Q(x)
+with integer s, the powers the catalog and the eps-poles need; every entry
+point refuses any other s with a DomainError.  Values are exact SymExprs over
+{1, gamma_E, zeta(2), gamma_E^2}: each term is a Gamma-ratio limit, the exact
+ratio Gamma(a+eps)/Gamma(c+eps) of `exactnum.gamma_ratio_eps` times one
+regular Gamma series (see `_term_limit`).
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ class MomentSpec:
     left: Tuple[int, int, int]  # (n, k, p)
     right: Optional[Tuple[int, int]] = None  # (n', k')
 
-    def convergent(self) -> bool:
-        return Q(self.s) + self.left[2] > -1
-
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: expand in monomials, integrate with Gamma derivatives
@@ -77,18 +73,6 @@ def _mono_int(t: int, logpow: int) -> SymExpr:
     raise DomainError("log power %d unsupported" % logpow)
 
 
-def _mono_int_num(t, logpow: int):
-    import mpmath as mp
-
-    g = mp.gamma(t + 1)
-    if logpow == 0:
-        return g
-    psi = mp.digamma(t + 1)
-    if logpow == 1:
-        return g * psi
-    return g * (psi * psi + mp.polygamma(1, t + 1))
-
-
 def poly_moment(p: Poly, q: Poly, s: int, logpow: int = 0) -> SymExpr:
     """Exact int_0^inf e^{-x} x^s ln^m x P(x) Q(x) dx for integer s."""
     prod = p * q
@@ -99,32 +83,17 @@ def poly_moment(p: Poly, q: Poly, s: int, logpow: int = 0) -> SymExpr:
     return out
 
 
-def brute_force_moment(spec: MomentSpec):
-    """Monomial-by-monomial oracle; exact for integer s, float for half-integer."""
+def brute_force_moment(spec: MomentSpec) -> SymExpr:
+    """Monomial-by-monomial oracle for integer s, exact."""
+    s = _integer_power(spec.s)
     if spec.logpow not in _LN_WEIGHTS:
         raise DomainError("logpow must be 0, 1 or 2")
-    if not spec.convergent():
-        raise DivergenceError(
-            "moment diverges: leading monomial x^%s below x^-1" % (Q(spec.s) + spec.left[2])
-        )
+    if s + spec.left[2] <= -1:
+        raise DivergenceError("moment diverges: leading monomial x^%d below x^-1" % (s + spec.left[2]))
     n, k, p = spec.left
     left = subtract_laguerre(n, k, p).poly
     right = assoc_laguerre(*spec.right) if spec.right else Poly([1])
-    s = Q(spec.s)
-    if s.denominator == 1:
-        return poly_moment(left, right, int(s), spec.logpow)
-    prod = left * right
-    import mpmath as mp
-
-    with mp.workdps(30):
-        total = mp.mpf(0)
-        for r, c in enumerate(prod.coeffs):
-            if c:
-                t = mp.mpf(s.numerator) / s.denominator + r
-                if t <= -1:
-                    raise DivergenceError("monomial x^%s diverges" % (s + r))
-                total += mp.mpf(c.numerator) / c.denominator * _mono_int_num(t, spec.logpow)
-        return float(total)
+    return poly_moment(left, right, s, spec.logpow)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +117,18 @@ def _term_limit(a: int, b: int, c: int, logpow: int) -> SymExpr:
     return factorial(logpow) * sum((ratio[i] * gb.coeff(logpow - i) for i in range(logpow + 1)), SYM_ZERO)
 
 
-def _require_convergent(s: Scalar, p: int):
-    if Q(s) + p <= -1:
-        raise DivergenceError("integral nonconvergent: s + p = %s <= -1" % (Q(s) + p))
+def _integer_power(s) -> int:
+    """s as an int; a non-integer, NaN or infinite power is a DomainError."""
+    if isinstance(s, numbers.Integral) or (isinstance(s, Fraction) and s.denominator == 1):
+        return int(s)
+    if isinstance(s, float) and s.is_integer():
+        return int(s)
+    raise DomainError("power s must be an integer, got %r" % (s,))
+
+
+def _require_convergent(s: int, p: int):
+    if s + p <= -1:
+        raise DivergenceError("integral nonconvergent: s + p = %d <= -1" % (s + p))
 
 
 def _require_integer_orders(**orders):
@@ -169,24 +147,18 @@ def _laguerre_prefactors(n: int, k: int, r: int) -> Fraction:
     return Q(-1) ** r * factorial(n + k) / (factorial(r) * factorial(n - r) * factorial(k + r))
 
 
-def _is_int(s: Scalar) -> bool:
-    return Q(s).denominator == 1
-
-
-def integral_I(s: Scalar, n: int, k: int, p: int = 0):
+def integral_I(s: Scalar, n: int, k: int, p: int = 0) -> SymExpr:
     """^pI_s(n,k) = int e^{-x} x^s ^pL_n^k(x) dx.
 
     p = 0 uses the no-sum closed form with the gamma-ratio limit; p = 1, 2 use
     the 2F1-reduced forms; larger p falls back to the explicit sum over r >= p.
     """
+    s = _integer_power(s)
     _require_integer_orders(n=n, k=k)
     _require_depth(p)
     _require_convergent(s, p)
     if n < 0:
         return SYM_ZERO
-    if not _is_int(s):
-        return brute_force_moment(MomentSpec(Q(s), 0, (n, k, p)))
-    s = int(Q(s))
     if p == 0:
         pref = Q(-1) ** n / factorial(n)
         return pref * _term_limit(s - k + 1, s + 1, s - k - n + 1, 0)
@@ -208,43 +180,24 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0):
     return out
 
 
-def integral_J(s: Scalar, n: int, k: int):
+def integral_J(s: Scalar, n: int, k: int) -> SymExpr:
     """J_s(n,k) = int e^{-x} x^s ln x L_n^k(x) dx; value in span{1, gamma_E}."""
+    s = _integer_power(s)
     _require_integer_orders(n=n, k=k)
     _require_convergent(s, 0)
     if n < 0:
         return SYM_ZERO
-    if not _is_int(s):
-        return brute_force_moment(MomentSpec(Q(s), 1, (n, k, 0)))
-    s = int(Q(s))
     pref = Q(-1) ** n / factorial(n)
     return pref * _term_limit(s - k + 1, s + 1, s - k - n + 1, 1)
 
 
-def _bilinear_closed(s: Scalar, n: int, k: int, n2: int, k2: int, p: int, logpow: int):
+def _bilinear_closed(s: Scalar, n: int, k: int, n2: int, k2: int, p: int, logpow: int) -> SymExpr:
+    s = _integer_power(s)
     _require_integer_orders(n=n, k=k, n2=n2, k2=k2)
     _require_depth(p)
     _require_convergent(s, p)
     if n < 0 or n2 < 0:
         return SYM_ZERO
-    if not _is_int(s):
-        if logpow == 0:
-            # general gamma-ratio sum; the ratio Gamma(x)/Gamma(x-n') is the
-            # falling-factorial polynomial prod_{j=1..n'} (x - j)
-            import mpmath as mp
-
-            with mp.workdps(30):
-                total = mp.mpf(0)
-                sf = mp.mpf(Q(s).numerator) / Q(s).denominator
-                for r in range(p, n + 1):
-                    a_r = _laguerre_prefactors(n, k, r) * Q(-1) ** n2 / factorial(n2)
-                    ratio = mp.mpf(1)
-                    for j in range(1, n2 + 1):
-                        ratio *= sf + r + 1 - k2 - j
-                    total += mp.mpf(a_r.numerator) / a_r.denominator * ratio * mp.gamma(sf + r + 1)
-                return float(total)
-        return brute_force_moment(MomentSpec(Q(s), logpow, (n, k, p), (n2, k2)))
-    s = int(Q(s))
     out = SYM_ZERO
     pref2 = Q(-1) ** n2 / factorial(n2)
     for r in range(p, n + 1):

@@ -215,6 +215,14 @@ def _count_nodes(sol, l: int, rho0: float, rho_hi: float) -> int:
     return nodes
 
 
+def _numeric_eps(eps, mu) -> float:
+    """eps as a float, checked by `dimreg._eps_value`; mu must be finite and positive."""
+    eps = float(_eps_value(eps))
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError("mu = %r must be finite and positive" % (mu,))
+    return eps
+
+
 _N_MAX = 12  # every l < n shoots to its branch at eps = 0, +-0.02 and +-0.05 up to here
 
 
@@ -226,11 +234,9 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
 
     Each solve also carries M = dL/dnbar, so f' = M' - g M - rho_max^{2 eps - 1} L
     comes with f.  Newton stops once its step is below _RTOL nbar."""
-    eps = float(_eps_value(eps))
+    eps = _numeric_eps(eps, mu)
     if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError("mu = %r must be finite and positive" % (mu,))
     n, l = state.n, state.l
     if n > _N_MAX:
         raise DomainError("n = %d outside the validated shooting range n <= %d" % (n, _N_MAX))
@@ -304,8 +310,6 @@ def _rho_integral(eig: DimRegEigen, nodes, s: float, a: int, b: int, p: int) -> 
     could not resolve the mass of rho^s at exponentially small rho.  The
     remainder is formed as T_a F_b + H_a T_b from the tail T = F - H, which
     for rho <= 1/2 is summed from the terms with j >= p, so it does not cancel."""
-    import mpmath as mp
-
     if max(a, b) > 2:
         raise DomainError("numeric braces take at most two radial derivatives, got (%d, %d)" % (a, b))
     eps, nbar, (x, weights, F) = eig.eps, eig.nbar, nodes
@@ -321,9 +325,8 @@ def _rho_integral(eig: DimRegEigen, nodes, s: float, a: int, b: int, p: int) -> 
         T[i] = F[i] - H[i]
         T[i][near] = sum((w * x[near] ** q for q, w in tail[i]), 0.0)
     remainder = T[a] * F[b] + H[a] * T[b]
-    with mp.workdps(25):
-        analytic = mp.fsum(w1 * w2 * mp.gamma(s + q1 + q2 + 1.0) for q1, w1 in head[a] for q2, w2 in head[b])
-    return float(analytic) + float(np.dot(weights, x**s * np.exp(-x) * remainder))
+    analytic = math.fsum(w1 * w2 * math.gamma(s + q1 + q2 + 1.0) for q1, w1 in head[a] for q2, w2 in head[b])
+    return analytic + float(np.dot(weights, x**s * np.exp(-x) * remainder))
 
 
 def _brace_numeric(tag: str, eig: DimRegEigen) -> float:
@@ -456,12 +459,14 @@ def bracket_lnq_oracle(n: int) -> float:
 
 
 def energy_series_numeric(state: QuantumState, eps: float, mu: float = 1.0) -> float:
+    eps = _numeric_eps(eps, mu)
     tags = {lam("mu"): math.log(mu * state.n / 2.0)}
     return energy_expansion(state).numeric(eps, tags)
 
 
 def contact_numeric(state: QuantumState, eps: float, mu: float = 1.0) -> float:
     """phibar from the O(eps) expansion, with gamma_n^D kept unexpanded."""
+    eps = _numeric_eps(eps, mu)
     tags = {lam("mu"): math.log(mu * state.n / 2.0)}
     series = contact_expansion(state)
     gamma_n = 1.0 / state.n

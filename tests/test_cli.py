@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,10 +265,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     )]
 out["codes"], out["exact"] = codes, loaded()
 from coulombev import brackets as br, dimreg as dr
+from coulombev.coulomb import QuantumState
 names = ["eigenvalue_shoot", "v3_brace_numeric", "vp2_brace_numeric", "energy_series_numeric", "ShootingError"]
 out["resolved"] = [getattr(dr, name).__module__ for name in names]
 for fn in (coulombev.eigenvalue_shoot, coulombev.bracket_lnq_oracle, br.bracket_lnq_oracle):
     out["resolved"].append(fn.__module__)
+out["brace"] = dr.v3_brace_numeric(dr.eigenvalue_shoot(QuantumState(1, 0), 0.01))
+out["lnq"] = br.bracket_lnq_oracle(1)
 out["numeric"] = loaded()
 print(json.dumps(out))
 """
@@ -280,7 +284,8 @@ def test_exact_commands_load_no_numeric_layer():
     assert out["import"] == [] and out["exact"] == []
     assert out["codes"] == [0] * 7
     assert out["resolved"] == ["coulombev.shoot"] * 8
-    assert "numpy" in out["numeric"] and "scipy" not in out["numeric"]
+    assert math.isfinite(out["brace"]) and math.isfinite(out["lnq"])
+    assert out["numeric"] == ["numpy"]
 
 
 def test_unknown_attribute():

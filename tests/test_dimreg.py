@@ -68,6 +68,24 @@ class TestShooting:
         with pytest.raises(DomainError):
             dr.eigenvalue_shoot(cb.QuantumState(1, 0), 0.2)
 
+    @pytest.mark.parametrize("fn", [dr.energy_series_numeric, dr.contact_numeric], ids=["energy", "contact"])
+    @pytest.mark.parametrize(
+        "eps,mu,message",
+        [
+            (math.nan, 1.0, "numeric eps must be finite with |eps| < 1/4, got nan"),
+            (0.9, 1.0, "numeric eps must be finite with |eps| < 1/4, got 0.9"),
+            (0.01, math.nan, "mu = nan must be finite and positive"),
+            (0.01, math.inf, "mu = inf must be finite and positive"),
+            (0.01, 0.0, "mu = 0.0 must be finite and positive"),
+            (0.01, -1.0, "mu = -1.0 must be finite and positive"),
+        ],
+        ids=["eps-nan", "eps-0.9", "mu-nan", "mu-inf", "mu-zero", "mu-negative"],
+    )
+    def test_expansion_guards(self, fn, eps, mu, message):
+        with pytest.raises(DomainError) as err:
+            fn(cb.QuantumState(1, 0), eps, mu)
+        assert str(err.value) == message
+
     def test_range_edge_branch_selection(self):
         # at eps = 0.05 the (3,2) eigenvalue drops below n - 1/2 while the
         # (4,2) one rises above 4 - 1/2; node counting must accept the branch

@@ -223,13 +223,6 @@ class TestBruteForce:
         with pytest.raises(DivergenceError):
             li.brute_force_moment(li.MomentSpec(Q(-2), 0, (3, 1, 1), None))
 
-    def test_half_integer_numeric(self):
-        spec = li.MomentSpec(Q(1, 2), 0, (2, 1, 0), (2, 1))
-        v = li.brute_force_moment(spec)
-        vc = li.integral_K(Q(1, 2), 2, 1, 2, 1)
-        assert isinstance(v, float) and isinstance(vc, float)
-        assert abs(v - vc) < 1e-12
-
 
 class TestIntegerOrders:
     @pytest.mark.parametrize(
@@ -261,7 +254,29 @@ class TestIntegerOrders:
         with pytest.raises(DomainError, match=r"subtraction depth p must be a non-negative integer"):
             call()
 
-    def test_negative_order_and_half_integer_power_still_evaluate(self):
+    def test_negative_order_evaluates_to_zero(self):
         assert li.integral_I(0, -1, 1) == S(0)
         assert li.integral_K(1, 2, 1, -1, 1) == S(0)
-        assert isinstance(li.integral_J(Q(1, 2), 1, 1), float)
+
+    @pytest.mark.parametrize("s", [Q(1, 2), Q(1, 3), float("nan"), float("inf")], ids=["1/2", "1/3", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: li.integral_I(s, 2, 1),
+            lambda s: li.integral_J(s, 1, 1),
+            lambda s: li.integral_K(s, 2, 1, 2, 1),
+            lambda s: li.integral_L(s, 2, 1, 1, 1, p=1),
+            lambda s: li.integral_M(s, 1, 1, 1, 1),
+            lambda s: li.brute_force_moment(li.MomentSpec(s, 0, (2, 1, 0), (2, 1))),
+        ],
+        ids=["I", "J", "K", "L", "M", "brute"],
+    )
+    def test_non_integer_power_is_named(self, call, s):
+        with pytest.raises(DomainError) as err:
+            call(s)
+        assert str(err.value) == "power s must be an integer, got %r" % (s,)
+
+    def test_integer_valued_power_evaluates(self):
+        for s in (Q(2), 2.0):
+            assert li.integral_K(s, 2, 1, 2, 1) == li.integral_K(2, 2, 1, 2, 1)
+            assert li.brute_force_moment(li.MomentSpec(s, 1, (2, 1, 0), (2, 1))) == li.integral_L(2, 2, 1, 2, 1)
