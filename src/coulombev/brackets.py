@@ -3,7 +3,8 @@
 regularized expectation values, the closed forms that reduce to neither,
 and <ln q>.  Its oracle, a direct momentum-space quadrature,
 is floating-point and lives in `shoot`; `bracket_lnq_oracle` resolves to it
-on first use, so importing this module does not load numpy."""
+on first use, so importing this module does not load numpy.  `dimreg` too
+is imported only by the brackets that reduce to it."""
 
 from __future__ import annotations
 
@@ -23,13 +24,13 @@ from .exactnum import (
     lam,
 )
 from .coulomb import (
+    CatalogError,
     QuantumState,
     Value,
     _d0,
     _d1,
     expectation_closed,
 )
-from . import dimreg
 
 HALF = Q(1, 2)
 
@@ -51,7 +52,7 @@ class KernelSingularityError(DomainError):
         self.kind = kind
 
 
-class BracketCatalogError(KeyError):
+class BracketCatalogError(CatalogError):
     pass
 
 
@@ -159,6 +160,8 @@ def _from_catalog(row, st: QuantumState) -> Value:
 
 
 def _from_dimreg(row, st: QuantumState):
+    from . import dimreg
+
     tag, c, mr, za = row
     val = dimreg.divergent_expectation(tag, st.n, st.l).scale(c)
     if isinstance(val, Value):
@@ -208,6 +211,8 @@ def _brk_asym_q2(st):
     # (p2^2 p1^2 - (p2.p1)^2)/q^2 =
     #   { -<(V')^2>/(4 m^4 Za^6 mubar^2eps) - d_l0/(2n^5) + (n^2-1) d_l1/(6 n^5) }
     #   * (m_r Za)^5/pi
+    from . import dimreg
+
     n, l = st.n, st.l
     extra = Value(_s(-Q(_d0(l), 2 * n**5) + Q((n * n - 1) * _d1(l), 6 * n**5)), 5, 5, -1)
     formula = "(m_r Za)^5/pi * [ -<(V')^2>/(4 m^4 Za^6 mubar^2eps) + finite_extra ]"

@@ -50,6 +50,7 @@ from .exactnum import (
 )
 from .laguerre import Poly, assoc_laguerre
 from .coulomb import (
+    CatalogError,
     DDDR,
     DDR,
     DR,
@@ -82,7 +83,7 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-class DivergentCatalogError(KeyError):
+class DivergentCatalogError(CatalogError):
     pass
 
 

@@ -13,6 +13,7 @@ Scalars are `fractions.Fraction` throughout; nothing here ever rounds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -43,16 +44,24 @@ class BasisError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# alpha -> (H_0, H_1, ..., H_m), the running sums computed so far; a longer
+# tuple replaces a shorter one whole, so a reader never sees a partial one
+_HARMONIC_SUMS: Dict[int, Tuple[Fraction, ...]] = {}
+
+
 def harmonic(n: int, alpha: int = 1) -> Fraction:
     """H_n^(alpha) = sum_{k=1..n} k^-alpha, with H_0 = 0."""
     if n < 0:
         raise DomainError("harmonic number needs n >= 0, got n=%d" % n)
     if alpha < 1:
         raise DomainError("harmonic order must be >= 1")
-    if n == 0:
-        return Q(0)
-    return harmonic(n - 1, alpha) + Q(1, n**alpha)
+    sums = _HARMONIC_SUMS.get(alpha, (Q(0),))
+    if n >= len(sums):
+        grown = list(sums)
+        for k in range(len(sums), n + 1):
+            grown.append(grown[-1] + Q(1, k**alpha))
+        _HARMONIC_SUMS[alpha] = sums = tuple(grown)
+    return sums[n]
 
 
 def h0(n: int, alpha: int = 1) -> Fraction:
@@ -91,7 +100,7 @@ def binomial(a: Scalar, b: int) -> Fraction:
 def factorial(n: int) -> Fraction:
     if n < 0:
         raise DomainError("factorial of negative integer")
-    return Q(1) if n == 0 else n * factorial(n - 1)
+    return Q(math.factorial(n))
 
 
 def rising(a: Scalar, n: int) -> Fraction:

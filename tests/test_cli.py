@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -277,9 +278,11 @@ print(json.dumps(out))
 """
 
 
+ENV = dict(os.environ, PYTHONPATH=str(Path(coulombev.__file__).resolve().parents[1]))
+
+
 def test_exact_commands_load_no_numeric_layer():
-    env = dict(os.environ, PYTHONPATH=str(Path(coulombev.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=ENV, check=True)
     out = json.loads(proc.stdout)
     assert out["import"] == [] and out["exact"] == []
     assert out["codes"] == [0] * 7
@@ -296,3 +299,72 @@ def test_unknown_attribute():
     for module, name in pairs:
         with pytest.raises(AttributeError):
             getattr(module, name)
+
+
+LAYER_PROBE = """
+import contextlib, io, json, sys
+import coulombev.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = coulombev.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("coulombev.") or m == "numpy")]))
+"""
+# what every exact command loads: the CLI and the 3D catalog with the layers under it
+EXACT_CORE = ["cli", "coulomb", "exactnum", "lagint", "laguerre"]
+
+
+@pytest.mark.parametrize(
+    "argv,layers,code",
+    [
+        (["eval", "--n", "2", "--l", "1", "--op", "1/r", "--mr", "2"], [], 0),
+        (["table", "--ops", "1/r,p2", "--n-range", "1:2"], [], 0),
+        (["eval", "--n", "2", "--bracket", "1/q2"], ["brackets"], 0),
+        (["eval", "--n", "1", "--bracket", "lnq"], ["brackets"], 0),
+        (["eval", "--n", "1", "--bracket", "nosuch"], ["brackets"], 1),
+        (["eval", "--n", "1", "--bracket", "(p22-p12)2/q2"], ["brackets", "dimreg"], 0),
+        (["eval", "--n", "1", "--op", "V3"], ["dimreg"], 0),
+        (["eval", "--n", "1", "--op", "nosuch"], ["dimreg"], 1),
+        (["table", "--ops", "1/r,V3", "--n-range", "1:2"], ["dimreg"], 0),
+        (["demo-cx1"], ["dimreg"], 0),
+        (["tags"], ["brackets", "dimreg", "suites"], 0),
+    ],
+    ids=[
+        "eval-finite", "table-finite", "bracket-catalog", "bracket-lnq", "bracket-unknown", "bracket-dimreg",
+        "eval-divergent", "eval-unknown", "table-divergent", "demo-cx1", "tags",
+    ],
+)
+def test_command_loads_only_its_layers(argv, layers, code):
+    # a fresh process per command, so that no other command has loaded a layer
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_PROBE, *argv], capture_output=True, text=True, env=ENV, check=True
+    )
+    assert json.loads(proc.stdout) == [code, sorted("coulombev." + m for m in EXACT_CORE + layers)]
+    errors = proc.stderr.splitlines()
+    assert len(errors) == code and all(line.startswith("error: unknown ") for line in errors)
+
+
+@pytest.mark.parametrize("flag", ["--op ln", "--bracket lnq"])
+def test_large_n_query(flag):
+    # H_n and n! at n = 1000 once recursed once per term, past the interpreter's limit
+    argv = ["eval", "--n", "1000", *flag.split(), "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "coulombev.cli", *argv], capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if flag == "--bracket lnq":
+        # (1/n^3){ln(2 m_r Za/n) + H_n + (n-1)/2n}
+        h = sum(Fraction(1, k) for k in range(1, 1001))
+        assert json.loads(proc.stdout)["symbolic"]["1"] == str((h + Fraction(999, 2000)) / 10**9)
+
+
+def test_import_loads_no_layer():
+    probe = "import json, sys, coulombev; print(json.dumps([m for m in sys.modules if m.startswith('coulombev.')]))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV, check=True)
+    assert json.loads(proc.stdout) == []
+
+
+def test_lazy_names():
+    namespace = {}
+    exec("from coulombev import *", namespace)
+    for name in coulombev.__all__:
+        obj = getattr(coulombev, name)
+        assert namespace[name] is obj
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(coulombev.__all__) <= set(dir(coulombev))

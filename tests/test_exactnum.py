@@ -19,6 +19,14 @@ class TestHarmonic:
         with pytest.raises(en.DomainError):
             en.harmonic(-1)
 
+    def test_large_n(self):
+        # from an empty cache, so that nothing short of H_5000 is summed already
+        en._HARMONIC_SUMS.clear()
+        assert en.harmonic(5000) == sum(Q(1, k) for k in range(1, 5001))
+        assert en.harmonic(5000, 2) == sum(Q(1, k * k) for k in range(1, 5001))
+        en.factorial.cache_clear()
+        assert en.factorial(5000) == math.factorial(5000)
+
     def test_recurrence(self, suite):
         suite("exactnum").assert_passed(["harmonic recurrence n=%d" % n for n in range(1, 51)])
 
