@@ -23,7 +23,7 @@ _LAYERS = {
     "coulomb": "MomentumRadialWF OperatorSpec PhysScale QuantumState Value catalog_tags cx1_energy_shift"
     " expectation_closed expectation_oracle feynman_hellmann_residual power_moment radial_wavefunction"
     " recursion_residual",
-    "dimreg": "DivergentValue EpsParam SplitWF contact_expansion divergent_expectation divergent_tags"
+    "dimreg": "DivergentValue SplitWF contact_expansion divergent_expectation divergent_tags"
     " energy_expansion identity_residuals series_coefficients split_wavefunction",
     "brackets": "bracket bracket_lnq bracket_tags fourier_kernel",
     "shoot": "eigenvalue_shoot bracket_lnq_oracle",

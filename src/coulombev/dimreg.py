@@ -25,14 +25,13 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exactnum import (
     DivergenceError,
     DomainError,
     EpsSeries,
     GAMMA_E,
-    LN2,
     LN_PI,
     LNQN,
     ONE,
@@ -42,7 +41,6 @@ from .exactnum import (
     SymExpr,
     ZETA2,
     diharmonic,
-    exp_series,
     factorial,
     gamma_series,
     harmonic,
@@ -87,28 +85,9 @@ class DivergentCatalogError(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class EpsParam:
-    """The regulator: numeric eps (float or Fraction) with D = 3 - 2 eps.
-
-    Numeric values are restricted to |eps| < 1/4 so the l-dependent exponents
-    of the generalized series stay in the convergent range.
-    """
-
-    eps: object
-
-    def __post_init__(self):
-        _eps_value(self.eps)
-
-    @property
-    def D(self):
-        return 3 - 2 * self.eps
-
-
 def _eps_value(eps):
-    """The numeric eps of a float, Fraction or EpsParam, checked as EpsParam checks it."""
-    if isinstance(eps, EpsParam):
-        return eps.eps
+    """A numeric eps (float or Fraction); |eps| < 1/4 keeps the l-dependent
+    exponents of the generalized series in their convergent range."""
     if not math.isfinite(eps) or abs(eps) >= Q(1, 4):
         raise DomainError("numeric eps must be finite with |eps| < 1/4, got %r" % (eps,))
     return eps
@@ -134,7 +113,7 @@ class CoeffTable:
 
 
 def series_coefficients(l: int, eps, j_max: int) -> CoeffTable:
-    """Fill the a_{jk} recursion at numeric eps (float, Fraction or EpsParam).
+    """Fill the a_{jk} recursion at numeric eps (float or Fraction).
 
     With |eps| < 1/4 no denominator (j + 2 eps k)(j + 2l + 1 + 2 eps (k-1))
     can vanish.
@@ -183,6 +162,7 @@ def series_coefficients_eps(l: int, j_max: int, order: int = 2) -> Dict[Tuple[in
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def nbar_expansion(state: QuantumState) -> EpsSeries:
     """nbar = n { 1 + 2 eps (gamma_E - H_{n+l} - 1/(2n)) + O(eps^2) }."""
     n, l = state.n, state.l
@@ -190,6 +170,7 @@ def nbar_expansion(state: QuantumState) -> EpsSeries:
     return EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(n)), n * corr])
 
 
+@lru_cache(maxsize=None)
 def energy_expansion(state: QuantumState) -> EpsSeries:
     """Ebar/(m_r (Zalpha)^2) = -(1/2n^2){1 + eps [4 Lambda_mu + 4 H_{n+l} + 2/n]}."""
     n, l = state.n, state.l
@@ -338,24 +319,6 @@ def split_wavefunction(n: int, p: int) -> SplitWF:
     return SplitWF(n, p, head, l0.drop_low(p))
 
 
-def _divergent_primitive(
-    n: int,
-    sigma: int,
-    c: int,
-    a: int = 0,
-    b: int = 0,
-    beta_pow: int = 0,
-    coef: Optional[EpsSeries] = None,
-) -> DivergentValue:
-    """Brace of coef(eps) beta^beta_pow int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
-
-    coef(eps) only multiplies the prefactor, so the brace is computed once per
-    (n, sigma, c, a, b, beta_pow) with coef = 1 and coef is applied after.
-    """
-    v = _primitive_memo(n, sigma, c, a, b, beta_pow)
-    return v if coef is None else v.mul_series(coef)
-
-
 @lru_cache(maxsize=None)
 def _primitive_memo(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -> DivergentValue:
     return _head_tail_primitive(n, sigma, c, a, b, beta_pow)
@@ -386,37 +349,16 @@ def _head_sums(p: int, sig_rho: int, c: int, a: int, b: int) -> Tuple[Tuple[int,
     return tuple(sorted(sums.items()))
 
 
-@lru_cache(maxsize=None)
-def _prefactor_base(m: int, c: int) -> EpsSeries:
-    """The n-independent factors of the prefactor chain, through eps^1:
-
-        u^m / v * exp((m-1) eps ln pi) * exp(2(m-1) eps x0) * exp(2(m-c) eps ln(2 m_r Zalpha/n)).
-    """
-    x0 = SymExpr({lam("mu"): Q(1), GAMMA_E: HALF, LN2: Q(-1), LN_PI: -HALF})  # ln(mubar/2gamma_n)
-    pref = EpsSeries.constant(1, 1)
-    u = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({GAMMA_E: Q(1), LN2: Q(2)})])
-    for _ in range(m):
-        pref = pref.mul(u, order_cap=1)
-    inv_v = EpsSeries.from_coeffs(0, [SYM_ONE, SymExpr({ONE: Q(2), GAMMA_E: Q(-1), LN2: Q(-2)})])
-    pref = pref.mul(inv_v, order_cap=1)
-    if m != 1:
-        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [(m - 1) * SymExpr.of(LN_PI)]), 1), order_cap=1)
-        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [2 * (m - 1) * x0]), 1), order_cap=1)
-    if m != c:
-        pref = pref.mul(exp_series(EpsSeries.from_coeffs(1, [2 * (m - c) * SymExpr.of(LNQN)]), 1), order_cap=1)
-    return pref
-
-
 def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: int) -> DivergentValue:
     """Brace of beta^beta_pow int dr r^{D-1+sigma+2c eps} (d^a Rbar)(d^b Rbar).
 
     This is the head/tail split.  The head-squared part integrates to gamma
     functions expanded in eps; their sum S_K per power nbar^K does not depend
     on n and is cached (`_head_sums`), so each n adds one product
-    S_K * nbar^K per K, with nbar^K = n^K (1 + K nu1 eps).  The tail cross
-    terms are finite at eps = 0 and reduce to subtracted-Laguerre moments.
-    The prefactor is the cached n-independent chain (`_prefactor_base`)
-    times 4 (2/n)^A (1 + A g1 eps).
+    S_K * nbar^K per K, with nbar^K = n^K (1 + K nu1 eps) and nu1 read from
+    `nbar_expansion`.  The tail cross terms are finite at eps = 0 and reduce
+    to subtracted-Laguerre moments.  Each eps-dependent factor of the
+    prefactor is 1 + x eps through eps^1, so their product is 1 + eps sum(x).
     """
     m = beta_pow
     sig_rho = 2 + sigma
@@ -425,7 +367,8 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
 
     # --- analytic head x head ---
     split_wavefunction(n, p)  # checks the head against L_{n0}
-    nu1 = SymExpr({GAMMA_E: Q(2), ONE: -2 * harmonic(n) - Q(1, n)})
+    st = QuantumState(n, 0)
+    nu1 = nbar_expansion(st).coeff(1) / n
     int_total = EpsSeries.zero(0)
     for K, s_k in _head_sums(p, sig_rho, c, a, b):
         nbar_pow = EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(n**K)), (n**K) * (K * nu1)])
@@ -446,11 +389,15 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
             b_val += cv * math.factorial(t)
     int_total = int_total + EpsSeries.constant(Q(b_val, left[0] * right[0]), 0)
 
-    # --- prefactor chain ---
-    pref = _prefactor_base(m, c) * (4 * Q(2, n) ** A)
-    if A:
-        g1 = SymExpr({lam("mu"): Q(2), ONE: 2 * harmonic(n) + Q(1, n)})  # gammabar/gamma_n - 1 at O(eps)
-        pref = pref.mul(EpsSeries.from_coeffs(0, [SYM_ONE, A * g1]), order_cap=1)
+    # --- prefactor: 4 (2/n)^A times factors that are each 1 + x eps through eps^1, so their x add:
+    #     u^m/v -> m(gamma_E + 2 ln2) + 2 - gamma_E - 2 ln2;  pi^{(m-1)eps} (mubar/2gamma_n)^{2(m-1)eps}
+    #     -> (m-1)(ln pi + 2 x0) with x0 = Lambda_mu + gamma_E/2 - ln2 - (ln pi)/2;
+    #     (2 m_r Zalpha/n)^{2(m-c)eps} -> 2(m-c) ln(2 m_r Zalpha/n);  (gammabar/gamma_n)^A -> A g1.
+    #     Every ln2 and ln pi cancels. ---
+    ebar = energy_expansion(st)
+    g1 = ebar.coeff(1) / (2 * ebar.coeff(0).rational)  # gammabar/gamma_n - 1: Ebar ~ gammabar^2
+    x = SymExpr({ONE: Q(2), GAMMA_E: Q(2 * (m - 1)), lam("mu"): Q(2 * (m - 1)), LNQN: Q(2 * (m - c))}) + A * g1
+    pref = EpsSeries.from_coeffs(0, [SYM_ONE, x]) * (4 * Q(2, n) ** A)
     return DivergentValue(pref.mul(int_total, order_cap=0), A, A + m)
 
 
@@ -597,11 +544,11 @@ def _units(terms) -> Tuple[int, int]:
     return units.pop()
 
 
-@lru_cache(maxsize=None)
 def _ebar_pow(n: int, k: int) -> EpsSeries:
-    """Ebar^k of the S state n through eps^1."""
+    """Ebar^k = E0^k (1 + k (E1/E0) eps) of the S state n through eps^1."""
     ebar = energy_expansion(QuantumState(n, 0))
-    return ebar if k == 1 else _ebar_pow(n, k - 1).mul(ebar, order_cap=1)
+    e0 = ebar.coeff(0).rational
+    return EpsSeries.from_coeffs(0, [SymExpr.scalar(e0**k), ebar.coeff(1) * (k * e0 ** (k - 1))])
 
 
 def _eval_l0(terms, n: int, units: Tuple[int, int]) -> DivergentValue:
@@ -610,7 +557,8 @@ def _eval_l0(terms, n: int, units: Tuple[int, int]) -> DivergentValue:
     for t in terms:
         if t.ang:
             continue
-        v = _divergent_primitive(n, t.sigma, t.c, t.a, t.b, t.beta, _eps_poly(*t.coef))
+        # coef(eps) only multiplies the prefactor, so one memoized brace serves every coef
+        v = _primitive_memo(n, t.sigma, t.c, t.a, t.b, t.beta).mul_series(_eps_poly(*t.coef))
         if t.k:
             v = v.mul_series(_ebar_pow(n, t.k), mr=t.k, za=2 * t.k)
         total = total + v.shift_dims(mr=t.m)

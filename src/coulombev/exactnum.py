@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -463,27 +463,18 @@ class EpsSeries:
         lead = self.coeffs[0]
         if not lead.is_rational() or not lead.rational:
             raise DomainError("inversion needs a nonzero constant leading coefficient")
+        # (c_0 + c_1 eps + ...)^-1 eps^-low term by term:
+        # inv_k = (delta_k0 - sum_{j>=1} c_j inv_{k-j}) / c_0
         v = self.low
-        rel_avail = self.order - v
-        out_order = (-v + rel_avail) if order_cap is None else order_cap
-        rel = min(rel_avail, out_order + v)
+        order = self.order - 2 * v if order_cap is None else min(order_cap, self.order - 2 * v)
         inv_lead = 1 / lead.rational
-        # normalized series 1 + u with u of positive valuation
-        norm = EpsSeries(0, [self.coeff(v + i) * inv_lead for i in range(rel + 1)], rel)
-        u = norm - 1
-        out = EpsSeries.constant(1, rel)
-        term = EpsSeries.constant(1, rel)
-        while True:
-            term = term.mul(-u, order_cap=rel)
-            if term.is_zero():
-                break
-            out = out + term
-        out = out * inv_lead
-        return EpsSeries(out.low - v, list(out.coeffs), out.order - v).truncate(out_order)
-
-    def truncate(self, order: int) -> "EpsSeries":
-        order = min(order, self.order)
-        return EpsSeries(self.low, [self.coeff(k) for k in range(self.low, order + 1)], order)
+        inv: List[SymExpr] = []
+        for k in range(order + v + 1):
+            acc = SYM_ONE if k == 0 else SYM_ZERO
+            for j in range(1, k + 1):
+                acc = acc - self.coeffs[j] * inv[k - j]
+            inv.append(acc * inv_lead)
+        return EpsSeries(-v, inv, order)
 
     # -- comparison / output -------------------------------------------------
     def __eq__(self, other):
@@ -515,20 +506,6 @@ class EpsSeries:
             else:
                 bits.append("(%r)*eps^%d" % (c, k))
         return " + ".join(bits) + " + O(eps^%d)" % (self.order + 1)
-
-
-def exp_series(x: EpsSeries, order_cap: int) -> EpsSeries:
-    """exp(x) for a series with strictly positive valuation."""
-    if x.low < 1:
-        raise DomainError("exp_series needs a series starting at eps^1 or higher")
-    out = EpsSeries.constant(1, order_cap)
-    term = EpsSeries.constant(1, order_cap)
-    k = 1
-    while k * x.low <= order_cap:
-        term = term.mul(x, order_cap=order_cap) * Q(1, k)
-        out = out + term
-        k += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0) -> SymExpr:
     """^pI_s(n,k) = int e^{-x} x^s ^pL_n^k(x) dx.
 
     p = 0 uses the no-sum closed form with the gamma-ratio limit; p = 1, 2 use
-    the 2F1-reduced forms; larger p falls back to the explicit sum over r >= p.
+    the 2F1-reduced forms; larger p is ^pK_s(n,k;0,0), since L_0^0 = 1.
     """
     s = _integer_power(s)
     _require_integer_orders(n=n, k=k)
@@ -174,10 +174,7 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0) -> SymExpr:
             raise DivergenceError("residual pole in subtracted I")
         value = gs1.coeff(0) * brace0 + gs1.coeff(-1) * brace1
         return (factorial(n + k) / (factorial(n) * factorial(k))) * value
-    out = SYM_ZERO
-    for r in range(p, n + 1):
-        out = out + _laguerre_prefactors(n, k, r) * _mono_int(s + r, 0)
-    return out
+    return _bilinear_closed(s, n, k, 0, 0, p, 0)
 
 
 def integral_J(s: Scalar, n: int, k: int) -> SymExpr:

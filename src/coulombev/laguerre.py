@@ -97,15 +97,21 @@ class Poly:
 def assoc_laguerre(n: int, k: Scalar) -> Poly:
     """L_n^k(x) with c_r = (-1)^r/r! binom(n+k, n-r); L_n^k = 0 for n < 0.
 
-    k may be a non-negative integer or half-integer (general binomial); other
-    non-integer orders are rejected since nothing downstream needs them.
+    The c_r are stepped from c_0 = binom(n+k, n) by their ratio
+    c_{r+1}/c_r = -(n-r)/((r+1)(r+1+k)), so a degree-n polynomial costs O(n)
+    products.  k may be a non-negative integer or half-integer (general
+    binomial); other non-integer orders are rejected since nothing downstream
+    needs them.
     """
     if n < 0:
         return Poly()
     k = Q(k)
     if k.denominator not in (1, 2) or k < 0:
         raise DomainError("Laguerre order k must be a non-negative integer or half-integer")
-    return Poly([Q(-1) ** r / factorial(r) * binomial(n + k, n - r) for r in range(n + 1)])
+    coeffs = [binomial(n + k, n)]
+    for r in range(n):
+        coeffs.append(-coeffs[r] * (n - r) / ((r + 1) * (r + 1 + k)))
+    return Poly(coeffs)
 
 
 @dataclass(frozen=True)

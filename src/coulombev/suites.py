@@ -465,6 +465,13 @@ def suite_brackets() -> SuiteResult:
             )
             for tag, expect in rows:
                 r.check(brackets.bracket(tag, st).sym == expect, "%s (%d,%d)" % (tag, n, l))
+    # Vbar ~ r^{-(1-2eps)}, so the D-dimensional virial theorem gives <Vbar> = 2 Ebar/(1 + 2 eps)
+    virial = EpsSeries.from_coeffs(0, [2, -4])
+    for n in range(1, 11):
+        for l in range(n):
+            st = cb.QuantumState(n, l)
+            expect = dimreg.energy_expansion(st).mul(virial, order_cap=1)
+            r.check(brackets.bracket("V(q)", st) == expect, "V(q) virial (%d,%d)" % (n, l))
     # 1/q4 exists only through the D-dimensional kernel
     try:
         brackets.fourier_kernel(4, 0, eps=False)

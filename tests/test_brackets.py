@@ -35,6 +35,12 @@ def test_q4_through_eps_kernel_only(suite):
     suite("brackets").assert_passed(labels)
 
 
+def test_vq_virial(suite):
+    labels = ["V(q) virial (%d,%d)" % (n, l) for n in range(1, 11) for l in range(n)]
+    assert len(labels) == 55
+    suite("brackets").assert_passed(labels)
+
+
 def test_kernel_exceptional_cases():
     with pytest.raises(br.KernelSingularityError) as err:
         br.fourier_kernel(0, 0)

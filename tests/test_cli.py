@@ -80,12 +80,85 @@ def test_eval_below_min_l(capsys):
     ]
 
 
+EULER_GAMMA = 0.5772156649015329
+
+
+@pytest.mark.parametrize(
+    "argv,expect",
+    [
+        # Lambda_kappa resolves to a float under the unit flags
+        (
+            ["--n", "2", "--l", "1", "--op", "ln", "--kappa", "3", "--mr", "2", "--zalpha", "0.5"],
+            {
+                "symbolic": {"1": "25/12", "Lambda[kappa]": "1", "gamma_E": "-1"},
+                "numeric": 25 / 12 + math.log(3) - EULER_GAMMA,
+                "units": "1",
+            },
+        ),
+        (
+            ["--n", "1", "--bracket", "V(q)"],
+            {
+                "symbolic": {"coeffs": [{"1": "-1"}, {"1": "-4", "Lambda[mu]": "-4"}], "lowest_order": 0, "truncation": 1},
+                "dimension": None,
+                "units": "eps series",
+            },
+        ),
+        (
+            ["--n", "2", "--l", "1", "--bracket", "(p22p12-(p2.p1)2)/q2"],
+            {
+                "symbolic": {
+                    "coefficient": "-1/4",
+                    "finite_extra": {"1": "1/64"},
+                    "formula": "(m_r Za)^5/pi * [ -<(V')^2>/(4 m^4 Za^6 mubar^2eps) + finite_extra ]",
+                },
+                "dimension": 5,
+                "units": "(m_r Zalpha)^5/pi",
+            },
+        ),
+    ],
+    ids=["lambda-kappa", "eps-series", "bracket-reduction"],
+)
+def test_eval_json_payload_kinds(capsys, argv, expect):
+    code, out = run(capsys, "eval", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for key, value in expect.items():
+        if key == "numeric":
+            assert abs(payload[key] - value) < 1e-12
+        else:
+            assert payload[key] == value, key
+
+
+def test_eval_pretty_resolves_lnqn(capsys):
+    code, out = run(capsys, "eval", "--n", "2", "--bracket", "lnq", "--mr", "2", "--zalpha", "0.25")
+    assert code == 0
+    value, numeric, units = out.splitlines()
+    assert value == "value: {'1': '7/32', 'ln(2*mr*Za/n)': '1/8'}"
+    # ln(2 m_r Zalpha/n) = ln(1/2), times (m_r Zalpha)^3/pi
+    expect = (7 / 32 + math.log(0.5) / 8) * 0.5**3 / math.pi
+    assert numeric.startswith("numeric: ") and abs(float(numeric.split()[1]) / expect - 1) < 1e-11
+    assert units == "units: m_r^3 (Zalpha)^3 pi^-1"
+
+
 def test_table_csv(capsys):
     code, out = run(capsys, "table", "--ops", "1/r,p2", "--n-range", "1:3", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,l,1/r,p2"
     assert len(lines) == 1 + 6  # states with n <= 3
+
+
+def test_table_json(capsys):
+    code, out = run(capsys, "table", "--ops", "1/r,p2", "--n-range", "1:2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "table",
+        "rows": [
+            {"n": 1, "l": 0, "1/r": "1", "p2": "1"},
+            {"n": 2, "l": 0, "1/r": "1/4", "p2": "1/4"},
+            {"n": 2, "l": 1, "1/r": "1/4", "p2": "1/4"},
+        ],
+    }
 
 
 @pytest.mark.parametrize("n_range", ["5:x", "5:1", "0:2", "5", "1:2:3"])
@@ -131,6 +204,17 @@ def test_dimreg_command(capsys):
     payload = json.loads(out)
     assert abs(payload["nbar"] - 1.0) < 0.01
     assert abs(payload["difference"]) < 1e-4  # O(eps^2)
+
+
+def test_dimreg_pretty(capsys):
+    code, out = run(capsys, "dimreg", "--n", "1", "--eps", "0.001")
+    assert code == 0
+    lines = out.splitlines()
+    names = ["nbar", "gammabar", "Ebar (shooting)", "Ebar (expansion)", "difference"]
+    assert [line.split("=")[0].strip() for line in lines] == names
+    values = [float(line.split("=")[1].split()[0]) for line in lines]
+    assert abs(values[0] - 1) < 0.01 and abs(values[2] + 0.5) < 0.01
+    assert abs(values[2] - values[3] - values[4]) < 1e-9 and lines[4].endswith("(O(eps^2))")
 
 
 def test_dimreg_shooting_failure(capsys, monkeypatch):

@@ -260,16 +260,16 @@ class TestDivergentTables:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_beta_composites(self, n):
         # the entries the table writes through (1/beta^2)<V3>
-        prim = dr._divergent_primitive
+        v3 = dr._primitive_memo(n, -3, 3, 0, 0, 1)  # beta int r^{D-4+6eps} Rbar^2
         checks = [
-            ("r4e/r2.p2", prim(n, -3, 3, beta_pow=1).scale(2).shift_dims(mr=1)
+            ("r4e/r2.p2", v3.scale(2).shift_dims(mr=1)
              + dr.value_as_brace(cb.Value(S(Q(-2, n**5)), 4, 4), n, 1, 1)),
-            ("r4e/r.dr.V", prim(n, -3, 3, beta_pow=1)),
-            ("r4e.dr2.V", prim(n, -3, 3, beta_pow=1).scale(-2)
+            ("r4e/r.dr.V", v3),
+            ("r4e.dr2.V", v3.scale(-2)
              + dr.value_as_brace(cb.Value(S(Q(-1, n**4) + Q(2, n**3)), 3, 4), n, 0, 1)),
-            ("r4e.dr2.p2", prim(n, -3, 3, beta_pow=1).scale(4).shift_dims(mr=1)
+            ("r4e.dr2.p2", v3.scale(4).shift_dims(mr=1)
              + dr.value_as_brace(cb.Value(S(Q(-2, n**5) + Q(3, n**4) - Q(4, n**3)), 4, 4), n, 1, 1)),
-            ("r4e/r.dr.p2", prim(n, -3, 3, beta_pow=1).scale(-2).shift_dims(mr=1)
+            ("r4e/r.dr.p2", v3.scale(-2).shift_dims(mr=1)
              + dr.value_as_brace(cb.Value(S(Q(1, n**5)), 4, 4), n, 1, 1)),
         ]
         for tag, rhs in checks:
@@ -311,10 +311,10 @@ class TestLPositiveBranch:
     )
     def test_closed_form_twins(self, tag, twin, sign):
         # the integrated term list against the tabulated 3D closed form
-        for n in range(2, 11):
-            for l in range(1, n):
-                twin_sym = cb.expectation_closed(twin, cb.QuantumState(n, l)).sym
-                assert dr.divergent_expectation(tag, n, l).sym == sign * twin_sym, (n, l)
+        states = [(n, l) for n in range(2, 11) for l in range(1, n)] + [(100, 3), (100, 50), (100, 99)]
+        for n, l in states:
+            twin_sym = cb.expectation_closed(twin, cb.QuantumState(n, l)).sym
+            assert dr.divergent_expectation(tag, n, l).sym == sign * twin_sym, (n, l)
 
     def test_units_must_agree(self):
         with pytest.raises(DomainError):
@@ -480,12 +480,15 @@ class TestPoleCrossCheck:
 
 class TestContractTypes:
     def test_eps_param(self):
-        p = dr.EpsParam(0.01)
-        assert abs(p.D - 2.98) < 1e-15
-        for bad in (0.3, float("nan"), float("inf")):
-            with pytest.raises(DomainError):
-                dr.EpsParam(bad)
-        t = dr.series_coefficients(0, dr.EpsParam(Q(1, 100)), 2)
+        # one guard for a float or Fraction eps, in the exact recursion and the shoot
+        for good in (0.01, -0.2, Q(1, 100), Q(-24, 100)):
+            assert dr._eps_value(good) == good
+        for bad in (0.3, -0.25, Q(1, 4), Q(-7, 20), float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="finite with \\|eps\\| < 1/4"):
+                dr.series_coefficients(0, bad, 2)
+            with pytest.raises(DomainError, match="finite with \\|eps\\| < 1/4"):
+                dr.eigenvalue_shoot(cb.QuantumState(1, 0), bad)
+        t = dr.series_coefficients(0, Q(1, 100), 2)
         assert t.a[(1, 0)] == Q(1, 2)
 
     def test_split_wavefunction(self):

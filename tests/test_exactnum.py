@@ -166,6 +166,27 @@ class TestEpsSeries:
         assert y.mul(y.invert()).coeff(0) == en.SymExpr.scalar(1)
         assert y.mul(y.invert()).coeff(1) == en.SymExpr.scalar(0)
 
+    @pytest.mark.parametrize("cap", [None, -3, -2, -1, 0, 1, 2, 3, 4])
+    def test_invert_order_cap(self, cap):
+        # 1/(2/eps + 5 + 3 gamma_E eps) = eps/2 - 5 eps^2/4 + (25/8 - 3 gamma_E/4) eps^3 + O(eps^4)
+        g = en.SymExpr.of(en.GAMMA_E)
+        y = en.EpsSeries.from_coeffs(-1, [en.SymExpr.scalar(2), en.SymExpr.scalar(5), 3 * g])
+        full = [en.SymExpr.scalar(Q(1, 2)), en.SymExpr.scalar(Q(-5, 4)), en.SymExpr.scalar(Q(25, 8)) - g * Q(3, 4)]
+        inv = y.invert(order_cap=cap)
+        order = 3 if cap is None else min(cap, 3)
+        assert inv.order == order
+        assert [inv.coeff(k) for k in range(1, order + 1)] == full[: max(order, 0)]
+        if order >= 1:
+            assert y.mul(inv) == en.EpsSeries.constant(1, order - 1)
+        else:
+            assert inv.is_zero()  # every coefficient lies beyond the cap
+
+    def test_invert_guards(self):
+        with pytest.raises(en.DomainError, match="zero series"):
+            en.EpsSeries.zero(1).invert()
+        with pytest.raises(en.DomainError, match="nonzero constant leading"):
+            en.EpsSeries.from_coeffs(0, [en.SymExpr.of(en.GAMMA_E), en.SymExpr.scalar(1)]).invert()
+
     def test_symexpr_basis_guard(self):
         ze = en.SymExpr.of(en.ZETA2)
         with pytest.raises(en.BasisError):

@@ -68,6 +68,15 @@ class TestIntegralI:
             for s in range(1, n):
                 assert li.integral_I(s, n - 1, 1, p=2) == S(factorial(s) * Q(n, 2) * ((s + 1) * n - (s + 3)))
 
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_deep_subtraction_against_oracle(self, p):
+        # p >= 3 has no 2F1 form: ^pI_s(n,k) is ^pK_s(n,k;0,0)
+        for n in range(0, 9):
+            for k in range(0, 6):
+                for s in range(-p, 7):
+                    brute = li.brute_force_moment(li.MomentSpec(Q(s), 0, (n, k, p)))
+                    assert li.integral_I(s, n, k, p) == brute, (s, n, k)
+
     def test_divergence(self):
         with pytest.raises(DivergenceError):
             li.integral_I(-1, 3, 1)

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coulombev.exactnum import DomainError, binomial
+from coulombev.exactnum import DomainError, binomial, factorial
 from coulombev.laguerre import Poly, assoc_laguerre, gegenbauer, subtract_laguerre
 
 
@@ -11,6 +11,14 @@ def test_reference_values():
     assert assoc_laguerre(1, 1) == Poly([2, -1])
     assert assoc_laguerre(2, 1) == Poly([3, -3, Q(1, 2)])
     assert assoc_laguerre(-2, 3).is_zero()
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, Q(1, 2), Q(7, 2)])
+def test_coefficients_match_binomial_form(k):
+    # the ratio-stepped coefficients against c_r = (-1)^r/r! binom(n+k, n-r)
+    for n in range(-1, 40):
+        expect = Poly([Q(-1) ** r / factorial(r) * binomial(n + k, n - r) for r in range(n + 1)])
+        assert assoc_laguerre(n, k) == expect, n
 
 
 def test_subtraction():
