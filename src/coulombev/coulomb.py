@@ -26,7 +26,6 @@ from .exactnum import (
     DivergenceError,
     DomainError,
     Q,
-    SYM_ZERO,
     SymExpr,
     GAMMA_E,
     EULER_GAMMA,
@@ -189,6 +188,7 @@ class RadialWF:
         return self.norm2 * self.poly.coeff(0) ** 2
 
 
+@lru_cache(maxsize=None)
 def _norm2(n: int, l: int) -> Fraction:
     return Q(4) * factorial(n - l - 1) / (n**4 * factorial(n + l))
 
@@ -297,11 +297,13 @@ def _operand_table(n: int, l: int, op):
     return den, tuple((t, v) for t, v in table.items() if v)
 
 
-def _weighted(state: QuantumState, pieces):
-    """sum_i coef_i r^sigma_i (left_i R)(right_i R) = norm2 sum_t (c_t/den) rho^t e^{-rho}.
+def _weighted(state: QuantumState, pieces, shift: int):
+    """rho^shift sum_i coef_i r^sigma_i (left_i R)(right_i R) = (norm2/den) sum_t c_t rho^t e^{-rho}.
 
-    Returns (norm2, den, {t: c_t}) with integer den and c_t.  The pieces are
-    put on one denominator and summed before any c_t is read.
+    shift = 2 is the rho^2 of the radial measure, shift = 0 the bare sum.
+    Returns (norm2/den, monomials) with integer den and c_t.  The pieces are
+    put on one denominator and summed before any c_t is read; `monomials` is
+    a generator of the (t, c_t), and the convolution runs when it is read.
     """
     n, l = state.n, state.l
     parts = []
@@ -310,10 +312,14 @@ def _weighted(state: QuantumState, pieces):
         dr, tr = _operand_table(n, l, right)
         parts.append((coef * Q(n, 2) ** sigma / (dl * dr), sigma, tl, tr))
     den = math.lcm(*(w.denominator for w, _, _, _ in parts))
-    combined: Dict[int, int] = {}
-    for w, sigma, tl, tr in parts:
-        convolve_into(combined, tl, tr, sigma, w.numerator * (den // w.denominator))
-    return _norm2(n, l), den, combined
+
+    def monomials():
+        combined: Dict[int, int] = {}
+        for w, sigma, tl, tr in parts:
+            convolve_into(combined, tl, tr, shift + sigma, w.numerator * (den // w.denominator))
+        yield from combined.items()
+
+    return _norm2(n, l) / den, monomials()
 
 
 def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kappa") -> Value:
@@ -324,35 +330,25 @@ def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kap
     pieces: the check runs after they are combined.  ln(kappa r) = ln(rho) +
     Lambda_kappa with Lambda_kappa = ln(kappa n / (2 m_r Za)).
     """
-    if logpow > 2:
-        raise DomainError("log power > 2 unsupported")
-    norm2, den, combined = _weighted(state, pieces)
-    for t, c in combined.items():
-        if c and t < -2:
-            raise DivergenceError("radial integral diverges: surviving r^%d monomial" % t)
-    scale = norm2 * Q(state.n, 2) ** 3 / den
-    if logpow == 0:  # int rho^{2+t} e^{-rho} = (t+2)!
-        total = sum(c * math.factorial(t + 2) for t, c in combined.items() if c)
-        return Value(SymExpr.scalar(scale * total))
-    sums = [SYM_ZERO] * (logpow + 1)  # sum_t c_t int rho^{2+t} ln^i(rho) e^{-rho}
-    for t, c in combined.items():
-        if c:
-            for i in range(logpow + 1):
-                sums[i] = sums[i] + c * lagint._mono_int(t + 2, i)
-    lam_pow = (1, SymExpr.of(lam(kappa)), SymExpr.of(lam2(kappa)))
-    out = SYM_ZERO
-    for i, part in enumerate(sums):
-        out = out + part * (math.comb(logpow, i) * lam_pow[logpow - i])
-    return Value(out * scale)
+    weight, monomials = _weighted(state, pieces, 2)
+    # int rho^t ln^m(rho) e^{-rho}; mono_moments checks logpow before the convolution runs
+    moments = lagint.mono_moments(monomials, logpow)
+    # d^m/ds^m [e^{Lambda s} Gamma(t+1+s)] at s = 0 holds gamma_E only as gamma_E - Lambda,
+    # so the ln(kappa r) moments are the ln(rho) ones with gamma_E -> gamma_E - Lambda_kappa
+    if logpow:
+        g, g2 = moments.coeff(GAMMA_E), moments.coeff(GAMMA2)
+        moments = SymExpr({**moments.terms, lam(kappa): -g, gamma_lam(kappa): -2 * g2, lam2(kappa): g2})
+    return Value(moments * (weight * Q(state.n, 2) ** 3))
 
 
 def contact(state: QuantumState, pieces) -> Value:
     """(1/4pi) lim_{r->0} sum_i coef_i r^sigma_i (left_i R)(right_i R); error if it diverges."""
-    norm2, den, combined = _weighted(state, pieces)
+    weight, monomials = _weighted(state, pieces, 0)
+    combined = dict(monomials)
     for t, c in combined.items():
         if c and t < 0:
             raise DivergenceError("contact value divergent (r^%d)" % t)
-    return Value(SymExpr.scalar(norm2 * Q(combined.get(0, 0), den) / 4), pi_pow=-1)
+    return Value(SymExpr.scalar(weight * combined.get(0, 0) / 4), pi_pow=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,8 @@ class SymExpr:
         d: Dict = {}
         if terms:
             for tag, c in terms.items():
-                c = Q(c)
+                if type(c) is not Fraction:  # the arithmetic below already passes Fractions
+                    c = Q(c)
                 if c:
                     d[tag] = c
         self.terms = MappingProxyType(d)

@@ -1,6 +1,7 @@
 """Closed-form Laguerre moment integrals I, J, K, L, M and their p-subtracted
 variants, with the integer-power limiting machinery, plus an independent
-brute-force oracle that integrates monomial by monomial.
+brute-force oracle that integrates monomial by monomial (`mono_moments`, on
+integer rows of Stirling numbers).
 
 All integrals are of the shape  int_0^inf dx e^{-x} x^s (ln x)^m  P(x) Q(x)
 with integer s, the powers the catalog and the eps-poles need; every entry
@@ -31,7 +32,6 @@ from .exactnum import (
     factorial,
     gamma_ratio_eps,
     gamma_series,
-    harmonic,
 )
 from .laguerre import Poly, assoc_laguerre, subtract_laguerre
 
@@ -52,42 +52,72 @@ class MomentSpec:
 # brute-force oracle: expand in monomials, integrate with Gamma derivatives
 # ---------------------------------------------------------------------------
 
-_LN_WEIGHTS = (0, 1, 2)
+# Row t is (t!, t! H_t, t! (H_t^2 - H_t^(2))), the unsigned Stirling numbers
+# [t+1, 1], [t+1, 2] and 2 [t+1, 3]; the table grows on demand, and a longer
+# tuple replaces a shorter one whole, so a reader never sees a partial one.
+_GAMMA_ROWS: Tuple[Tuple[int, int, int], ...] = ((1, 0, 0),)
 
 
-def _mono_int(t: int, logpow: int) -> SymExpr:
-    """int_0^inf e^{-x} x^t ln^m x dx for integer t >= 0, m <= 2, exact."""
-    if t < 0:
-        raise DivergenceError("monomial x^%d diverges at the origin" % t)
-    f = factorial(t)
+def _gamma_rows(t: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The row table, grown to hold row t."""
+    global _GAMMA_ROWS
+    rows = _GAMMA_ROWS
+    if t >= len(rows):
+        grown = list(rows)
+        f, f1, f2 = grown[-1]
+        for k in range(len(rows), t + 1):
+            f, f1, f2 = k * f, k * f1 + f, k * f2 + 2 * f1
+            grown.append((f, f1, f2))
+        _GAMMA_ROWS = rows = tuple(grown)
+    return rows
+
+
+def mono_moments(pairs, logpow: int) -> SymExpr:
+    """sum_t c_t int_0^inf e^{-x} x^t ln^m x dx over the (t, c_t) pairs, exact.
+
+    The m-th derivative of Gamma(t+1) is t! [(H_t - gamma_E)^2 + zeta(2) -
+    H_t^(2)] at m = 2, t! (H_t - gamma_E) at m = 1 and t! at m = 0; each sum
+    over t is taken on the integer rows of `_gamma_rows`.  logpow is checked
+    before `pairs` is read, so a lazy iterable does no work for a bad one.
+    A nonzero c_t at t < 0 is a DivergenceError.
+    """
+    if logpow not in (0, 1, 2):
+        raise DomainError("log power must be 0, 1 or 2, got %r" % (logpow,))
+    rows = _GAMMA_ROWS
+    s0 = s1 = s2 = 0
+    for t, c in pairs:
+        if not c:
+            continue
+        if t < 0:
+            raise DivergenceError("moment diverges: surviving x^%d monomial at the origin" % t)
+        if t >= len(rows):
+            rows = _gamma_rows(t)
+        f, f1, f2 = rows[t]
+        s0 += c * f
+        if logpow:
+            s1 += c * f1
+            if logpow == 2:
+                s2 += c * f2
     if logpow == 0:
-        return SymExpr.scalar(f)
-    h = harmonic(t)
+        return SymExpr({ONE: s0})
     if logpow == 1:
-        # Gamma'(t+1) = t! (H_t - gamma_E)
-        return SymExpr({ONE: f * h, GAMMA_E: -f})
-    if logpow == 2:
-        # Gamma''(t+1) = t! [ (H_t - gamma_E)^2 + zeta(2) - H_t^(2) ]
-        h2 = harmonic(t, 2)
-        return SymExpr({ONE: f * (h * h - h2), GAMMA_E: -2 * f * h, GAMMA2: f, ZETA2: f})
-    raise DomainError("log power %d unsupported" % logpow)
+        return SymExpr({ONE: s1, GAMMA_E: -s0})
+    return SymExpr({ONE: s2, GAMMA_E: -2 * s1, GAMMA2: s0, ZETA2: s0})
 
 
 def poly_moment(p: Poly, q: Poly, s: int, logpow: int = 0) -> SymExpr:
     """Exact int_0^inf e^{-x} x^s ln^m x P(x) Q(x) dx for integer s."""
-    prod = p * q
-    out = SYM_ZERO
-    for r, c in enumerate(prod.coeffs):
-        if c:
-            out = out + c * _mono_int(s + r, logpow)
-    return out
+
+    def monomials():  # the product P Q is formed only once mono_moments reads it
+        for r, c in enumerate((p * q).coeffs):
+            yield s + r, c
+
+    return mono_moments(monomials(), logpow)
 
 
 def brute_force_moment(spec: MomentSpec) -> SymExpr:
     """Monomial-by-monomial oracle for integer s, exact."""
     s = _integer_power(spec.s)
-    if spec.logpow not in _LN_WEIGHTS:
-        raise DomainError("logpow must be 0, 1 or 2")
     if s + spec.left[2] <= -1:
         raise DivergenceError("moment diverges: leading monomial x^%d below x^-1" % (s + spec.left[2]))
     n, k, p = spec.left

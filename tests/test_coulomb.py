@@ -63,6 +63,30 @@ def test_catalog_closed_equals_oracle_high_n():
     assert pairs == 990
 
 
+def test_log_rows_closed_equals_oracle_at_n100():
+    """The six ln rows at n = 100 against their Stirling-number oracle, both kappa labels."""
+    checks = 0
+    for tag in sorted(t for t, entry in cb.CATALOG.items() if entry.logpow):
+        for l in (0, 3, 50, 99):
+            st = cb.QuantumState(100, l)
+            if st.l < cb.CATALOG[tag].min_l:
+                continue
+            for spec in (tag, cb.OperatorSpec(tag, kappa="mu")):
+                assert cb.expectation_closed(spec, st) == cb.expectation_oracle(spec, st), (spec, l)
+                checks += 1
+    assert checks == 46
+
+
+@pytest.mark.parametrize("logpow", [-1, 3])
+def test_bilinear_sum_refuses_log_power(logpow, monkeypatch):
+    def convolve_into(*args):
+        raise AssertionError("convolved before the log power was checked")
+
+    monkeypatch.setattr(cb, "convolve_into", convolve_into)
+    with pytest.raises(DomainError):
+        cb.bilinear_sum(cb.QuantumState(2, 1), ((1, cb.R, cb.R, 0),), logpow=logpow)
+
+
 def test_reference_values():
     assert cb.expectation_closed("1/r", cb.QuantumState(3, 1)).sym.rational == Q(1, 9)
     # 4/((l+1/2) n^3) - 3/n^4 at (2,1): 1/3 - 3/16 = 7/48

@@ -201,6 +201,13 @@ class TestSymExpr:
         assert g * la == en.SymExpr.of(en.gamma_lam("mu"))
         assert la * la == en.SymExpr.of(en.lam2("mu"))
 
+    def test_coefficients_are_fractions(self):
+        e = en.SymExpr({en.ONE: 3, en.GAMMA_E: True, en.ZETA2: Q(1, 2), en.LN2: 0, en.GAMMA2: Q(0)})
+        assert e.terms == {en.ONE: 3, en.GAMMA_E: 1, en.ZETA2: Q(1, 2)}
+        assert all(type(c) is Q for c in e.terms.values())
+        assert en.SymExpr({en.ONE: 3}) == en.SymExpr({en.ONE: Q(3)})
+        assert hash(en.SymExpr({en.ONE: 3})) == hash(en.SymExpr({en.ONE: Q(3)}))
+
     def test_numeric(self):
         val = en.SymExpr({en.ONE: Q(1, 2), en.LN2: 2}).numeric()
         assert abs(val - (0.5 + 2 * math.log(2))) < 1e-15

@@ -35,3 +35,37 @@ def test_guard_sees_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_defs(sources):
+    """Module-level `_name` functions and classes that no other code of the package refers to.
+
+    `sources` maps a module name to its source.  A name counts as referred to
+    when it is read as a name or an attribute outside its own definition; a
+    word in a string or docstring does not count.
+    """
+    defs, refs = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defs.append((module, owner))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != owner:
+                    refs.add(name)
+    return ["%s.%s" % d for d in defs if d[1] not in refs]
+
+
+def test_guard_sees_dead_private_def():
+    sources = {
+        "a": "def _used():\n    return 1\n\ndef _dead(n):\n    '''_dead'''\n    return _dead(n - 1)\n",
+        "b": "from . import a\n\ndef f():\n    return a._used()\n\nclass _Gone:\n    pass\n",
+    }
+    assert dead_private_defs(sources) == ["a._dead", "b._Gone"]
+
+
+def test_every_private_def_is_used():
+    assert dead_private_defs({p.stem: p.read_text() for p in MODULES}) == []

@@ -16,6 +16,7 @@ from coulombev.exactnum import (
     factorial,
     harmonic as H,
 )
+from coulombev.laguerre import assoc_laguerre
 
 S = SymExpr.scalar
 
@@ -231,6 +232,43 @@ class TestBruteForce:
     def test_divergence_names_monomial(self):
         with pytest.raises(DivergenceError):
             li.brute_force_moment(li.MomentSpec(Q(-2), 0, (3, 1, 1), None))
+
+
+def gamma_derivative(t, m):
+    """int_0^inf e^{-x} x^t ln^m x dx from harmonic numbers: t!, t! (H_t - gamma_E) and
+    t! [(H_t - gamma_E)^2 + zeta(2) - H_t^(2)] for m = 0, 1, 2."""
+    f, h = factorial(t), H(t)
+    return (S(f), sym(one=f * h, g=-f), sym(one=f * (h * h - H(t, 2)), g=-2 * f * h, z2=f, g2=f))[m]
+
+
+class TestMonoMoments:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_against_harmonic_numbers(self, m):
+        for t in range(200):
+            assert li.mono_moments([(t, 1)], m) == gamma_derivative(t, m), t
+
+    def test_weighted_sum(self):
+        pairs = [(7, Q(-3, 4)), (0, 5), (2, 0), (150, Q(1, 9)), (-1, 0), (7, 2)]
+        for m in (0, 1, 2):
+            want = sum((c * gamma_derivative(t, m) for t, c in pairs if c), S(0))
+            assert li.mono_moments(pairs, m) == want
+
+    def test_negative_power_diverges_unless_zero(self):
+        assert li.mono_moments([(-3, 0), (1, 2)], 1) == 2 * gamma_derivative(1, 1)
+        for m in (0, 1, 2):
+            with pytest.raises(DivergenceError):
+                li.mono_moments([(1, 2), (-1, Q(1, 3))], m)
+
+    @pytest.mark.parametrize("logpow", [-1, 3])
+    def test_bad_log_power_before_the_pairs_are_read(self, logpow):
+        def pairs():
+            raise AssertionError("pairs read before the log power was checked")
+            yield
+
+        with pytest.raises(DomainError):
+            li.mono_moments(pairs(), logpow)
+        with pytest.raises(DomainError):
+            li.poly_moment(assoc_laguerre(3, 1), assoc_laguerre(2, 1), 1, logpow)
 
 
 class TestIntegerOrders:
