@@ -9,7 +9,6 @@ is imported only by the brackets that reduce to it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict
 
@@ -19,6 +18,7 @@ from .exactnum import (
     LNQN,
     ONE,
     Q,
+    Record,
     SymExpr,
     harmonic,
     lam,
@@ -56,20 +56,19 @@ class BracketCatalogError(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class FourierKernel:
+class FourierKernel(Record):
     """FT[p_{i1}..p_{ir} / p^alpha] = pref * r^{-(D + r - alpha)} * tensor.
 
     pref = i^r 2^two_pow Gamma(num_arg)/(2^alpha pi^{D/2} Gamma(alpha/2)) with
     num_arg = (D + 2 ceil(r/2) - alpha)/2; in D = 3-2 eps it is num_c0 - eps.
     """
 
-    alpha: Fraction
-    rank: int
-    num_c0: Fraction  # numerator Gamma argument at eps = 0
-    den_arg: Fraction  # Gamma(alpha/2)
-    two_pow: int  # overall power of 2 in the prefactor (before 2^-alpha)
-    tensor: str
+    __slots__ = ("alpha", "rank", "num_c0", "den_arg", "two_pow", "tensor")
+
+    def __init__(self, alpha: Fraction, rank: int, num_c0: Fraction, den_arg: Fraction, two_pow: int, tensor: str):
+        # num_c0 is the numerator Gamma argument at eps = 0, den_arg that of
+        # Gamma(alpha/2), two_pow the overall power of 2 before 2^-alpha
+        self._fill(alpha, rank, num_c0, den_arg, two_pow, tensor)
 
     def prefactor_float(self, eps: float = 0.0) -> float:
         num = math.gamma(float(self.num_c0) - eps)
@@ -193,18 +192,17 @@ def _brk_vq(st):
     return EpsSeries.from_coeffs(0, [_s(en), en * bracket])
 
 
-@dataclass(frozen=True)
-class BracketReduction:
+class BracketReduction(Record):
     """A bracket whose value embeds a dimensionally regularized object.
 
     `finite_extra` is the explicit delta-term piece; the remaining content is
     `coefficient` times the referenced dimreg value, kept unexpanded so the
     eps-dependence of its prefactor is not truncated prematurely."""
 
-    formula: str
-    finite_extra: Value
-    coefficient: Fraction
-    reference: object
+    __slots__ = ("formula", "finite_extra", "coefficient", "reference")
+
+    def __init__(self, formula: str, finite_extra: Value, coefficient: Fraction, reference):
+        self._fill(formula, finite_extra, coefficient, reference)
 
 
 def _brk_asym_q2(st):

@@ -6,6 +6,8 @@ Each command imports the layers it uses when it runs: a finite `eval --op`
 needs only `coulomb` and the modules under it, `--bracket` adds `brackets`,
 a divergent tag and `demo-cx1` add `dimreg`, and `verify` and `tags` load
 `suites`, so a cold query compiles and runs no module it does not use.
+The exact path loads neither `dataclasses` nor `inspect` (the value classes
+are plain `__slots__` classes), and `json` only when a command prints JSON.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numeric
 convergence failure.
@@ -14,7 +16,6 @@ convergence failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from .coulomb import (
 
 
 def _json_dump(obj) -> str:
+    import json  # only the commands that print JSON load it
+
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "), ensure_ascii=True)
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple, Union
+from operator import index
+from typing import Callable, Dict, Optional, Union
 
 from .exactnum import (
     DivergenceError,
@@ -31,6 +31,7 @@ from .exactnum import (
     EULER_GAMMA,
     LNQN,
     ONE,
+    Record,
     ZETA2,
     GAMMA2,
     diharmonic,
@@ -40,6 +41,7 @@ from .exactnum import (
     lam2,
     gamma_lam,
     _NUMERIC_TAGS,
+    _set,
 )
 from .laguerre import GegenbauerPoly, Poly, assoc_laguerre, gegenbauer
 from . import lagint
@@ -60,34 +62,46 @@ class RequiresDimregError(DomainError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    n: int
-    l: int
+class QuantumState(Record):
+    """A bound state (n, l); both quantum numbers must be integers."""
 
-    def __post_init__(self):
-        if self.n < 1 or not (0 <= self.l <= self.n - 1):
-            raise DomainError("invalid quantum state (n=%s, l=%s)" % (self.n, self.l))
+    __slots__ = ("n", "l")
+
+    def __init__(self, n: int, l: int):
+        try:
+            n, l = index(n), index(l)
+        except TypeError:
+            raise DomainError("quantum numbers must be integers, got n=%r, l=%r" % (n, l)) from None
+        if n < 1 or not (0 <= l <= n - 1):
+            raise DomainError("invalid quantum state (n=%s, l=%s)" % (n, l))
+        _set(self, "n", n)
+        _set(self, "l", l)
+
+    # built and compared on every catalog evaluation, as is Value, so both
+    # compare and hash their fields directly, not by Record's generic loops
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.l) == (other.n, other.l)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.l))
 
     @property
     def nr(self) -> int:
         return self.n - self.l - 1
 
 
-@dataclass(frozen=True)
-class PhysScale:
+class PhysScale(Record):
     """Physical parameters; internal values are in units m_r Zalpha = 1."""
 
-    mr: float = 1.0
-    zalpha: float = 1.0
-    mu: float = 1.0
-    kappa: float = 1.0
+    __slots__ = ("mr", "zalpha", "mu", "kappa")
 
-    def __post_init__(self):
-        for name in ("mr", "zalpha", "mu", "kappa"):
-            x = getattr(self, name)
+    def __init__(self, mr: float = 1.0, zalpha: float = 1.0, mu: float = 1.0, kappa: float = 1.0):
+        for name, x in zip(self.__slots__, (mr, zalpha, mu, kappa)):
             if not (math.isfinite(x) and x > 0):
                 raise DomainError("%s must be finite and positive, got %r" % (name, x))
+        self._fill(mr, zalpha, mu, kappa)
 
     def _ln(self, num: float, den: float, what: str) -> float:
         # ln(num/den), refused once the ratio leaves the float range
@@ -112,14 +126,24 @@ class PhysScale:
         return {"lambda": lv, "lambda2": lv * lv, "gamma_lambda": lv * EULER_GAMMA}[tag[0]]
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(Record):
     """An exact value in units m_r Zalpha = 1, times m_r^a (Zalpha)^b pi^c."""
 
-    sym: SymExpr
-    mr_pow: int = 0
-    za_pow: int = 0
-    pi_pow: int = 0
+    __slots__ = ("sym", "mr_pow", "za_pow", "pi_pow")
+
+    def __init__(self, sym: SymExpr, mr_pow: int = 0, za_pow: int = 0, pi_pow: int = 0):
+        _set(self, "sym", sym)
+        _set(self, "mr_pow", mr_pow)
+        _set(self, "za_pow", za_pow)
+        _set(self, "pi_pow", pi_pow)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sym, self.mr_pow, self.za_pow, self.pi_pow) == (other.sym, other.mr_pow, other.za_pow, other.pi_pow)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sym, self.mr_pow, self.za_pow, self.pi_pow))
 
     def __add__(self, other: "Value") -> "Value":
         if (self.mr_pow, self.za_pow, self.pi_pow) != (other.mr_pow, other.za_pow, other.pi_pow):
@@ -173,13 +197,13 @@ class Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialWF:
+class RadialWF(Record):
     """R_{nl}(r) = sqrt(norm2) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n."""
 
-    state: QuantumState
-    norm2: Fraction
-    poly: Poly
+    __slots__ = ("state", "norm2", "poly")
+
+    def __init__(self, state: QuantumState, norm2: Fraction, poly: Poly):
+        self._fill(state, norm2, poly)
 
     def contact_limit_sq(self) -> Fraction:
         """lim_{r->0} R_{n0}^2 (S states)."""
@@ -356,14 +380,15 @@ def contact(state: QuantumState, pieces) -> Value:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    kind: str
-    kappa: str = "kappa"
+class OperatorSpec(Record):
+    __slots__ = ("kind", "kappa")
+
+    def __init__(self, kind: str, kappa: str = "kappa"):  # built on every lookup by tag
+        _set(self, "kind", kind)
+        _set(self, "kappa", kappa)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One finite 3D operator: a closed form and an oracle given as data.
 
     `closed(n, l, L)`, with L = l(l+1) and the kappa label as a fourth
@@ -372,14 +397,20 @@ class CatalogEntry:
     limit, which carries the 1/pi of the delta function.
     """
 
-    tag: str
-    min_l: int
-    mr_pow: int
-    za_pow: int
-    closed: Callable
-    pieces: tuple
-    logpow: int = 0
-    contact: bool = False
+    __slots__ = ("tag", "min_l", "mr_pow", "za_pow", "closed", "pieces", "logpow", "contact")
+
+    def __init__(
+        self,
+        tag: str,
+        min_l: int,
+        mr_pow: int,
+        za_pow: int,
+        closed: Callable,
+        pieces: tuple,
+        logpow: int = 0,
+        contact: bool = False,
+    ):
+        self._fill(tag, min_l, mr_pow, za_pow, closed, pieces, logpow, contact)
 
     def value(self, sym: SymExpr) -> Value:
         return Value(sym, self.mr_pow, self.za_pow, -1 if self.contact else 0)
@@ -793,8 +824,7 @@ def cx1_energy_shift(state: QuantumState, c1, c2, m1, m2):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentumRadialWF:
+class MomentumRadialWF(Record):
     """R_{nl}(p) = phi_n N_{nl} p^l gamma_n^{l+1} / D_n^{l+2} C_{n-l-1}^{l+1}(Dbar_n/D_n).
 
     D_n = p^2 + gamma_n^2, Dbar_n = p^2 - gamma_n^2; units m_r Zalpha = 1 so
@@ -803,13 +833,13 @@ class MomentumRadialWF:
     so that large p underflows to 0 instead of overflowing.
     """
 
-    state: QuantumState
-    gegenbauer: GegenbauerPoly  # degree n-l-1, order l+1
-    norm: float  # phi_n * N_{nl}
-    coeffs: Tuple[float, ...] = field(init=False)  # the Gegenbauer coefficients as floats, highest degree first
+    __slots__ = ("state", "gegenbauer", "norm", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in reversed(self.gegenbauer.poly.coeffs)))
+    def __init__(self, state: QuantumState, gegenbauer: GegenbauerPoly, norm: float):
+        # gegenbauer has degree n-l-1 and order l+1, norm is phi_n * N_{nl}, and
+        # coeffs holds the Gegenbauer coefficients as floats, highest degree first
+        coeffs = tuple(float(c) for c in reversed(gegenbauer.poly.coeffs))
+        self._fill(state, gegenbauer, norm, coeffs)
 
     def __call__(self, p: float) -> float:
         n, l = self.state.n, self.state.l

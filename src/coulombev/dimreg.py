@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
@@ -36,6 +35,7 @@ from .exactnum import (
     LNQN,
     ONE,
     Q,
+    Record,
     SYM_ONE,
     SYM_ZERO,
     SymExpr,
@@ -45,6 +45,7 @@ from .exactnum import (
     gamma_series,
     harmonic,
     lam,
+    _set,
 )
 from .laguerre import Poly, assoc_laguerre
 from .coulomb import (
@@ -98,14 +99,13 @@ def _eps_value(eps):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     """a_{jk} of the generalized series sum a_{jk} nbar^k rho^{j+2 eps k}."""
 
-    l: int
-    eps: object  # float or Fraction
-    jmax: int
-    a: Dict[Tuple[int, int], object]
+    __slots__ = ("l", "eps", "jmax", "a")
+
+    def __init__(self, l: int, eps, jmax: int, a: Dict[Tuple[int, int], object]):  # eps a float or Fraction
+        self._fill(l, eps, jmax, a)
 
     def collapse(self, n: int, j: int):
         """A_j = sum_k a_{jk} n^k; at eps = 0 this is the Laguerre coefficient."""
@@ -207,13 +207,15 @@ def contact_expansion(state: QuantumState) -> EpsSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivergentValue:
+class DivergentValue(Record):
     """brace multiplying pi phibar^2 mubar^{2 eps} m_r^mr_pow (Zalpha)^za_pow."""
 
-    series: EpsSeries
-    mr_pow: int
-    za_pow: int
+    __slots__ = ("series", "mr_pow", "za_pow")
+
+    def __init__(self, series: EpsSeries, mr_pow: int, za_pow: int):
+        _set(self, "series", series)
+        _set(self, "mr_pow", mr_pow)
+        _set(self, "za_pow", za_pow)
 
     def __add__(self, other: "DivergentValue") -> "DivergentValue":
         if (self.mr_pow, self.za_pow) != (other.mr_pow, other.za_pow):
@@ -287,8 +289,7 @@ def _series_head(p: int) -> tuple:
     return tuple((j, k, c) for (j, k), c in sorted(a_eps.items()) if j < p)
 
 
-@dataclass(frozen=True)
-class SplitWF:
+class SplitWF(Record):
     """Head/tail split of the generalized S-state series L_{n0}.
 
     `head` holds the low-order generalized terms (j, k, eps-series coefficient
@@ -297,10 +298,10 @@ class SplitWF:
     identically in the eps -> 0 limit, with the tail starting at rho^p.
     """
 
-    n: int
-    p: int
-    head: tuple  # ((j, k, EpsSeries), ...)
-    tail: Poly
+    __slots__ = ("n", "p", "head", "tail")
+
+    def __init__(self, n: int, p: int, head: tuple, tail: Poly):  # head is ((j, k, EpsSeries), ...)
+        self._fill(n, p, head, tail)
 
 
 def split_wavefunction(n: int, p: int) -> SplitWF:

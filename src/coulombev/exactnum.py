@@ -40,6 +40,59 @@ class BasisError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# value records
+# ---------------------------------------------------------------------------
+
+
+# sets one field of a record; the records built on every catalog evaluation
+# call it once per field instead of looping in `_fill`
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's small value classes.
+
+    A subclass names its fields in `__slots__` and sets them once, in its own
+    `__init__`, through `_fill` or `_set`.  Two records are equal when they are
+    of the same class and their fields are equal; a record hashes as the tuple
+    of its fields (a TypeError if one is unhashable), shows as
+    `Name(field=value, ...)`, and refuses to have a field assigned or deleted.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __setstate__(self, state):
+        # pickle and copy restore the (None, {slot: value}) state of object.__getstate__
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+# ---------------------------------------------------------------------------
 # harmonic and diharmonic numbers
 # ---------------------------------------------------------------------------
 

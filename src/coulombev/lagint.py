@@ -14,7 +14,6 @@ regular Gamma series (see `_term_limit`).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple, Union
@@ -27,6 +26,7 @@ from .exactnum import (
     SymExpr,
     GAMMA_E,
     ONE,
+    Record,
     ZETA2,
     GAMMA2,
     factorial,
@@ -38,14 +38,14 @@ from .laguerre import Poly, assoc_laguerre, subtract_laguerre
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class MomentSpec:
+class MomentSpec(Record):
     """One moment integral: x^s (ln x)^logpow  ^pL_n^k(x) [ L_n'^k'(x) ]."""
 
-    s: Fraction
-    logpow: int
-    left: Tuple[int, int, int]  # (n, k, p)
-    right: Optional[Tuple[int, int]] = None  # (n', k')
+    __slots__ = ("s", "logpow", "left", "right")
+
+    def __init__(self, s: Fraction, logpow: int, left: Tuple[int, int, int], right: Optional[Tuple[int, int]] = None):
+        # left is (n, k, p), right (n', k')
+        self._fill(s, logpow, left, right)
 
 
 # ---------------------------------------------------------------------------

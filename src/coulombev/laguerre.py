@@ -3,11 +3,10 @@ variants, and Gegenbauer polynomials, all with Fraction coefficients."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactnum import DomainError, Q, binomial, factorial, rising
+from .exactnum import DomainError, Q, Record, binomial, factorial, rising
 
 Scalar = Union[int, Fraction]
 
@@ -114,14 +113,13 @@ def assoc_laguerre(n: int, k: Scalar) -> Poly:
     return Poly(coeffs)
 
 
-@dataclass(frozen=True)
-class SubtractedPoly:
+class SubtractedPoly(Record):
     """^pL_n^k: the associated Laguerre polynomial with its first p powers removed."""
 
-    n: int
-    k: int
-    p: int
-    poly: Poly
+    __slots__ = ("n", "k", "p", "poly")
+
+    def __init__(self, n: int, k: int, p: int, poly: Poly):
+        self._fill(n, k, p, poly)
 
 
 def subtract_laguerre(n: int, k: int, p: int) -> SubtractedPoly:
@@ -130,11 +128,11 @@ def subtract_laguerre(n: int, k: int, p: int) -> SubtractedPoly:
     return SubtractedPoly(n, k, p, assoc_laguerre(n, k).drop_low(p))
 
 
-@dataclass(frozen=True)
-class GegenbauerPoly:
-    n: int
-    lam: Fraction
-    poly: Poly  # in beta
+class GegenbauerPoly(Record):
+    __slots__ = ("n", "lam", "poly")
+
+    def __init__(self, n: int, lam: Fraction, poly: Poly):  # poly is in beta
+        self._fill(n, lam, poly)
 
 
 def gegenbauer(n: int, lam: Scalar) -> GegenbauerPoly:

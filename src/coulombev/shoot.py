@@ -19,13 +19,12 @@ normalization check `momentum_norm_numeric`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, EULER_GAMMA, lam
+from .exactnum import DomainError, EULER_GAMMA, Record, lam
 from .coulomb import MomentumRadialWF, QuantumState, momentum_radial
 from .dimreg import (
     CoeffTable,
@@ -62,18 +61,23 @@ class ShootingError(RuntimeError):
         super().__init__("; ".join(bits))
 
 
-@dataclass(frozen=True)
-class DimRegEigen:
-    state: QuantumState
-    eps: float
-    mu: float
-    nbar: float
-    gammabar: float
-    ebar: float
-    sol: object  # rho -> (L, L') on [rho0, rhomax], rho an array
-    rho0: float
-    rhomax: float
-    table: CoeffTable
+class DimRegEigen(Record):
+    __slots__ = ("state", "eps", "mu", "nbar", "gammabar", "ebar", "sol", "rho0", "rhomax", "table")
+
+    def __init__(
+        self,
+        state: QuantumState,
+        eps: float,
+        mu: float,
+        nbar: float,
+        gammabar: float,
+        ebar: float,
+        sol,  # rho -> (L, L') on [rho0, rhomax], rho an array
+        rho0: float,
+        rhomax: float,
+        table: CoeffTable,
+    ):
+        self._fill(state, eps, mu, nbar, gammabar, ebar, sol, rho0, rhomax, table)
 
 
 def _mubar(mu: float) -> float:

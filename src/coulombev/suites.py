@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactnum import (
     DomainError,
@@ -22,6 +21,7 @@ from .exactnum import (
     LNQN,
     ONE,
     Q,
+    Record,
     SymExpr,
     diharmonic,
     gamma_ratio_limit,
@@ -37,13 +37,25 @@ from . import dimreg
 from . import brackets
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: List[str] = field(default_factory=list)
-    record: List[Tuple[str, bool]] = field(default_factory=list)  # every check, in order
+class SuiteResult(Record):
+    """The counts of one suite; it is filled check by check, so it stays mutable."""
+
+    __slots__ = ("name", "passed", "failed", "failures", "record")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        passed: int = 0,
+        failed: int = 0,
+        failures: Optional[List[str]] = None,
+        record: Optional[List[Tuple[str, bool]]] = None,  # every check, in order
+    ):
+        self.name, self.passed, self.failed = name, passed, failed
+        self.failures = [] if failures is None else failures
+        self.record = [] if record is None else record
 
     def check(self, ok: bool, label: str):
         self.record.append((label, bool(ok)))

@@ -390,7 +390,8 @@ import contextlib, io, json, sys
 import coulombev.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = coulombev.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("coulombev.") or m == "numpy")]))
+machinery = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("coulombev.") or m == "numpy"), machinery]))
 """
 # what every exact command loads: the CLI and the 3D catalog with the layers under it
 EXACT_CORE = ["cli", "coulomb", "exactnum", "lagint", "laguerre"]
@@ -421,7 +422,9 @@ def test_command_loads_only_its_layers(argv, layers, code):
     proc = subprocess.run(
         [sys.executable, "-c", LAYER_PROBE, *argv], capture_output=True, text=True, env=ENV, check=True
     )
-    assert json.loads(proc.stdout) == [code, sorted("coulombev." + m for m in EXACT_CORE + layers)]
+    code_seen, modules, machinery = json.loads(proc.stdout)
+    assert [code_seen, modules] == [code, sorted("coulombev." + m for m in EXACT_CORE + layers)]
+    assert machinery == []  # the value classes are plain __slots__ classes, not dataclasses
     errors = proc.stderr.splitlines()
     assert len(errors) == code and all(line.startswith("error: unknown ") for line in errors)
 

@@ -20,6 +20,16 @@ def test_state_validation():
     assert cb.QuantumState(4, 2).nr == 1
 
 
+@pytest.mark.parametrize(
+    "n,l", [(3, 1.0), (3.0, 1), (1.5, 0), (float("inf"), 1), (2, float("nan")), ("2", 1), (2, "1"), (Q(2), 1)]
+)
+def test_state_refuses_non_integer_quantum_numbers(n, l):
+    # a float l once reached the closed forms and rounded them: <1/r2> at (3, 1.0) was not 2/81
+    with pytest.raises(DomainError, match="quantum numbers must be integers") as err:
+        cb.QuantumState(n, l)
+    assert "\n" not in str(err.value)
+
+
 def test_wavefunction_spec_examples():
     wf = cb.radial_wavefunction(cb.QuantumState(1, 0))
     assert wf.poly.coeffs == [Q(1)]

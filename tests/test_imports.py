@@ -37,6 +37,32 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+# the value classes are plain __slots__ classes: `dataclasses` loads inspect,
+# ast and dis, which no cold CLI query should pay for
+BANNED = {"dataclasses"}
+
+
+def banned_imports(source):
+    """Banned modules imported anywhere in the source, also inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] in BANNED]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in BANNED:
+            found.append(node.module)
+    return found
+
+
+def test_guard_sees_banned_import():
+    source = "import math\nfrom dataclasses import dataclass\n\ndef f():\n    import dataclasses\n    return math.pi\n"
+    assert banned_imports(source) == ["dataclasses", "dataclasses"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_banned_import(path):
+    assert banned_imports(path.read_text()) == []
+
+
 def dead_private_defs(sources):
     """Module-level `_name` functions and classes that no other code of the package refers to.
 
