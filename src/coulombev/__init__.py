@@ -20,7 +20,7 @@ _LAYERS = {
     " hypergeometric_2f1_unit hypergeometric_f_expansion polygamma_int",
     "laguerre": "Poly assoc_laguerre gegenbauer subtract_laguerre",
     "lagint": "MomentSpec brute_force_moment integral_I integral_J integral_K integral_L integral_M",
-    "coulomb": "MomentumRadialWF OperatorSpec PhysScale QuantumState Value catalog_tags cx1_energy_shift"
+    "coulomb": "MomentumRadialWF PhysScale QuantumState Value catalog_tags cx1_energy_shift"
     " expectation_closed expectation_oracle feynman_hellmann_residual power_moment radial_wavefunction"
     " recursion_residual",
     "dimreg": "DivergentValue SplitWF contact_expansion divergent_expectation divergent_tags"

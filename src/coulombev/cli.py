@@ -22,7 +22,6 @@ from fractions import Fraction
 from .exactnum import DivergenceError, DomainError, EpsSeries
 from .coulomb import (
     CatalogError,
-    OperatorSpec,
     PhysScale,
     QuantumState,
     RequiresDimregError,
@@ -86,14 +85,12 @@ def _value_payload(v, phys, n):
 def _render(payload, fmt):
     if fmt == "json":
         print(_json_dump(payload))
-    elif fmt == "pretty":
+    else:
         sym = payload.get("symbolic")
         print("value: %s" % sym)
         if "numeric" in payload:
             print("numeric: %.12g" % payload["numeric"])
         print("units: %s" % payload.get("units"))
-    else:
-        raise DomainError("format %r not valid here" % fmt)
 
 
 def _phys_from(args):
@@ -114,8 +111,7 @@ def cmd_eval(args) -> int:
     phys = _phys_from(args)
     if args.op:
         try:
-            spec = OperatorSpec(args.op, kappa="kappa")
-            v = expectation_closed(spec, st)
+            v = expectation_closed(args.op, st)
         except CatalogError:
             from . import dimreg
 
@@ -133,7 +129,7 @@ def cmd_eval(args) -> int:
         )
     payload = {"command": "eval", "inputs": {"n": st.n, "l": st.l, "op": args.op or args.bracket}}
     payload.update(_value_payload(v, phys, st.n))
-    _render(payload, args.format if args.format != "csv" else "json")
+    _render(payload, args.format)
     return 0
 
 

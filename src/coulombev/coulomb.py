@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 from .exactnum import (
     DivergenceError,
@@ -380,14 +380,6 @@ def contact(state: QuantumState, pieces) -> Value:
 # ---------------------------------------------------------------------------
 
 
-class OperatorSpec(Record):
-    __slots__ = ("kind", "kappa")
-
-    def __init__(self, kind: str, kappa: str = "kappa"):  # built on every lookup by tag
-        _set(self, "kind", kind)
-        _set(self, "kappa", kappa)
-
-
 class CatalogEntry(Record):
     """One finite 3D operator: a closed form and an oracle given as data.
 
@@ -742,36 +734,33 @@ def catalog_tags():
     return sorted(CATALOG)
 
 
-def _lookup(op: Union[str, OperatorSpec], state: QuantumState):
-    if isinstance(op, str):
-        op = OperatorSpec(op)
-    row = CATALOG.get(op.kind)
+def _lookup(tag: str, state: QuantumState) -> CatalogEntry:
+    row = CATALOG.get(tag)
     if row is None:
-        raise CatalogError(
-            "unknown operator %r; valid tags: %s" % (op.kind, ", ".join(catalog_tags()))
-        )
+        raise CatalogError("unknown operator %r; valid tags: %s" % (tag, ", ".join(catalog_tags())))
     if state.l < row.min_l:
         raise RequiresDimregError(
             "<%s> requires l >= %d (l = %d is divergent in 3D; see dimreg.divergent_expectation)"
-            % (op.kind, row.min_l, state.l)
+            % (tag, row.min_l, state.l)
         )
-    return op, row
+    return row
 
 
-def expectation_closed(op: Union[str, OperatorSpec], state: QuantumState) -> Value:
-    """Tabulated closed form for one catalog entry, with unit metadata."""
-    op, row = _lookup(op, state)
+def expectation_closed(tag: str, state: QuantumState, kappa: str = "kappa") -> Value:
+    """Tabulated closed form for one catalog entry, with unit metadata; a log
+    row's Lambda carries the scale label `kappa`."""
+    row = _lookup(tag, state)
     n, l = state.n, state.l
-    v = row.closed(n, l, Q(l * (l + 1)), *((op.kappa,) if row.logpow else ()))
+    v = row.closed(n, l, Q(l * (l + 1)), *((kappa,) if row.logpow else ()))
     return row.value(v if isinstance(v, SymExpr) else SymExpr.scalar(v))
 
 
-def expectation_oracle(op: Union[str, OperatorSpec], state: QuantumState) -> Value:
+def expectation_oracle(tag: str, state: QuantumState, kappa: str = "kappa") -> Value:
     """Independent exact-integration value of the same entry."""
-    op, row = _lookup(op, state)
+    row = _lookup(tag, state)
     if row.contact:
         return row.value(contact(state, row.pieces).sym)
-    return row.value(bilinear_sum(state, row.pieces, row.logpow, op.kappa).sym)
+    return row.value(bilinear_sum(state, row.pieces, row.logpow, kappa).sym)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ and the result is a Laurent brace relative to the standing prefactor
     pi * phibar_n^2 * mubar^{2 eps} * m_r^mr_pow * (Zalpha)^za_pow ,
 
 with pi phibar^2 -> (m_r Zalpha)^3/n^3 as eps -> 0.  For l > 0 every term is
-finite at eps = 0 and the exact finite Value is one radial integral.  Both
-take their units from the terms.  The float layer reads the l = 0 lists a
-third time, at finite eps on a shot wave function (`shoot._brace_numeric`).
+finite at eps = 0 and its radial integral is the closed form of a 3D catalog
+row (`_RADIAL`), so the exact finite Value costs O(1) in n.  Both take their
+units from the terms.  The float layer reads the l = 0 lists a third time, at
+finite eps on a shot wave function (`shoot._brace_numeric`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from .exactnum import (
     _set,
 )
 from .laguerre import Poly, assoc_laguerre
+from . import lagint
 from .coulomb import (
+    CATALOG,
     CatalogError,
     DDDR,
     DDR,
@@ -56,7 +59,6 @@ from .coulomb import (
     R,
     QuantumState,
     Value,
-    bilinear_sum,
     convolve_into,
     drho,
     int_table,
@@ -382,13 +384,8 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
     combined: Dict[int, int] = {}
     for left, right in ((drho(head0, a), drho(tail0, b)), (drho(tail0, a), drho((den, pairs), b))):
         convolve_into(combined, left[1], right[1], sig_rho)
-    b_val = 0
-    for t, cv in combined.items():
-        if cv:
-            if t < 0:
-                raise DivergenceError("tail subtraction depth insufficient: rho^%d survives" % t)
-            b_val += cv * math.factorial(t)
-    int_total = int_total + EpsSeries.constant(Q(b_val, left[0] * right[0]), 0)
+    tail = lagint.mono_moments(combined.items(), 0).rational / (left[0] * right[0])
+    int_total = int_total + EpsSeries.constant(tail, 0)
 
     # --- prefactor: 4 (2/n)^A times factors that are each 1 + x eps through eps^1, so their x add:
     #     u^m/v -> m(gamma_E + 2 ln2) + 2 - gamma_E - 2 ln2;  pi^{(m-1)eps} (mubar/2gamma_n)^{2(m-1)eps}
@@ -515,6 +512,15 @@ _TERMS: Dict[str, List[_Term]] = {
     "r4e/r.dr.p2": [_Term((2,), -1, 2, b=1, k=1, m=1)] + _scaled(_R4E_R_DR_V, (-2,), m=1),
 }
 
+# at l > 0 these tags are finite 3D operators: tag -> (sign, catalog tag) of the
+# closed form they equal, a check on the term lists at every n
+_TWINS = {
+    "V3": (-1, "1/r3"), "V.V'": (-1, "1/r3"), "(V')2": (1, "1/r4"),
+    "V2.p2": (1, "p2.1/r2"), "p2.V.p2": (-1, "p2.1/r.p2"), "p6": (1, "p6"),
+    "p4.V": (-1, "p4.1/r"), "V.p2.V": (1, "p.1/r2.p"), "V'.dr": (1, "1/r2.dr"),
+    "r4e/r2.dr2": (1, "1/r2.dr2"), "r4e/r2.p2": (1, "p2.1/r2"), "r4e/r.dr3": (1, "1/r.dr3"),
+}
+
 # the identity network: each list must evaluate to zero
 _IDENTITIES = [
     ("V.p2.V == p.V2.p", _V_P2_V + _scaled(_P_V2_P, (-1,))),
@@ -566,13 +572,31 @@ def _eval_l0(terms, n: int, units: Tuple[int, int]) -> DivergentValue:
     return total
 
 
-_DR = (R, DR, DDR, DDDR)  # d^a R as operands of coulomb.bilinear_sum
+_DR = (R, DR, DDR, DDDR)  # d^a R as operands of the catalog pieces
+
+
+def _radial_rows() -> dict:
+    """(sigma, a, b) with a <= b -> the first catalog row whose oracle is the one
+    piece (1, d^a R, d^b R, sigma), so 1/r2 serves before V2."""
+    rows = {}
+    for row in CATALOG.values():
+        (coef, left, right, sigma), *more = row.pieces
+        if not (row.contact or row.logpow or more) and coef == 1 and left in _DR and right in _DR:
+            rows.setdefault((sigma, *sorted((_DR.index(left), _DR.index(right)))), row)
+    return rows
+
+
+_RADIAL = _radial_rows()
 
 
 def _eval_pos(terms, st: QuantumState) -> SymExpr:
-    """Exact eps = 0 integral with E = -1/2n^2 and beta = 1."""
-    e, L = Q(-1, 2 * st.n**2), Q(st.l * (st.l + 1))
-    return bilinear_sum(st, [(t.coef[0] * e**t.k * L**t.ang, _DR[t.a], _DR[t.b], t.sigma) for t in terms]).sym
+    """Exact eps = 0 value with E = -1/2n^2 and beta = 1: each term's radial
+    integral int dr r^{2+sigma} (d^a R)(d^b R) is its catalog row's closed form."""
+    n, l = st.n, st.l
+    e, L = Q(-1, 2 * n * n), Q(l * (l + 1))
+    return SymExpr.scalar(
+        sum(t.coef[0] * e**t.k * L**t.ang * _RADIAL[(t.sigma, *sorted((t.a, t.b)))].closed(n, l, L) for t in terms)
+    )
 
 
 def _evaluate(terms, st: QuantumState):

@@ -363,23 +363,20 @@ def suite_dimreg_symbolic() -> SuiteResult:
         for tag, units in (("V3", (0, 3)), ("(V')2", (1, 3))):
             v = dimreg.divergent_expectation(tag, n, 0)
             r.check((v.mr_pow, v.za_pow) == units, "%s units n=%d" % (tag, n))
-    # the same operators at l > 0: exact 3D closed forms, n <= 10
+    # the same operators at l > 0, n <= 10: each term list integrated by the
+    # catalog's oracle, and each tag with a 3D twin against the twin's closed form
+    D = dimreg._DR
     for n in range(2, 11):
         for l in range(1, n):
-            L = Q(l * (l + 1))
-            Bl = (l - HALF) * (l + HALF) * (l + Q(3, 2))
-            closed = {
-                "V3": -1 / (L * (l + HALF) * n**3),
-                "V.V'": -1 / (L * (l + HALF) * n**3),
-                "(V')2": (3 * n * n - L) / (2 * L * Bl * n**5),
-                "V2.p2": (2 * n * n - L) / (L * (l + HALF) * n**5),
-                "p2.V.p2": -Q(1, n**6) + 4 / ((l + HALF) * n**5) - 4 / (L * (l + HALF) * n**3),
-                "p4.V": (-4 * n * n - 2 + 4 * L) / (Bl * n**5) - Q(1, n**6),
-                "V.p2.V": (8 * n * n + 1 - 4 * L) / (4 * Bl * n**5),
-                "V'.dr": Q(0),
-            }
-            for tag, value in closed.items():
-                r.check(dimreg.divergent_expectation(tag, n, l).sym == S(value), "%s (%d,%d)" % (tag, n, l))
+            st = cb.QuantumState(n, l)
+            e, L = Q(-1, 2 * n * n), Q(l * (l + 1))
+            for tag in dimreg.divergent_tags():
+                v = dimreg.divergent_expectation(tag, n, l).sym
+                pieces = [(t.coef[0] * e**t.k * L**t.ang, D[t.a], D[t.b], t.sigma) for t in dimreg._TERMS[tag]]
+                r.check(v == cb.bilinear_sum(st, pieces).sym, "%s (%d,%d)" % (tag, n, l))
+                if tag in dimreg._TWINS:
+                    sign, twin = dimreg._TWINS[tag]
+                    r.check(v == sign * cb.expectation_closed(twin, st).sym, "twin %s (%d,%d)" % (tag, n, l))
     # identity network
     for n in range(1, 9):
         for name, res in dimreg.identity_residuals(n, 0):

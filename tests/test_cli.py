@@ -429,9 +429,10 @@ def test_command_loads_only_its_layers(argv, layers, code):
     assert len(errors) == code and all(line.startswith("error: unknown ") for line in errors)
 
 
-@pytest.mark.parametrize("flag", ["--op ln", "--bracket lnq"])
+@pytest.mark.parametrize("flag", ["--op ln", "--bracket lnq", "--l 3 --op V3"])
 def test_large_n_query(flag):
-    # H_n and n! at n = 1000 once recursed once per term, past the interpreter's limit
+    # H_n and n! at n = 1000 once recursed once per term, past the interpreter's limit,
+    # and V3 at l > 0 once convolved O(n^2) big integers instead of reading closed forms
     argv = ["eval", "--n", "1000", *flag.split(), "--format", "json"]
     proc = subprocess.run([sys.executable, "-m", "coulombev.cli", *argv], capture_output=True, text=True, env=ENV)
     assert (proc.returncode, proc.stderr) == (0, "")

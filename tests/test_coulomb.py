@@ -60,13 +60,13 @@ def test_catalog_closed_equals_oracle_high_n():
     pairs = 0
     for tag in sorted(cb.CATALOG):
         entry = cb.CATALOG[tag]
-        specs = [tag] + ([cb.OperatorSpec(tag, kappa="mu")] if entry.logpow else [])
+        kappas = ("kappa", "mu") if entry.logpow else ("kappa",)
         for st in HIGH_N_STATES:
             if st.l < entry.min_l:
                 continue
-            for spec in specs:
-                c = cb.expectation_closed(spec, st)
-                assert c == cb.expectation_oracle(spec, st), (spec, st.n, st.l)
+            for kappa in kappas:
+                c = cb.expectation_closed(tag, st, kappa)
+                assert c == cb.expectation_oracle(tag, st, kappa), (tag, kappa, st.n, st.l)
             if entry.logpow:  # c is the kappa = mu value
                 assert lam("mu") in c.sym.terms and lam("kappa") not in c.sym.terms
             pairs += 1
@@ -81,8 +81,8 @@ def test_log_rows_closed_equals_oracle_at_n100():
             st = cb.QuantumState(100, l)
             if st.l < cb.CATALOG[tag].min_l:
                 continue
-            for spec in (tag, cb.OperatorSpec(tag, kappa="mu")):
-                assert cb.expectation_closed(spec, st) == cb.expectation_oracle(spec, st), (spec, l)
+            for kappa in ("kappa", "mu"):
+                assert cb.expectation_closed(tag, st, kappa) == cb.expectation_oracle(tag, st, kappa), (tag, kappa, l)
                 checks += 1
     assert checks == 46
 
@@ -107,7 +107,7 @@ def test_reference_values():
 
 
 def test_log_entry_kappa_resolution():
-    v = cb.expectation_closed(cb.OperatorSpec("ln/r", kappa="mu"), cb.QuantumState(1, 0))
+    v = cb.expectation_closed("ln/r", cb.QuantumState(1, 0), kappa="mu")
     assert v.sym == SymExpr({lam("mu"): Q(1), ("one",): Q(1), ("gamma_e",): Q(-1)})
 
 

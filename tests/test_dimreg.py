@@ -293,28 +293,27 @@ class TestDivergentTables:
 class TestLPositiveBranch:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_tables(self, suite, n):
-        tags = ("V3", "(V')2", "V2.p2", "p2.V.p2", "V.p2.V", "V'.dr")
-        suite("dimreg-symbolic").assert_passed(["%s (%d,%d)" % (tag, n, l) for l in range(1, n) for tag in tags])
+        # every tag against its term list integrated by the catalog's oracle
+        labels = ["%s (%d,%d)" % (tag, n, l) for l in range(1, n) for tag in dr.divergent_tags()]
+        suite("dimreg-symbolic").assert_passed(labels)
 
-    @pytest.mark.parametrize(
-        "tag,twin,sign",
-        [
-            ("p6", "p6", 1),
-            ("V.p2.V", "p.1/r2.p", 1),
-            ("r4e/r2.dr2", "1/r2.dr2", 1),
-            ("r4e/r.dr3", "1/r.dr3", 1),
-            ("V3", "1/r3", -1),
-            ("(V')2", "1/r4", 1),
-            ("r4e/r2.p2", "p2.1/r2", 1),
-            ("V'.dr", "1/r2.dr", 1),
-        ],
-    )
-    def test_closed_form_twins(self, tag, twin, sign):
-        # the integrated term list against the tabulated 3D closed form
-        states = [(n, l) for n in range(2, 11) for l in range(1, n)] + [(100, 3), (100, 50), (100, 99)]
-        for n, l in states:
-            twin_sym = cb.expectation_closed(twin, cb.QuantumState(n, l)).sym
-            assert dr.divergent_expectation(tag, n, l).sym == sign * twin_sym, (n, l)
+    @pytest.mark.parametrize("tag,twin,sign", [(tag, twin, sign) for tag, (sign, twin) in dr._TWINS.items()])
+    def test_closed_form_twins(self, suite, tag, twin, sign):
+        # n <= 10 in the suite; at large n, where no oracle reaches, the same identity
+        labels = ["twin %s (%d,%d)" % (tag, n, l) for n in range(2, 11) for l in range(1, n)]
+        suite("dimreg-symbolic").assert_passed(labels)
+        for n in (100, 1000):
+            for l in (1, 3, n // 2, n - 1):
+                twin_sym = cb.expectation_closed(twin, cb.QuantumState(n, l)).sym
+                assert dr.divergent_expectation(tag, n, l).sym == sign * twin_sym, (n, l)
+
+    def test_no_convolution(self, monkeypatch):
+        # every l > 0 value reads catalog closed forms: no term lacks a row, or needs l >= 2
+        monkeypatch.setattr(cb, "convolve_into", None)
+        monkeypatch.setattr(dr, "convolve_into", None)
+        for tag in dr.divergent_tags():
+            assert isinstance(dr.divergent_expectation(tag, 1000, 1), cb.Value), tag
+        assert all(not res for _, res in dr.identity_residuals(1000, 1))
 
     def test_units_must_agree(self):
         with pytest.raises(DomainError):

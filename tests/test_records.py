@@ -31,12 +31,6 @@ RECORDS = {
         "RadialWF(state=QuantumState(n=2, l=0), norm2=Fraction(1, 8), poly=2 + -1*x)",
         None,
     ),
-    "OperatorSpec": (
-        lambda: cb.OperatorSpec("ln/r", "mu"),
-        ("kind", "kappa"),
-        "OperatorSpec(kind='ln/r', kappa='mu')",
-        None,
-    ),
     "CatalogEntry": (
         lambda: cb.CatalogEntry("r", 0, -1, -1, abs, ((1, "R", "R", 1),), 1, True),
         ("tag", "min_l", "mr_pow", "za_pow", "closed", "pieces", "logpow", "contact"),
@@ -172,12 +166,11 @@ def test_suite_result_is_mutable():
     [
         (lambda: cb.PhysScale(), {"mr": 1.0, "zalpha": 1.0, "mu": 1.0, "kappa": 1.0}),
         (lambda: cb.Value(SymExpr.scalar(1)), {"mr_pow": 0, "za_pow": 0, "pi_pow": 0}),
-        (lambda: cb.OperatorSpec("1/r"), {"kappa": "kappa"}),
         (lambda: cb.CatalogEntry("r", 0, -1, -1, abs, ()), {"logpow": 0, "contact": False}),
         (lambda: lagint.MomentSpec(Q(1), 0, (1, 1, 0)), {"right": None}),
         (lambda: suites.SuiteResult("x"), {"passed": 0, "failed": 0, "failures": [], "record": []}),
     ],
-    ids=["PhysScale", "Value", "OperatorSpec", "CatalogEntry", "MomentSpec", "SuiteResult"],
+    ids=["PhysScale", "Value", "CatalogEntry", "MomentSpec", "SuiteResult"],
 )
 def test_constructor_defaults(build, fields):
     a = build()
