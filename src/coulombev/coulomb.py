@@ -322,57 +322,65 @@ def _operand_table(n: int, l: int, op):
 
 
 def _weighted(state: QuantumState, pieces, shift: int):
-    """rho^shift sum_i coef_i r^sigma_i (left_i R)(right_i R) = (norm2/den) sum_t c_t rho^t e^{-rho}.
+    """rho^shift sum_i coef_i r^sigma_i (left_i R)(right_i R) = (num/den) sum_t c_t rho^t e^{-rho}.
 
     shift = 2 is the rho^2 of the radial measure, shift = 0 the bare sum.
-    Returns (norm2/den, monomials) with integer den and c_t.  The pieces are
-    put on one denominator and summed before any c_t is read; `monomials` is
-    a generator of the (t, c_t), and the convolution runs when it is read.
+    Returns (num, den, monomials), all integers: the weights coef (n/2)^sigma /
+    (d_l d_r) are integer pairs put on one denominator and summed before any
+    c_t is read; `monomials` yields the (t, c_t) by running the convolution.
+    No Fraction is built here; the caller's last line builds one per coefficient.
     """
     n, l = state.n, state.l
     parts = []
     for coef, left, right, sigma in pieces:
         dl, tl = _operand_table(n, l, left)
         dr, tr = _operand_table(n, l, right)
-        parts.append((coef * Q(n, 2) ** sigma / (dl * dr), sigma, tl, tr))
-    den = math.lcm(*(w.denominator for w, _, _, _ in parts))
+        up, down = (n**sigma, 1 << sigma) if sigma >= 0 else (1 << -sigma, n**-sigma)  # (n/2)^sigma
+        parts.append((coef.numerator * up, coef.denominator * dl * dr * down, sigma, tl, tr))
+    common = math.lcm(*(den for _, den, _, _, _ in parts))
 
     def monomials():
         combined: Dict[int, int] = {}
-        for w, sigma, tl, tr in parts:
-            convolve_into(combined, tl, tr, shift + sigma, w.numerator * (den // w.denominator))
+        for num, den, sigma, tl, tr in parts:
+            convolve_into(combined, tl, tr, shift + sigma, num * (common // den))
         yield from combined.items()
 
-    return _norm2(n, l) / den, monomials()
+    norm2 = _norm2(n, l)
+    return norm2.numerator, norm2.denominator * common, monomials()
 
 
-def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kappa") -> Value:
+def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kappa") -> SymExpr:
     """sum_i coef_i int_0^inf dr r^{2+sigma_i} ln^logpow(kappa r) (left_i R)(right_i R), exact.
 
     `pieces` holds (coef, left, right, sigma) with operands built from `R` by
     `d`, `over_r`, `p2` and `scaled`.  Divergent monomials may cancel between
     pieces: the check runs after they are combined.  ln(kappa r) = ln(rho) +
-    Lambda_kappa with Lambda_kappa = ln(kappa n / (2 m_r Za)).
+    Lambda_kappa with Lambda_kappa = ln(kappa n / (2 m_r Za)).  All is integer
+    arithmetic up to the last line, which builds one Fraction per coefficient.
     """
-    weight, monomials = _weighted(state, pieces, 2)
+    num, den, monomials = _weighted(state, pieces, 2)
     # int rho^t ln^m(rho) e^{-rho}; mono_moments checks logpow before the convolution runs
-    moments = lagint.mono_moments(monomials, logpow)
+    sums = lagint.mono_moments(monomials, logpow)
     # d^m/ds^m [e^{Lambda s} Gamma(t+1+s)] at s = 0 holds gamma_E only as gamma_E - Lambda,
     # so the ln(kappa r) moments are the ln(rho) ones with gamma_E -> gamma_E - Lambda_kappa
-    if logpow:
-        g, g2 = moments.coeff(GAMMA_E), moments.coeff(GAMMA2)
-        moments = SymExpr({**moments.terms, lam(kappa): -g, gamma_lam(kappa): -2 * g2, lam2(kappa): g2})
-    return Value(moments * (weight * Q(state.n, 2) ** 3))
+    g, g2 = sums.get(GAMMA_E, 0), sums.get(GAMMA2, 0)
+    sums.update({lam(kappa): -g, gamma_lam(kappa): -2 * g2, lam2(kappa): g2})
+    num, den = num * state.n**3, den << 3  # dr = (n/2) drho and r^2 = (n/2)^2 rho^2
+    return SymExpr({tag: Fraction(c * num, den) for tag, c in sums.items() if c})
 
 
-def contact(state: QuantumState, pieces) -> Value:
-    """(1/4pi) lim_{r->0} sum_i coef_i r^sigma_i (left_i R)(right_i R); error if it diverges."""
-    weight, monomials = _weighted(state, pieces, 0)
+def contact(state: QuantumState, pieces) -> SymExpr:
+    """(1/4) lim_{r->0} sum_i coef_i r^sigma_i (left_i R)(right_i R), exact; error if it diverges.
+
+    The delta function's 1/pi is left to the caller.  As in `bilinear_sum`,
+    the last line builds the one Fraction from integers.
+    """
+    num, den, monomials = _weighted(state, pieces, 0)
     combined = dict(monomials)
     for t, c in combined.items():
         if c and t < 0:
             raise DivergenceError("contact value divergent (r^%d)" % t)
-    return Value(SymExpr.scalar(weight * combined.get(0, 0) / 4), pi_pow=-1)
+    return SymExpr({ONE: Fraction(combined.get(0, 0) * num, den << 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +394,7 @@ class CatalogEntry(Record):
     `closed(n, l, L)`, with L = l(l+1) and the kappa label as a fourth
     argument for the log rows, returns a scalar or a SymExpr.  The oracle is
     `bilinear_sum` of `pieces` with ln^logpow(kappa r), or their `contact`
-    limit, which carries the 1/pi of the delta function.
+    limit; `value` adds the 1/pi of the delta function to a contact row.
     """
 
     __slots__ = ("tag", "min_l", "mr_pow", "za_pow", "closed", "pieces", "logpow", "contact")
@@ -435,7 +443,7 @@ def _grad(f, sigma, coef=1):
 
 def p6_naive_oracle(st: QuantumState) -> Value:
     """<p^6> as int |grad(p^2 psi)|^2; diverges for S states."""
-    return bilinear_sum(st, _grad(P2R, 0))
+    return Value(bilinear_sum(st, _grad(P2R, 0)))
 
 
 def _p6(n, l, L):
@@ -759,8 +767,8 @@ def expectation_oracle(tag: str, state: QuantumState, kappa: str = "kappa") -> V
     """Independent exact-integration value of the same entry."""
     row = _lookup(tag, state)
     if row.contact:
-        return row.value(contact(state, row.pieces).sym)
-    return row.value(bilinear_sum(state, row.pieces, row.logpow, kappa).sym)
+        return row.value(contact(state, row.pieces))
+    return row.value(bilinear_sum(state, row.pieces, row.logpow, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +778,7 @@ def expectation_oracle(tag: str, state: QuantumState, kappa: str = "kappa") -> V
 
 def power_moment(state: QuantumState, s: int) -> Fraction:
     """<r^s> in units m_r Zalpha = 1, exact, any integer s with 2 + s + 2l >= 0."""
-    return bilinear_sum(state, ((1, R, R, s),)).sym.rational
+    return bilinear_sum(state, ((1, R, R, s),)).rational
 
 
 def recursion_residual(s: int, state: QuantumState) -> Fraction:

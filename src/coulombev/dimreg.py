@@ -384,7 +384,7 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
     combined: Dict[int, int] = {}
     for left, right in ((drho(head0, a), drho(tail0, b)), (drho(tail0, a), drho((den, pairs), b))):
         convolve_into(combined, left[1], right[1], sig_rho)
-    tail = lagint.mono_moments(combined.items(), 0).rational / (left[0] * right[0])
+    tail = Q(lagint.mono_moments(combined.items(), 0)[ONE], left[0] * right[0])
     int_total = int_total + EpsSeries.constant(tail, 0)
 
     # --- prefactor: 4 (2/n)^A times factors that are each 1 + x eps through eps^1, so their x add:
@@ -519,6 +519,8 @@ _TWINS = {
     "V2.p2": (1, "p2.1/r2"), "p2.V.p2": (-1, "p2.1/r.p2"), "p6": (1, "p6"),
     "p4.V": (-1, "p4.1/r"), "V.p2.V": (1, "p.1/r2.p"), "V'.dr": (1, "1/r2.dr"),
     "r4e/r2.dr2": (1, "1/r2.dr2"), "r4e/r2.p2": (1, "p2.1/r2"), "r4e/r.dr3": (1, "1/r.dr3"),
+    "V.V'.dr": (-1, "1/r3.dr"), "r4e.p4": (1, "p4"), "r4e.p2.V": (1, "p2.V"), "r4e.p.V.p": (1, "p.V.p"),
+    "p.r4e.p.V": (1, "p2.V"), "r4e/r.dr.V": (1, "1/r3"),
 }
 
 # the identity network: each list must evaluate to zero

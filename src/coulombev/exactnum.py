@@ -268,7 +268,7 @@ class SymExpr:
     # -- constructors ------------------------------------------------------
     @classmethod
     def scalar(cls, x: Scalar) -> "SymExpr":
-        return cls({ONE: Q(x)})
+        return cls({ONE: x})  # __init__ wraps anything that is not a Fraction
 
     @classmethod
     def of(cls, tag, coeff: Scalar = 1) -> "SymExpr":
@@ -457,15 +457,10 @@ class EpsSeries:
         return all(not c for c in self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------
-    def _aligned(self, other: "EpsSeries"):
-        order = min(self.order, other.order)
-        low = min(self.low, other.low)
-        return low, order
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, SymExpr)):
             other = EpsSeries.constant(other, self.order)
-        low, order = self._aligned(other)
+        low, order = min(self.low, other.low), min(self.order, other.order)
         coeffs = [self.coeff(k) + other.coeff(k) for k in range(low, order + 1)]
         return EpsSeries(low, coeffs, order)
 
@@ -567,16 +562,6 @@ class EpsSeries:
 # ---------------------------------------------------------------------------
 
 
-def _psi_int(m: int) -> SymExpr:
-    # psi(m) for integer m >= 1
-    return SymExpr({ONE: harmonic(m - 1), GAMMA_E: Q(-1)})
-
-
-def _psi1_int(m: int) -> SymExpr:
-    # psi'(m) for integer m >= 1
-    return SymExpr({ZETA2: Q(1), ONE: -harmonic(m - 1, 2)})
-
-
 @lru_cache(maxsize=None)
 def gamma_ratio_eps(a: int, c: int, order: int) -> Tuple[Fraction, ...]:
     """x^0..x^order of Gamma(a + x)/Gamma(c + x) for integers a and c, exact.
@@ -652,9 +637,9 @@ def polygamma_int(k: int, N: int) -> SymExpr:
     if N < 1:
         raise DomainError("polygamma_int needs N >= 1")
     if k == 0:
-        return _psi_int(N)
+        return SymExpr({ONE: harmonic(N - 1), GAMMA_E: Q(-1)})
     if k == 1:
-        return _psi1_int(N)
+        return SymExpr({ZETA2: Q(1), ONE: -harmonic(N - 1, 2)})
     raise UnsupportedOrderError("polygamma order k=%d unsupported (only k <= 1 needed)" % k)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .exactnum import (
     DivergenceError,
@@ -72,14 +72,16 @@ def _gamma_rows(t: int) -> Tuple[Tuple[int, int, int], ...]:
     return rows
 
 
-def mono_moments(pairs, logpow: int) -> SymExpr:
+def mono_moments(pairs, logpow: int) -> Dict[object, int]:
     """sum_t c_t int_0^inf e^{-x} x^t ln^m x dx over the (t, c_t) pairs, exact.
 
     The m-th derivative of Gamma(t+1) is t! [(H_t - gamma_E)^2 + zeta(2) -
     H_t^(2)] at m = 2, t! (H_t - gamma_E) at m = 1 and t! at m = 0; each sum
-    over t is taken on the integer rows of `_gamma_rows`.  logpow is checked
-    before `pairs` is read, so a lazy iterable does no work for a bad one.
-    A nonzero c_t at t < 0 is a DivergenceError.
+    over t is taken on the integer rows of `_gamma_rows`, and the result maps
+    each basis symbol to its sum (an integer for integer c_t; the caller
+    builds the Fractions).  logpow is checked before `pairs` is read, so a
+    lazy iterable does no work for a bad one.  A nonzero c_t at t < 0 is a
+    DivergenceError.
     """
     if logpow not in (0, 1, 2):
         raise DomainError("log power must be 0, 1 or 2, got %r" % (logpow,))
@@ -99,10 +101,10 @@ def mono_moments(pairs, logpow: int) -> SymExpr:
             if logpow == 2:
                 s2 += c * f2
     if logpow == 0:
-        return SymExpr({ONE: s0})
+        return {ONE: s0}
     if logpow == 1:
-        return SymExpr({ONE: s1, GAMMA_E: -s0})
-    return SymExpr({ONE: s2, GAMMA_E: -2 * s1, GAMMA2: s0, ZETA2: s0})
+        return {ONE: s1, GAMMA_E: -s0}
+    return {ONE: s2, GAMMA_E: -2 * s1, GAMMA2: s0, ZETA2: s0}
 
 
 def poly_moment(p: Poly, q: Poly, s: int, logpow: int = 0) -> SymExpr:
@@ -112,7 +114,7 @@ def poly_moment(p: Poly, q: Poly, s: int, logpow: int = 0) -> SymExpr:
         for r, c in enumerate((p * q).coeffs):
             yield s + r, c
 
-    return mono_moments(monomials(), logpow)
+    return SymExpr(mono_moments(monomials(), logpow))
 
 
 def brute_force_moment(spec: MomentSpec) -> SymExpr:

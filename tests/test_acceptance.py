@@ -7,8 +7,13 @@ the criterion's wall-clock budget.  Each criterion prints a single
 failure).
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +125,18 @@ def test_criterion_9_cx1_demo():
     assert val0.pole() == S(coef0 * -2)
     elapsed = time.time() - t0
     _report(9, "exact symbolic match, both branches", elapsed, 9999)
+
+
+def test_benchmark_exact_sweep_pass():
+    """One exact-sweep pass of perfbench (seed 1) fails no operation: every closed form
+    equals its oracle, and the catalog, divergent and identity digests equal the
+    ones recorded in perfbench/expected.json."""
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    proc = subprocess.run(
+        [sys.executable, str(worker), "--workload", "exact-sweep", "--seed", "1"],
+        capture_output=True, text=True, check=True, timeout=300, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(out["core_digests"]) == ["catalog", "divergent", "identity"]
+    assert out["attempted"] > 4000
+    assert out["failed"] == 0, out["failures"]

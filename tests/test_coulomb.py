@@ -1,7 +1,9 @@
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coulombev import coulomb as cb
 from coulombev import lagint
@@ -95,6 +97,47 @@ def test_bilinear_sum_refuses_log_power(logpow, monkeypatch):
     monkeypatch.setattr(cb, "convolve_into", convolve_into)
     with pytest.raises(DomainError):
         cb.bilinear_sum(cb.QuantumState(2, 1), ((1, cb.R, cb.R, 0),), logpow=logpow)
+
+
+# the integer path of the oracle: random states, operands, Fraction coefficients and r^sigma
+OPERANDS = (cb.R, cb.DR, cb.DDR, cb.P2R, cb.R_R, cb.DR_R, cb.scaled(cb.DR, Q(-3, 7), ang=1, k=1))
+STATE = st.integers(1, 10).flatmap(lambda n: st.builds(cb.QuantumState, st.just(n), st.integers(0, n - 1)))
+COEF = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+PIECES = st.lists(
+    st.tuples(COEF, st.sampled_from(OPERANDS), st.sampled_from(OPERANDS), st.integers(-2, 3)), min_size=1, max_size=3
+)
+
+
+def _units(fn, state, pieces, message):
+    """fn of each piece with coefficient 1; a divergent piece must say so in `message` and is skipped."""
+    try:
+        return [fn(state, ((1, left, right, sigma),)) for _, left, right, sigma in pieces]
+    except DivergenceError as exc:
+        assert re.fullmatch(message, str(exc)), str(exc)
+        assume(False)
+
+
+@given(STATE, PIECES, st.integers(-1, 3))
+@settings(max_examples=150, deadline=None)
+def test_bilinear_sum_is_linear_in_each_coefficient(state, pieces, logpow):
+    if logpow not in (0, 1, 2):
+        with pytest.raises(DomainError, match=r"^log power must be 0, 1 or 2, got %d$" % logpow):
+            cb.bilinear_sum(state, pieces, logpow)
+        return
+    units = _units(
+        lambda s, p: cb.bilinear_sum(s, p, logpow), state, pieces,
+        r"moment diverges: surviving x\^-\d+ monomial at the origin",
+    )
+    want = sum((c * u for (c, _, _, _), u in zip(pieces, units)), SymExpr())
+    assert cb.bilinear_sum(state, pieces, logpow) == want
+
+
+@given(STATE, PIECES)
+@settings(max_examples=150, deadline=None)
+def test_contact_is_linear_in_each_coefficient(state, pieces):
+    units = _units(cb.contact, state, pieces, r"contact value divergent \(r\^-\d+\)")
+    want = sum((c * u for (c, _, _, _), u in zip(pieces, units)), SymExpr())
+    assert cb.contact(state, pieces) == want
 
 
 def test_reference_values():

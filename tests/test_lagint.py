@@ -245,16 +245,22 @@ class TestMonoMoments:
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_against_harmonic_numbers(self, m):
         for t in range(200):
-            assert li.mono_moments([(t, 1)], m) == gamma_derivative(t, m), t
+            assert SymExpr(li.mono_moments([(t, 1)], m)) == gamma_derivative(t, m), t
+
+    def test_integer_pairs_give_integer_sums(self):
+        # the sums stay Python integers; the caller builds the Fractions
+        for m in (0, 1, 2):
+            sums = li.mono_moments([(3, 2), (0, -1), (9, 5)], m)
+            assert sums and all(type(v) is int for v in sums.values()), m
 
     def test_weighted_sum(self):
         pairs = [(7, Q(-3, 4)), (0, 5), (2, 0), (150, Q(1, 9)), (-1, 0), (7, 2)]
         for m in (0, 1, 2):
             want = sum((c * gamma_derivative(t, m) for t, c in pairs if c), S(0))
-            assert li.mono_moments(pairs, m) == want
+            assert SymExpr(li.mono_moments(pairs, m)) == want
 
     def test_negative_power_diverges_unless_zero(self):
-        assert li.mono_moments([(-3, 0), (1, 2)], 1) == 2 * gamma_derivative(1, 1)
+        assert SymExpr(li.mono_moments([(-3, 0), (1, 2)], 1)) == 2 * gamma_derivative(1, 1)
         for m in (0, 1, 2):
             with pytest.raises(DivergenceError):
                 li.mono_moments([(1, 2), (-1, Q(1, 3))], m)
