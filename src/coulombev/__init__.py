@@ -16,8 +16,7 @@ __version__ = "1.0.0"
 
 # submodule -> the public names it defines
 _LAYERS = {
-    "exactnum": "DivergenceError DomainError EpsSeries SymExpr diharmonic gamma_ratio_limit harmonic"
-    " hypergeometric_2f1_unit hypergeometric_f_expansion polygamma_int",
+    "exactnum": "DivergenceError DomainError EpsSeries SymExpr diharmonic harmonic",
     "laguerre": "Poly assoc_laguerre gegenbauer subtract_laguerre",
     "lagint": "MomentSpec brute_force_moment integral_I integral_J integral_K integral_L integral_M",
     "coulomb": "MomentumRadialWF PhysScale QuantumState Value catalog_tags cx1_energy_shift"

@@ -1,12 +1,11 @@
 """Exact-rational substrate: harmonic and diharmonic numbers, a small basis of
-symbolic constants (Euler gamma, zeta(2), logs), digamma and trigamma values
-at integers, and truncated Laurent series in the dimensional-regularization
-parameter epsilon.
+symbolic constants (Euler gamma, zeta(2), ln pi, log scales), and truncated
+Laurent series in the dimensional-regularization parameter epsilon.
 
 Every gamma expansion near integers is built on one exact series,
 `gamma_ratio_eps` for Gamma(a+x)/Gamma(c+x), with Gamma(1+x) as the one
-symbolic constant series: `gamma_series`, `gamma_ratio_limit`, the 3F2 tail
-of `f32_unit_negative` and the Laguerre Gamma-limits of `lagint`.
+symbolic constant series: `gamma_series` and the Laguerre Gamma-limits of
+`lagint`.
 
 Scalars are `fractions.Fraction` throughout; nothing here ever rounds.
 """
@@ -165,29 +164,6 @@ def rising(a: Scalar, n: int) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2 convention)."""
-    if m == 0:
-        return Q(1)
-    s = Q(0)
-    for j in range(m):
-        s += binomial(m + 1, j) * bernoulli(j)
-    return -s / (m + 1)
-
-
-def zeta_nonpositive(s: int) -> Fraction:
-    """zeta(-s) for integer s >= 0 (zeta(0) = -1/2)."""
-    if s < 0:
-        raise DomainError("use zeta_nonpositive only for arguments <= 0")
-    return Q(-1) ** s * bernoulli(s + 1) / (s + 1)
-
-
-def eta_nonpositive(s: int) -> Fraction:
-    """Dirichlet eta(-s) for integer s >= 0; eta(0) = 1/2, eta(-1) = 1/4, ..."""
-    return (1 - Q(2) ** (1 + s)) * zeta_nonpositive(s)
-
-
 # ---------------------------------------------------------------------------
 # symbolic constants
 # ---------------------------------------------------------------------------
@@ -195,7 +171,6 @@ def eta_nonpositive(s: int) -> Fraction:
 ONE = ("one",)
 GAMMA_E = ("gamma_e",)
 ZETA2 = ("zeta2",)
-LN2 = ("ln2",)
 LN_PI = ("ln_pi",)
 GAMMA2 = ("gamma2",)  # gamma_e**2
 LNQN = ("ln_2mrza_over_n",)  # ln(2 m_r Zalpha / n), resolved per state
@@ -218,7 +193,6 @@ _TAG_NAMES = {
     ONE: "1",
     GAMMA_E: "gamma_E",
     ZETA2: "zeta(2)",
-    LN2: "ln2",
     LN_PI: "ln(pi)",
     GAMMA2: "gamma_E^2",
     LNQN: "ln(2*mr*Za/n)",
@@ -395,7 +369,6 @@ _NUMERIC_TAGS = {
     ONE: 1.0,
     GAMMA_E: EULER_GAMMA,
     ZETA2: 1.6449340668482264364724151666460251892189499012068,
-    LN2: 0.69314718055994530941723212145817656807550013436026,
     LN_PI: 1.1447298858494001741434273513530587116472948129153,
     GAMMA2: EULER_GAMMA**2,
 }
@@ -558,7 +531,7 @@ class EpsSeries:
 
 
 # ---------------------------------------------------------------------------
-# gamma expansions near integers, digamma and trigamma at integers
+# gamma expansions near integers
 # ---------------------------------------------------------------------------
 
 
@@ -615,81 +588,3 @@ def gamma_series(m: int, c: Scalar = 1, order: int = 1) -> EpsSeries:
         sum((_GAMMA_1PX[i] * ratio[k - i] for i in range(k + 1)), SYM_ZERO) * c ** (k + low) for k in range(depth + 1)
     ]
     return EpsSeries(low, coeffs, order)
-
-
-# ---------------------------------------------------------------------------
-# spec'd operations
-# ---------------------------------------------------------------------------
-
-
-def gamma_ratio_limit(N: int, orders: int = 1) -> EpsSeries:
-    """Expansion of Gamma(eps)/Gamma(eps - N) = (-1)^N N! (1 - eps H_N + ...),
-    a polynomial in eps."""
-    if N < 0:
-        raise DomainError("gamma_ratio_limit needs N >= 0")
-    if orders > 2:
-        raise UnsupportedOrderError("expansion depth capped at 2")
-    return EpsSeries.from_coeffs(0, [SymExpr.scalar(x) for x in gamma_ratio_eps(0, -N, orders)])
-
-
-def polygamma_int(k: int, N: int) -> SymExpr:
-    """psi(N) for k=0 and psi(1,N) for k=1, at integer N >= 1, zeta(2) symbolic."""
-    if N < 1:
-        raise DomainError("polygamma_int needs N >= 1")
-    if k == 0:
-        return SymExpr({ONE: harmonic(N - 1), GAMMA_E: Q(-1)})
-    if k == 1:
-        return SymExpr({ZETA2: Q(1), ONE: -harmonic(N - 1, 2)})
-    raise UnsupportedOrderError("polygamma order k=%d unsupported (only k <= 1 needed)" % k)
-
-
-def hypergeometric_2f1_unit(a: Scalar, n: int, c: Scalar) -> Fraction:
-    """2F1(a, -n; c; 1) = (c-a)^(rising n) / c^(rising n) for integer n >= 0."""
-    if n < 0:
-        raise DomainError("needs integer n >= 0")
-    a, c = Q(a), Q(c)
-    den = rising(c, n)
-    if den == 0:
-        raise DomainError("pole: c^(rising n) vanishes for c=%s, n=%d" % (c, n))
-    return rising(c - a, n) / den
-
-
-def f32_unit_negative(n: int, k: int) -> SymExpr:
-    """3F2(1,1,n+k+1; 2,n+2; -1) for integers n >= 0, k >= 1, in span{1, ln2}."""
-    # series sum_j (-1)^j R(j)/(j+1) with R(j) = prod_{t=0..k-2} (j+n+2+t)/(n+2+t),
-    # whose numerator in powers of (j+1) is Gamma(n+k+x)/Gamma(n+1+x) at x = j+1
-    d = gamma_ratio_eps(n + k, n + 1, k - 1)
-    den = rising(n + 2, k - 1)
-    out = SymExpr.of(LN2, d[0] / den)  # m = 0 term: sum (-1)^j/(j+1) = ln 2
-    for m in range(1, len(d)):
-        out = out + SymExpr.scalar(d[m] * eta_nonpositive(m - 1) / den)
-    return out
-
-
-def hypergeometric_f_expansion(n: int, k: int, a: Scalar, b: Scalar) -> EpsSeries:
-    """Eps-expansion of 2F1(-n + a*eps, k + b*eps; -n+1 + a*eps; -1).
-
-    Two closed cases: k = 0 (regular, through O(eps)) and k >= 1 (simple pole,
-    through O(1)).  Coefficients lie in span{1, ln2}.
-    """
-    if n < 1:
-        raise DomainError("needs n >= 1")
-    if k < 0:
-        raise DomainError("needs k >= 0")
-    a, b = Q(a), Q(b)
-    if a == 0:
-        raise DomainError("degenerate parameter a = 0")
-    if k == 0:
-        sgn = Q(-1) ** n
-        c0 = SymExpr.scalar(1 - sgn * b / a)
-        inner = SymExpr.of(LN2, -1 + sgn)
-        inner = inner + SymExpr.scalar(-sgn * (b / a) * harmonic(n - 1))
-        inner = inner + SymExpr.scalar(sum(Q((-1) ** j, n - j) for j in range(1, n)))
-        return EpsSeries.from_coeffs(0, [c0, b * inner])
-    binom_kn = binomial(k + n - 1, n)
-    pole = SymExpr.scalar(Q(-1) ** (n + 1) * n / a * binom_kn)
-    const = SymExpr.scalar(1)
-    const = const + SymExpr.scalar(Q(-1) ** n * binom_kn * (1 - (n * b / a) * (harmonic(k + n - 1) - harmonic(k - 1))))
-    const = const + SymExpr.scalar(n * sum(Q(-1) ** j * rising(k, j) / ((n - j) * factorial(j)) for j in range(1, n)))
-    const = const + (Q(-1) ** n * n * rising(k, n + 1) / factorial(n + 1)) * f32_unit_negative(n, k)
-    return EpsSeries.from_coeffs(-1, [pole, const])

@@ -182,8 +182,8 @@ def _laguerre_prefactors(n: int, k: int, r: int) -> Fraction:
 def integral_I(s: Scalar, n: int, k: int, p: int = 0) -> SymExpr:
     """^pI_s(n,k) = int e^{-x} x^s ^pL_n^k(x) dx.
 
-    p = 0 uses the no-sum closed form with the gamma-ratio limit; p = 1, 2 use
-    the 2F1-reduced forms; larger p is ^pK_s(n,k;0,0), since L_0^0 = 1.
+    p = 0 uses the no-sum closed form with the gamma-ratio limit; p >= 1 is
+    ^pK_s(n,k;0,0), since L_0^0 = 1.
     """
     s = _integer_power(s)
     _require_integer_orders(n=n, k=k)
@@ -194,18 +194,6 @@ def integral_I(s: Scalar, n: int, k: int, p: int = 0) -> SymExpr:
     if p == 0:
         pref = Q(-1) ** n / factorial(n)
         return pref * _term_limit(s - k + 1, s + 1, s - k - n + 1, 0)
-    if p in (1, 2):
-        # Gamma(s+1+e) * { G(e) - 1 [+ n(s+1+e)/(k+1) for p=2] } with
-        # G(e) = k!/(n+k)! prod_{i=0..n-1} (k-s+i-e)
-        g0, g1 = (g * factorial(k) / factorial(n + k) for g in gamma_ratio_eps(n + k - s, k - s, 1))
-        brace0, brace1 = g0 - 1, -g1  # the ratio's argument x is -e
-        if p == 2:
-            brace0, brace1 = brace0 + Q(n * (s + 1), k + 1), brace1 + Q(n, k + 1)
-        gs1 = gamma_series(s + 1, 1, order=0)
-        if gs1.coeff(-1) and brace0:
-            raise DivergenceError("residual pole in subtracted I")
-        value = gs1.coeff(0) * brace0 + gs1.coeff(-1) * brace1
-        return (factorial(n + k) / (factorial(n) * factorial(k))) * value
     return _bilinear_closed(s, n, k, 0, 0, p, 0)
 
 

@@ -24,10 +24,9 @@ from .exactnum import (
     Record,
     SymExpr,
     diharmonic,
-    gamma_ratio_limit,
+    gamma_ratio_eps,
     h0,
     harmonic,
-    polygamma_int,
     binomial,
 )
 from .laguerre import Poly, assoc_laguerre, gegenbauer
@@ -162,10 +161,11 @@ def suite_exactnum() -> SuiteResult:
             sum(harmonic(k) / (n - k) for k in range(1, n)) == h * h - h2,
             "harmonic square sum 2 n=%d" % n,
         )
-    # gamma ratio numeric check
+    # Gamma(e)/Gamma(e - N) through O(e), the ratio behind every Gamma expansion
     e = 1e-6
     for N in range(0, 11):
-        approx = gamma_ratio_limit(N, 1).numeric(e)
+        c0, c1 = gamma_ratio_eps(0, -N, 1)
+        approx = float(c0) + float(c1) * e
         r.check(abs(approx / (math.gamma(e) / math.gamma(e - N)) - 1) < 1e-5, "gamma ratio N=%d" % N)
     # EpsSeries ring laws on deterministic pseudo-random series (products are
     # kept inside the pole-order cap of the artifact)
@@ -246,15 +246,18 @@ def suite_lagint() -> SuiteResult:
                 closed = lagint.integral_M(s, n, k, 0, 0)  # L_0^0 = 1
             r.check(closed == brute, "oracle equivalence seed %d %r" % (seed, spec))
             count += 1
-    # summation formulas
+    # summation formulas, with psi(m) = H_{m-1} - gamma_E at integers m >= 1
+    def psi(m):
+        return SymExpr({ONE: harmonic(m - 1), GAMMA_E: Q(-1)})
+
     for n in range(1, 26):
         lhs = SymExpr()
         for j in range(0, n):
-            lhs = lhs + binomial(n, j + 1) * Q(-1) ** j * polygamma_int(0, j + 1)
+            lhs = lhs + binomial(n, j + 1) * Q(-1) ** j * psi(j + 1)
         r.check(lhs == SymExpr({ONE: -harmonic(n - 1), GAMMA_E: Q(-1)}), "psi sum 1 n=%d" % n)
         lhs = SymExpr()
         for j in range(0, n + 1):
-            lhs = lhs + binomial(n, j) * Q(-1) ** j * polygamma_int(0, j + 1)
+            lhs = lhs + binomial(n, j) * Q(-1) ** j * psi(j + 1)
         r.check(lhs == SymExpr.scalar(Q(-1, n)), "psi sum 2 n=%d" % n)
     from .exactnum import factorial
 
@@ -264,7 +267,7 @@ def suite_lagint() -> SuiteResult:
                 lhs = SymExpr()
                 for j in range(0, n + 1):
                     c = Q(-1) ** j * factorial(n + k) / (factorial(n - j) * factorial(k + j) * factorial(j))
-                    lhs = lhs + c * factorial(s + j) * polygamma_int(0, s + j + 1)
+                    lhs = lhs + c * factorial(s + j) * psi(s + j + 1)
                 r.check(lhs == lagint.integral_J(s, n, k), "sum_formula_2 (%d,%d,%d)" % (n, k, s))
     # orthogonality and normalization
     for n in range(0, 13):
@@ -455,25 +458,39 @@ def suite_dimreg_pole() -> SuiteResult:
 
 def suite_brackets() -> SuiteResult:
     r = SuiteResult("brackets")
-    HALF = Q(1, 2)
-    for n in range(1, 9):
-        for l in range(n):
-            st = cb.QuantumState(n, l)
-            v1 = cb.expectation_closed("p.1/r.p", st).sym
-            v2 = cb.expectation_closed("px.1/r.xp", st).sym
-            w1 = cb.expectation_closed("p.1/r2.p", st).sym
-            w2 = cb.expectation_closed("px.1/r2.xp", st).sym
-            rows = (
-                ("1/q", cb.expectation_closed("1/r2", st).sym * HALF),  # position-momentum duality
-                ("1/q2", cb.expectation_closed("1/r", st).sym * Q(1, 4)),
-                ("(p2.q)(q.p1)/q4", (v1 - v2) * Q(1, 8)),
-                ("(p2.q)(q.p1)/q3", (w1 - 2 * w2) * HALF),
-                ("p2.p1/q2", v1 * Q(1, 4)),
-                ("p2.p1/q", w1 * HALF),
-                ("1/q4", SymExpr.scalar(-(3 * n * n - Q(l * (l + 1))) * Q(1, 16))),
-            )
-            for tag, expect in rows:
-                r.check(brackets.bracket(tag, st).sym == expect, "%s (%d,%d)" % (tag, n, l))
+    # each _VIA_CATALOG row against its Fourier kernels at D = 3: a rank-0 kernel
+    # 1/q^alpha gives pref <f> with f = r^-(3-alpha), or pref <p.f.p> under p2.p1;
+    # the rank-2 (p2.q)(q.p1)/q^alpha gives pref [<p.f.p> - (D+2-alpha) <px.f.xp>]
+    # with f = r^-(5-alpha).  The 3D kernel refuses 1/q4, which takes the eps kernel
+    # at eps = 0, and (p2 x p1)^2 = (p2.p1) q^2 - (p2.q)(q.p1).  pref carries every
+    # pi; the m_r and Za powers are 3 - alpha plus the momenta in the numerator.
+    kernels = {  # tag -> [(sign, alpha, momenta in the numerator: 2 is p2.p1, 4 (p2.q)(q.p1))]
+        "1/q": [(1, 1, 0)],
+        "1/q2": [(1, 2, 0)],
+        "1/q4": [(1, 4, 0)],
+        "p2.p1/q": [(1, 1, 2)],
+        "p2.p1/q2": [(1, 2, 2)],
+        "(p2.q)(q.p1)/q3": [(1, 3, 4)],
+        "(p2.q)(q.p1)/q4": [(1, 4, 4)],
+        "(p22p12-(p2.p1)2)/q4": [(1, 2, 2), (-1, 4, 4)],
+    }
+    radial = {2: "1/r2", 1: "1/r", -1: "r"}
+    r.check(set(kernels) == set(brackets._VIA_CATALOG), "kernel table covers every catalog bracket")
+    for tag, parts in kernels.items():
+        (mr, za, pi), terms = brackets._VIA_CATALOG[tag]
+        expect: Dict[str, float] = {}
+        for sign, alpha, momenta in parts:
+            rank = 2 if momenta == 4 else 0
+            pref = sign * brackets.fourier_kernel(alpha, rank, eps=rank == 0 and alpha >= 3).prefactor_float()
+            f = radial[3 + rank - alpha]
+            key = "p.%s.p" % f if momenta else f
+            expect[key] = expect.get(key, 0.0) + pref
+            if rank == 2:
+                expect["px.%s.xp" % f] = -(5 - alpha) * pref  # one rank-2 kernel per row
+        for cat in sorted(set(terms) | set(expect)):
+            got, want = float(terms.get(cat, 0)) * math.pi**pi, expect.get(cat, 0.0)
+            r.check(want != 0 and abs(got / want - 1) < 1e-14, "kernel %s: %s" % (tag, cat))
+        r.check({3 - alpha + momenta for _, alpha, momenta in parts} == {mr, za}, "kernel %s powers" % tag)
     # Vbar ~ r^{-(1-2eps)}, so the D-dimensional virial theorem gives <Vbar> = 2 Ebar/(1 + 2 eps)
     virial = EpsSeries.from_coeffs(0, [2, -4])
     for n in range(1, 11):

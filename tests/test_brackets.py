@@ -9,7 +9,6 @@ from coulombev import dimreg as dr
 from coulombev.exactnum import LNQN, ONE, DomainError, SymExpr, harmonic as H
 
 S = SymExpr.scalar
-STATES = [cb.QuantumState(n, l) for n in range(1, 9) for l in range(n)]
 
 
 def test_reference_values():
@@ -23,7 +22,9 @@ def test_reference_values():
 
 
 def _rows(tags):
-    return ["%s (%d,%d)" % (tag, st.n, st.l) for st in STATES for tag in tags]
+    # the suite checks each catalog coefficient of a row and its m_r, Za powers against the Fourier kernels
+    labels = ["kernel %s: %s" % (tag, cat) for tag in tags for cat in br._VIA_CATALOG[tag][1]]
+    return labels + ["kernel %s powers" % tag for tag in tags]
 
 
 def test_duality(suite):
@@ -62,8 +63,8 @@ def test_rank2_trace_consistency(suite):
 
 
 def test_tensor_bracket_rows(suite):
-    tags = ("(p2.q)(q.p1)/q4", "(p2.q)(q.p1)/q3", "p2.p1/q2", "p2.p1/q")
-    suite("brackets").assert_passed(_rows(tags))
+    tags = ("(p2.q)(q.p1)/q4", "(p2.q)(q.p1)/q3", "p2.p1/q2", "p2.p1/q", "(p22p12-(p2.p1)2)/q4")
+    suite("brackets").assert_passed(_rows(tags) + ["kernel table covers every catalog bracket"])
 
 
 def test_divergent_delegation():

@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction as Q
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,18 +44,15 @@ class TestDiharmonic:
 
 class TestGammaRatio:
     def test_reference_values(self):
-        g = en.gamma_ratio_limit(0, 1)
-        assert g.coeff(0) == en.SymExpr.scalar(1) and g.coeff(1) == en.SymExpr.scalar(0)
-        g = en.gamma_ratio_limit(3, 1)
-        assert g.coeff(0) == en.SymExpr.scalar(-6)
-        # -6 * (1 - eps*11/6): eps coefficient +11
-        assert g.coeff(1) == en.SymExpr.scalar(11)
-        g = en.gamma_ratio_limit(1, 1)
-        assert g.coeff(0) == en.SymExpr.scalar(-1) and g.coeff(1) == en.SymExpr.scalar(1)
+        # Gamma(x)/Gamma(x - N) = (-1)^N N! (1 - x H_N + ...)
+        assert en.gamma_ratio_eps(0, 0, 1) == (1, 0)
+        assert en.gamma_ratio_eps(0, -3, 1) == (-6, 11)
+        assert en.gamma_ratio_eps(0, -1, 1) == (-1, 1)
 
     def test_unsupported_order(self):
+        # the expansions built on the ratio stop where the basis does: a pole at order 1
         with pytest.raises(en.UnsupportedOrderError):
-            en.gamma_ratio_limit(2, 3)
+            en.gamma_series(-2, 1, 2)
 
     def test_numeric_agreement(self, suite):
         suite("exactnum").assert_passed(["gamma ratio N=%d" % N for N in range(0, 11)])
@@ -64,76 +60,16 @@ class TestGammaRatio:
 
 class TestPolygamma:
     def test_reference_values(self):
-        assert en.polygamma_int(0, 1) == en.SymExpr.of(en.GAMMA_E, -1)
-        assert en.polygamma_int(1, 1) == en.SymExpr.of(en.ZETA2)
-        assert en.polygamma_int(0, 4) == en.SymExpr({en.GAMMA_E: -1, en.ONE: Q(11, 6)})
+        # Gamma(m + x) = Gamma(m) (1 + psi(m) x + (psi(m)^2 + psi'(m)) x^2/2 + ...)
+        g1, g4 = en.gamma_series(1, 1, 2), en.gamma_series(4, 1, 1)
+        assert g1.coeff(1) == en.SymExpr.of(en.GAMMA_E, -1)
+        assert 2 * g1.coeff(2) - g1.coeff(1) * g1.coeff(1) == en.SymExpr.of(en.ZETA2)
+        assert g4.coeff(1) / g4.coeff(0) == en.SymExpr({en.GAMMA_E: -1, en.ONE: Q(11, 6)})
 
     def test_higher_orders_rejected(self):
+        # psi'' would need x^3, beyond the basis
         with pytest.raises(en.UnsupportedOrderError):
-            en.polygamma_int(2, 3)
-
-
-class TestHyp2F1Unit:
-    def test_reference_values(self):
-        assert en.hypergeometric_2f1_unit(7, 0, Q(5, 2)) == 1
-        assert en.hypergeometric_2f1_unit(1, 2, 3) == Q(1, 2)
-        assert en.hypergeometric_2f1_unit(-1, 1, 2) == Q(3, 2)
-
-    def test_pole(self):
-        with pytest.raises(en.DomainError):
-            en.hypergeometric_2f1_unit(1, 3, -1)
-
-
-def f_num(n, k, a, b, e):
-    return mp.hyp2f1(-n + a * e, k + b * e, -n + 1 + a * e, -1)
-
-
-class TestHyperfExpansion:
-    def test_case_k0_exact_example(self):
-        # n=1, a=b=1: 2F1(-1+e, e; e; -1) = 2^{1-e} = 2(1 - e ln2 + ...)
-        f = en.hypergeometric_f_expansion(1, 0, 1, 1)
-        assert f.coeff(0) == en.SymExpr.scalar(2)
-        assert f.coeff(1) == en.SymExpr.of(en.LN2, -2)
-
-    def test_pole_coefficient_formula(self):
-        n, k, a, b = 3, 2, Q(5), Q(1)
-        s = en.hypergeometric_f_expansion(n, k, a, b)
-        assert s.coeff(-1) == en.SymExpr.scalar(Q(-1) ** (n + 1) * Q(n) / a * en.binomial(k + n - 1, n))
-
-    def test_degenerate_a(self):
-        with pytest.raises(en.DomainError):
-            en.hypergeometric_f_expansion(2, 1, 0, 1)
-
-    @pytest.mark.parametrize("n,k,a,b", [(2, 0, 1, 1), (3, 0, 2, 1), (2, 0, 1, 3)])
-    def test_case_k0_numeric(self, n, k, a, b):
-        s = en.hypergeometric_f_expansion(n, k, Q(a), Q(b))
-        with mp.workdps(30):
-            e1, e2 = mp.mpf("1e-6"), mp.mpf("5e-7")
-            v1, v2 = f_num(n, k, a, b, e1), f_num(n, k, a, b, e2)
-            c0 = (e1 * v2 - e2 * v1) / (e1 - e2)
-            c1 = (v1 - v2) / (e1 - e2)
-        assert abs(float(c0) - s.coeff(0).numeric()) < 1e-5
-        assert abs(float(c1) - s.coeff(1).numeric()) < 1e-3
-
-    @pytest.mark.parametrize("n,k,a,b", [(1, 1, 1, 1), (2, 2, 1, 1), (3, 2, 2, 1), (4, 3, 3, 2), (2, 5, 1, 1)])
-    def test_case_k_positive_numeric(self, n, k, a, b):
-        s = en.hypergeometric_f_expansion(n, k, Q(a), Q(b))
-        with mp.workdps(30):
-            e1, e2 = mp.mpf("1e-6"), mp.mpf("5e-7")
-            v1, v2 = f_num(n, k, a, b, e1), f_num(n, k, a, b, e2)
-            pole = (v1 - v2) / (1 / e1 - 1 / e2)
-            const = v1 - pole / e1
-        assert abs(float(pole) - s.coeff(-1).numeric()) < 1e-4
-        assert abs(float(const) - s.coeff(0).numeric()) < 1e-3
-
-    def test_f32_continuation(self):
-        # the 3F2 tail evaluates to alpha ln2 + beta; compare against mpmath
-        # (mpmath needs dps >= 30 for its own acceleration to converge here)
-        with mp.workdps(40):
-            for (n, k) in [(1, 1), (2, 2), (1, 3), (4, 3), (16, 16)]:
-                mine = en.f32_unit_negative(n, k).numeric()
-                ref = float(mp.hyp3f2(1, 1, n + k + 1, 2, n + 2, -1))
-                assert abs(mine - ref) < 1e-10
+            en.gamma_series(1, 1, 3)
 
 
 # every fraction in [-9, 9] with denominator <= 7, drawn without rejection
@@ -202,15 +138,19 @@ class TestSymExpr:
         assert la * la == en.SymExpr.of(en.lam2("mu"))
 
     def test_coefficients_are_fractions(self):
-        e = en.SymExpr({en.ONE: 3, en.GAMMA_E: True, en.ZETA2: Q(1, 2), en.LN2: 0, en.GAMMA2: Q(0)})
+        e = en.SymExpr({en.ONE: 3, en.GAMMA_E: True, en.ZETA2: Q(1, 2), en.LN_PI: 0, en.GAMMA2: Q(0)})
         assert e.terms == {en.ONE: 3, en.GAMMA_E: 1, en.ZETA2: Q(1, 2)}
         assert all(type(c) is Q for c in e.terms.values())
         assert en.SymExpr({en.ONE: 3}) == en.SymExpr({en.ONE: Q(3)})
         assert hash(en.SymExpr({en.ONE: 3})) == hash(en.SymExpr({en.ONE: Q(3)}))
 
     def test_numeric(self):
-        val = en.SymExpr({en.ONE: Q(1, 2), en.LN2: 2}).numeric()
-        assert abs(val - (0.5 + 2 * math.log(2))) < 1e-15
+        val = en.SymExpr({en.ONE: Q(1, 2), en.LN_PI: 2}).numeric()
+        assert abs(val - (0.5 + 2 * math.log(math.pi))) < 1e-15
+
+    def test_basis_is_one_table(self):
+        # every named constant has a numeric value, except the per-state ln(2 m_r Za/n)
+        assert set(en._TAG_NAMES) == set(en._NUMERIC_TAGS) | {en.LNQN}
 
 
 class TestExpansionsAgainstSympy:

@@ -71,7 +71,7 @@ class TestIntegralI:
 
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_deep_subtraction_against_oracle(self, p):
-        # p >= 3 has no 2F1 form: ^pI_s(n,k) is ^pK_s(n,k;0,0)
+        # ^pI_s(n,k) is ^pK_s(n,k;0,0) at every p >= 1, checked here at depths past the reference rows
         for n in range(0, 9):
             for k in range(0, 6):
                 for s in range(-p, 7):
