@@ -20,10 +20,9 @@ _LAYERS = {
     "laguerre": "Poly assoc_laguerre gegenbauer subtract_laguerre",
     "lagint": "MomentSpec brute_force_moment integral_I integral_J integral_K integral_L integral_M",
     "coulomb": "MomentumRadialWF PhysScale QuantumState Value catalog_tags cx1_energy_shift"
-    " expectation_closed expectation_oracle feynman_hellmann_residual power_moment radial_wavefunction"
-    " recursion_residual",
-    "dimreg": "DivergentValue SplitWF contact_expansion divergent_expectation divergent_tags"
-    " energy_expansion identity_residuals series_coefficients split_wavefunction",
+    " expectation_closed expectation_oracle feynman_hellmann_residual power_moment recursion_residual",
+    "dimreg": "DivergentValue contact_expansion divergent_expectation divergent_tags"
+    " energy_expansion identity_residuals series_coefficients",
     "brackets": "bracket bracket_lnq bracket_tags fourier_kernel",
     "shoot": "eigenvalue_shoot bracket_lnq_oracle",
 }

@@ -22,6 +22,8 @@ from .exactnum import (
     SymExpr,
     harmonic,
     lam,
+    _eps_value,
+    _finite,
 )
 from .coulomb import (
     CatalogError,
@@ -71,7 +73,10 @@ class FourierKernel(Record):
         self._fill(alpha, rank, num_c0, den_arg, two_pow, tensor)
 
     def prefactor_float(self, eps: float = 0.0) -> float:
-        num = math.gamma(float(self.num_c0) - eps)
+        x = float(self.num_c0) - _eps_value(eps)
+        if x <= 0 and x == int(x):
+            raise KernelSingularityError("log", "Gamma(%s - eps) has a pole at eps = %r" % (self.num_c0, eps))
+        num = math.gamma(x)
         den = 2.0 ** float(self.alpha - self.two_pow) * math.pi ** (1.5 - eps) * math.gamma(float(self.den_arg))
         return num / den
 
@@ -94,7 +99,7 @@ def fourier_kernel(alpha, rank: int, eps: bool = False) -> FourierKernel:
     only as distributions outside this catalog).  The bracket of 1/q^4 is
     log-type at D = 3 and must be taken through the eps kernel.
     """
-    alpha = Q(alpha)
+    alpha = _finite(alpha, "alpha")
     if rank not in _TENSORS:
         raise DomainError("tensor rank must be 0..4")
     shift = 2 * ((rank + 1) // 2)  # 0,2,2,4,4: numerator argument shift

@@ -116,7 +116,7 @@ def cmd_eval(args) -> int:
             from . import dimreg
 
             if args.op not in dimreg.divergent_tags():
-                raise
+                raise DomainError("unknown operator %r; see `coulombev tags`" % args.op) from None
             v = dimreg.divergent_expectation(args.op, st.n, st.l)
     else:
         from .brackets import bracket

@@ -1,6 +1,6 @@
-"""Three-dimensional Coulomb bound states: exact radial wave functions, the
-closed-form expectation-value catalog, and an independent oracle that computes
-every catalog entry by exact term-by-term integration of the wave function.
+"""Three-dimensional Coulomb bound states: the closed-form expectation-value
+catalog, and an independent oracle that computes every catalog entry by exact
+term-by-term integration of the radial wave function, held as integer tables.
 
 The catalog is one table, `CATALOG`: each row holds a closed form of
 (n, l, L = l(l+1)) and the oracle as a list of pieces (coef, left, right,
@@ -41,9 +41,10 @@ from .exactnum import (
     lam2,
     gamma_lam,
     _NUMERIC_TAGS,
+    _finite,
     _set,
 )
-from .laguerre import GegenbauerPoly, Poly, assoc_laguerre, gegenbauer
+from .laguerre import Poly, assoc_laguerre, gegenbauer
 from . import lagint
 
 HALF = Q(1, 2)
@@ -193,38 +194,15 @@ class Value(Record):
 
 
 # ---------------------------------------------------------------------------
-# exact radial machinery
+# operands and the radial evaluator
 # ---------------------------------------------------------------------------
-
-
-class RadialWF(Record):
-    """R_{nl}(r) = sqrt(norm2) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n."""
-
-    __slots__ = ("state", "norm2", "poly")
-
-    def __init__(self, state: QuantumState, norm2: Fraction, poly: Poly):
-        self._fill(state, norm2, poly)
-
-    def contact_limit_sq(self) -> Fraction:
-        """lim_{r->0} R_{n0}^2 (S states)."""
-        if self.state.l != 0:
-            raise DomainError("contact value needs an S state")
-        return self.norm2 * self.poly.coeff(0) ** 2
 
 
 @lru_cache(maxsize=None)
 def _norm2(n: int, l: int) -> Fraction:
+    """norm2 of R_{nl}(r) = sqrt(norm2) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n."""
     return Q(4) * factorial(n - l - 1) / (n**4 * factorial(n + l))
 
-
-def radial_wavefunction(state: QuantumState) -> RadialWF:
-    n, l = state.n, state.l
-    return RadialWF(state, _norm2(n, l), assoc_laguerre(n - l - 1, 2 * l + 1))
-
-
-# ---------------------------------------------------------------------------
-# operands and the radial evaluator
-# ---------------------------------------------------------------------------
 
 # An operand is a tuple of terms (c, j, a, ang, k), each standing for
 # c [l(l+1)]^ang E^k r^{-j} d^a R(r) with E = -1/2n^2; concatenating two
@@ -806,7 +784,7 @@ def cx1_energy_shift(state: QuantumState, c1, c2, m1, m2):
     """
     from . import dimreg  # local import; dimreg depends on this module
 
-    c1, c2, m1, m2 = Q(c1), Q(c2), Q(m1), Q(m2)
+    c1, c2, m1, m2 = (_finite(x, name) for x, name in ((c1, "c1"), (c2, "c2"), (m1, "m1"), (m2, "m2")))
     if m1 <= 0 or m2 <= 0:
         raise DomainError("masses must be positive")
     mr = m1 * m2 / (m1 + m2)
@@ -830,13 +808,12 @@ class MomentumRadialWF(Record):
     so that large p underflows to 0 instead of overflowing.
     """
 
-    __slots__ = ("state", "gegenbauer", "norm", "coeffs")
+    __slots__ = ("state", "norm", "coeffs")
 
-    def __init__(self, state: QuantumState, gegenbauer: GegenbauerPoly, norm: float):
-        # gegenbauer has degree n-l-1 and order l+1, norm is phi_n * N_{nl}, and
-        # coeffs holds the Gegenbauer coefficients as floats, highest degree first
-        coeffs = tuple(float(c) for c in reversed(gegenbauer.poly.coeffs))
-        self._fill(state, gegenbauer, norm, coeffs)
+    def __init__(self, state: QuantumState, gegenbauer: Poly, norm: float):
+        # gegenbauer is C_{n-l-1}^{l+1}, norm is phi_n * N_{nl}, and coeffs holds
+        # its coefficients as floats, highest degree first
+        self._fill(state, norm, tuple(float(c) for c in reversed(gegenbauer.coeffs)))
 
     def __call__(self, p: float) -> float:
         n, l = self.state.n, self.state.l

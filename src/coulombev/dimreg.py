@@ -21,9 +21,7 @@ finite eps on a shot wave function (`shoot._brace_numeric`).
 
 from __future__ import annotations
 
-import math
 import numbers
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -46,9 +44,9 @@ from .exactnum import (
     gamma_series,
     harmonic,
     lam,
+    _eps_value,
     _set,
 )
-from .laguerre import Poly, assoc_laguerre
 from . import lagint
 from .coulomb import (
     CATALOG,
@@ -59,9 +57,9 @@ from .coulomb import (
     R,
     QuantumState,
     Value,
+    _radial_chain,
     convolve_into,
     drho,
-    int_table,
 )
 
 HALF = Q(1, 2)
@@ -86,14 +84,6 @@ def __getattr__(name):
 
 class DivergentCatalogError(CatalogError):
     pass
-
-
-def _eps_value(eps):
-    """A numeric eps (float or Fraction); |eps| < 1/4 keeps the l-dependent
-    exponents of the generalized series in their convergent range."""
-    if not math.isfinite(eps) or abs(eps) >= Q(1, 4):
-        raise DomainError("numeric eps must be finite with |eps| < 1/4, got %r" % (eps,))
-    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +132,6 @@ def _eps_poly(*coeffs) -> EpsSeries:
     while len(cs) < 3:
         cs.append(SYM_ZERO)
     return EpsSeries.from_coeffs(0, cs)
-
-
-def series_coefficients_eps(l: int, j_max: int, order: int = 2) -> Dict[Tuple[int, int], EpsSeries]:
-    """a_{jk} as exact rational eps-series (the analytic split uses these)."""
-    one = EpsSeries.constant(Q(1), order)
-    zero = EpsSeries.zero(order)
-    a: Dict[Tuple[int, int], EpsSeries] = {(0, 0): one}
-    for j in range(1, j_max + 1):
-        for k in range(0, j + 1):
-            prev = a.get((j - 1, k), zero)
-            prev_k1 = a.get((j - 1, k - 1), zero)
-            num = prev.mul(_eps_poly(j + l, 2 * k - 1), order_cap=order) - prev_k1
-            den = _eps_poly(j, 2 * k).mul(_eps_poly(j + 2 * l + 1, 2 * (k - 1)), order_cap=order)
-            a[(j, k)] = num.mul(den.invert(order_cap=order), order_cap=order)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -274,52 +249,18 @@ def _head_terms(head: tuple, derivs: int):
     return [(j, k, c) for (j, k, c) in terms if not c.is_zero()]
 
 
-@lru_cache(maxsize=None)
-def _l0_coeffs(n: int) -> Tuple[Fraction, ...]:
-    return tuple((assoc_laguerre(n - 1, 1) * (1 / Q(n))).coeffs)
+# a_jk(eps) of the S-state series for j <= 1 through eps^2, the j <= 1 rows of
+# the a_jk recursion at l = 0: a_00 = 1, a_10 = 1/2, a_11 = -1/(2(1 + 2 eps)).
+# Every term of `_TERMS` and `_IDENTITIES` has head depth
+# p = max(0, max(a, b) - 2 - sigma) <= 2, so no row j >= 2 is read.
+_HEAD = ((0, 0, _eps_poly(1)), (1, 0, _eps_poly(HALF)), (1, 1, _eps_poly(-HALF, 1, -2)))
 
 
-def _l0_poly(n: int) -> Poly:
-    """L_{n-1}^1(rho)/n, the S-state series at eps = 0."""
-    return Poly(_l0_coeffs(n))
-
-
-@lru_cache(maxsize=None)
 def _series_head(p: int) -> tuple:
     """((j, k, a_jk(eps)), ...) for j < p, sorted; the same for every n."""
-    a_eps = series_coefficients_eps(0, max(p - 1, 1), order=2)
-    return tuple((j, k, c) for (j, k), c in sorted(a_eps.items()) if j < p)
-
-
-class SplitWF(Record):
-    """Head/tail split of the generalized S-state series L_{n0}.
-
-    `head` holds the low-order generalized terms (j, k, eps-series coefficient
-    of nbar^k rho^{j + 2 eps k}) for j < p; `tail` is the remainder at eps = 0,
-    i.e. the p-subtracted normalized Laguerre polynomial; L = head + tail
-    identically in the eps -> 0 limit, with the tail starting at rho^p.
-    """
-
-    __slots__ = ("n", "p", "head", "tail")
-
-    def __init__(self, n: int, p: int, head: tuple, tail: Poly):  # head is ((j, k, EpsSeries), ...)
-        self._fill(n, p, head, tail)
-
-
-def split_wavefunction(n: int, p: int) -> SplitWF:
-    """Split L_{n0} into its eps-sensitive head (j < p) and regular tail."""
-    if n < 1 or p < 0:
-        raise DomainError("split needs n >= 1 and p >= 0, got n=%r, p=%r" % (n, p))
-    head = _series_head(p)
-    l0 = _l0_poly(n)
-    # the eps = 0 collapse of the head must be the Taylor head of L_{n0}
-    collapsed: Dict[int, Fraction] = {}
-    for (j, k, cser) in head:
-        collapsed[j] = collapsed.get(j, Q(0)) + cser.coeff(0).rational * n**k
-    for j, cval in collapsed.items():
-        if cval != l0.coeff(j):
-            raise AssertionError("head collapse mismatch at rho^%d" % j)
-    return SplitWF(n, p, head, l0.drop_low(p))
+    if p > 2:
+        raise DomainError("the S-state series head is tabulated for p <= 2, got p=%d" % p)
+    return tuple(t for t in _HEAD if t[0] < p)
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +310,6 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
     A = a + b - 3 - sigma
 
     # --- analytic head x head ---
-    split_wavefunction(n, p)  # checks the head against L_{n0}
     st = QuantumState(n, 0)
     nu1 = nbar_expansion(st).coeff(1) / n
     int_total = EpsSeries.zero(0)
@@ -377,14 +317,15 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
         nbar_pow = EpsSeries.from_coeffs(0, [SymExpr.scalar(Q(n**K)), (n**K) * (K * nu1)])
         int_total = int_total + s_k.mul(nbar_pow, order_cap=0)
 
-    # --- tail cross terms at eps = 0: head x tail + tail x (head + tail) ---
-    den, pairs = int_table(dict(enumerate(_l0_coeffs(n))))
+    # --- tail cross terms at eps = 0: head x tail + tail x (head + tail).  The series is
+    #     L_{n-1}^1/n: the oracle's table of L_{n-1}^1, with each factor's 1/n in the denominator ---
+    den, pairs = _radial_chain(n, 0, 0)
     head0 = (den, tuple((j, v) for j, v in pairs if j < p))
     tail0 = (den, tuple((j, v) for j, v in pairs if j >= p))
     combined: Dict[int, int] = {}
     for left, right in ((drho(head0, a), drho(tail0, b)), (drho(tail0, a), drho((den, pairs), b))):
         convolve_into(combined, left[1], right[1], sig_rho)
-    tail = Q(lagint.mono_moments(combined.items(), 0)[ONE], left[0] * right[0])
+    tail = Q(lagint.mono_moments(combined.items(), 0)[ONE], left[0] * right[0] * n * n)
     int_total = int_total + EpsSeries.constant(tail, 0)
 
     # --- prefactor: 4 (2/n)^A times factors that are each 1 + x eps through eps^1, so their x add:

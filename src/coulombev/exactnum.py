@@ -38,6 +38,21 @@ class BasisError(ValueError):
     """A symbolic product left the fixed constant basis."""
 
 
+def _eps_value(eps):
+    """A numeric eps (float or Fraction); |eps| < 1/4 keeps the l-dependent
+    exponents of the generalized series in their convergent range."""
+    if not math.isfinite(eps) or abs(eps) >= Q(1, 4):
+        raise DomainError("numeric eps must be finite with |eps| < 1/4, got %r" % (eps,))
+    return eps
+
+
+def _finite(x, name: str) -> Fraction:
+    """x as an exact Fraction; a NaN or infinite float raises a DomainError naming it."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError("%s must be finite, got %r" % (name, x))
+    return Q(x)
+
+
 # ---------------------------------------------------------------------------
 # value records
 # ---------------------------------------------------------------------------
@@ -319,7 +334,8 @@ class SymExpr:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a rational hashes as its number, which it equals
+        return hash(self.rational) if self.is_rational() else hash(frozenset(self.terms.items()))
 
     # -- output ------------------------------------------------------------
     def numeric(self, tag_values: Optional[Mapping] = None) -> float:

@@ -123,7 +123,7 @@ def brute_force_moment(spec: MomentSpec) -> SymExpr:
     if s + spec.left[2] <= -1:
         raise DivergenceError("moment diverges: leading monomial x^%d below x^-1" % (s + spec.left[2]))
     n, k, p = spec.left
-    left = subtract_laguerre(n, k, p).poly
+    left = subtract_laguerre(n, k, p)
     right = assoc_laguerre(*spec.right) if spec.right else Poly([1])
     return poly_moment(left, right, s, spec.logpow)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactnum import DomainError, Q, Record, binomial, factorial, rising
+from .exactnum import DomainError, Q, _finite, binomial, factorial, rising
 
 Scalar = Union[int, Fraction]
 
@@ -75,7 +75,8 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # a constant hashes as its number, which it equals
+        return hash(self.coeff(0)) if len(self.coeffs) <= 1 else hash(tuple(self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:
@@ -104,7 +105,7 @@ def assoc_laguerre(n: int, k: Scalar) -> Poly:
     """
     if n < 0:
         return Poly()
-    k = Q(k)
+    k = _finite(k, "Laguerre order k")
     if k.denominator not in (1, 2) or k < 0:
         raise DomainError("Laguerre order k must be a non-negative integer or half-integer")
     coeffs = [binomial(n + k, n)]
@@ -113,31 +114,16 @@ def assoc_laguerre(n: int, k: Scalar) -> Poly:
     return Poly(coeffs)
 
 
-class SubtractedPoly(Record):
+def subtract_laguerre(n: int, k: int, p: int) -> Poly:
     """^pL_n^k: the associated Laguerre polynomial with its first p powers removed."""
-
-    __slots__ = ("n", "k", "p", "poly")
-
-    def __init__(self, n: int, k: int, p: int, poly: Poly):
-        self._fill(n, k, p, poly)
-
-
-def subtract_laguerre(n: int, k: int, p: int) -> SubtractedPoly:
     if p < 0:
         raise DomainError("subtraction count p must be >= 0")
-    return SubtractedPoly(n, k, p, assoc_laguerre(n, k).drop_low(p))
+    return assoc_laguerre(n, k).drop_low(p)
 
 
-class GegenbauerPoly(Record):
-    __slots__ = ("n", "lam", "poly")
-
-    def __init__(self, n: int, lam: Fraction, poly: Poly):  # poly is in beta
-        self._fill(n, lam, poly)
-
-
-def gegenbauer(n: int, lam: Scalar) -> GegenbauerPoly:
+def gegenbauer(n: int, lam: Scalar) -> Poly:
     """C_n^lambda(beta) from its terminating series, exact in Fraction."""
-    lam = Q(lam)
+    lam = _finite(lam, "Gegenbauer order lambda")
     if n < 0:
         raise DomainError("Gegenbauer degree must be >= 0")
     if lam <= 0:
@@ -148,4 +134,4 @@ def gegenbauer(n: int, lam: Scalar) -> GegenbauerPoly:
         coeffs[n - 2 * t] = (
             Q(-1) ** t * rising(lam, n - t) / (factorial(t) * factorial(n - 2 * t)) * Q(2) ** (n - 2 * t)
         )
-    return GegenbauerPoly(n, lam, Poly(coeffs))
+    return Poly(coeffs)

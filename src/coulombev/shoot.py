@@ -24,12 +24,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, EULER_GAMMA, Record, lam
+from .exactnum import DomainError, EULER_GAMMA, Record, _eps_value, lam
 from .coulomb import MomentumRadialWF, QuantumState, momentum_radial
 from .dimreg import (
     CoeffTable,
     _TERMS,
-    _eps_value,
     contact_expansion,
     energy_expansion,
     nbar_expansion,
@@ -220,7 +219,7 @@ def _count_nodes(sol, l: int, rho0: float, rho_hi: float) -> int:
 
 
 def _numeric_eps(eps, mu) -> float:
-    """eps as a float, checked by `dimreg._eps_value`; mu must be finite and positive."""
+    """eps as a float, checked by `exactnum._eps_value`; mu must be finite and positive."""
     eps = float(_eps_value(eps))
     if not (math.isfinite(mu) and mu > 0):
         raise DomainError("mu = %r must be finite and positive" % (mu,))

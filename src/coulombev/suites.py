@@ -203,8 +203,8 @@ def suite_laguerre() -> SuiteResult:
     beta = Poly([0, 1])
     for lamv in (Q(1, 2), Q(1), Q(3, 2), Q(2)):
         for n in range(1, 13):
-            C = gegenbauer(n, lamv).poly
-            r.check(C.deriv() == 2 * lamv * gegenbauer(n - 1, lamv + 1).poly, "dC (%d,%s)" % (n, lamv))
+            C = gegenbauer(n, lamv)
+            r.check(C.deriv() == 2 * lamv * gegenbauer(n - 1, lamv + 1), "dC (%d,%s)" % (n, lamv))
             ode = (Poly([1]) - beta * beta) * C.deriv().deriv() - (1 + 2 * lamv) * beta * C.deriv() + n * (
                 n + 2 * lamv
             ) * C
@@ -305,9 +305,6 @@ def suite_coulomb() -> SuiteResult:
         for s_pow in (1, 2, 3):
             lhs = cb.bilinear_sum(st, [(1, cb.R, cb.DR, s_pow)]).rational
             r.check(lhs == -Q(s_pow + 2, 2) * cb.power_moment(st, s_pow - 1), "r^s dr (%d,%d,%d)" % (st.n, st.l, s_pow))
-    for n in range(1, 11):
-        wf = cb.radial_wavefunction(cb.QuantumState(n, 0))
-        r.check(wf.contact_limit_sq() == Q(4, n**3), "contact n=%d" % n)
     from . import shoot
 
     for st in states:
@@ -331,6 +328,14 @@ def suite_dimreg_symbolic() -> SuiteResult:
                     else Q(0)
                 )
                 r.check(table.collapse(n, j) == expect, "collapse (%d,%d,%d)" % (n, l, j))
+    # the tabulated S-state head is the j <= 1 rows of the one a_jk recursion:
+    # a_00 = 1, a_10 = 1/2, a_11 = -1/(2(1 + 2 eps)), at exact eps and as eps-series
+    for e in (Q(0), Q(1, 100), Q(-1, 7), Q(1, 5)):
+        a = dimreg.series_coefficients(0, e, 1).a
+        r.check(a == {(0, 0): 1, (1, 0): Q(1, 2), (1, 1): -1 / (2 * (1 + 2 * e))}, "head a_jk eps=%s" % e)
+    poly = dimreg._eps_poly
+    lifted = {(j, k): c.mul(poly(1, 2), order_cap=2) for j, k, c in dimreg._HEAD}
+    r.check(lifted == {(0, 0): poly(1, 2), (1, 0): poly(Q(1, 2), 1), (1, 1): poly(Q(-1, 2))}, "head (1+2eps) a_jk")
     # divergent tables, l = 0: pole and finite part of each brace, n <= 10
     from .exactnum import lam
 

@@ -58,6 +58,8 @@ def test_eval_unknown_tag(capsys):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: unknown %s 'junk'; " % kind) and not lines[0].endswith("'")
+        if kind == "operator":  # --op takes the divergent tags too, so no list of finite tags alone
+            assert lines[0].endswith("see `coulombev tags`")
 
 
 @pytest.mark.parametrize("argv", [["--op", "1/r", "--bracket", "1/q"], []], ids=["both", "neither"])

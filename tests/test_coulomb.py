@@ -33,13 +33,11 @@ def test_state_refuses_non_integer_quantum_numbers(n, l):
 
 
 def test_wavefunction_spec_examples():
-    wf = cb.radial_wavefunction(cb.QuantumState(1, 0))
-    assert wf.poly.coeffs == [Q(1)]
-    assert wf.norm2 == Q(4)
-    wf = cb.radial_wavefunction(cb.QuantumState(2, 0))
-    assert wf.poly.coeffs == [Q(2), Q(-1)]
-    wf = cb.radial_wavefunction(cb.QuantumState(3, 1))
-    assert wf.poly.coeffs == [Q(4), Q(-1)]
+    # R_nl / sqrt(norm2) as the integer table (den, ((power of rho, c), ...)) of rho^l L_{n-l-1}^{2l+1}
+    assert cb._radial_chain(1, 0, 0) == (1, ((0, 1),))
+    assert cb._norm2(1, 0) == Q(4)
+    assert cb._radial_chain(2, 0, 0) == (1, ((0, 2), (1, -1)))
+    assert cb._radial_chain(3, 1, 0) == (1, ((1, 4), (2, -1)))
 
 
 def test_normalization_exact(suite):
@@ -176,7 +174,8 @@ def test_rs_dr_relation(suite):
 
 
 def test_contact_value(suite):
-    suite("coulomb").assert_passed(["contact n=%d" % n for n in range(1, 11)])
+    # <delta3> = norm2 L(0)^2 / 4 pi = 1/(pi n^3) at l = 0, closed form against the oracle's r -> 0 limit
+    suite("coulomb").assert_passed(["catalog delta3 (%d,0)" % n for n in range(1, 11)])
 
 
 def test_power_moment_against_laguerre_moment():
@@ -236,7 +235,7 @@ def test_momentum_wavefunction_structure():
     R = cb.momentum_radial(cb.QuantumState(3, 1))
     assert isinstance(R, cb.MomentumRadialWF)
     assert R.state == cb.QuantumState(3, 1)
-    assert R.gegenbauer.n == 1 and R.gegenbauer.lam == 2  # C_{n-l-1}^{l+1}
+    assert R.coeffs == (4.0, 0.0)  # C_{n-l-1}^{l+1} = C_1^2(beta) = 4 beta, highest degree first
     assert abs(R(0.4) / 22.00905236788859 - 1) <= 1e-14
     for p in (1e60, 1e160):  # evaluated in p n, so large p underflows instead of overflowing
         assert math.isfinite(R(p)) and abs(R(p)) <= 1e-100

@@ -25,6 +25,7 @@ from coulombev.exactnum import (
     ONE,
     SymExpr,
     ZETA2,
+    _eps_value,
     lam,
 )
 
@@ -485,7 +486,7 @@ class TestContractTypes:
     def test_eps_param(self):
         # one guard for a float or Fraction eps, in the exact recursion and the shoot
         for good in (0.01, -0.2, Q(1, 100), Q(-24, 100)):
-            assert dr._eps_value(good) == good
+            assert _eps_value(good) == good
         for bad in (0.3, -0.25, Q(1, 4), Q(-7, 20), float("nan"), float("inf")):
             with pytest.raises(DomainError, match="finite with \\|eps\\| < 1/4"):
                 dr.series_coefficients(0, bad, 2)
@@ -494,28 +495,16 @@ class TestContractTypes:
         t = dr.series_coefficients(0, Q(1, 100), 2)
         assert t.a[(1, 0)] == Q(1, 2)
 
-    def test_split_wavefunction(self):
-        for n in (1, 2, 3, 5):
-            for p in (1, 2):
-                split = dr.split_wavefunction(n, p)
-                assert split.p == p
-                # tail starts at rho^p and head + tail = L_{n0} at eps = 0
-                l0 = dr._l0_poly(n)
-                for j, c in enumerate(split.tail.coeffs):
-                    if j < p:
-                        assert c == 0
-                head0 = {}
-                for (j, k, cser) in split.head:
-                    head0[j] = head0.get(j, Q(0)) + cser.coeff(0).rational * n**k
-                for j in range(l0.degree + 1):
-                    assert head0.get(j, Q(0)) + split.tail.coeff(j) == l0.coeff(j)
-        # the (j,k) = (1,1) head coefficient is -1/(2(1+2eps)) = -1/2 + eps + ...
-        split = dr.split_wavefunction(2, 2)
-        coeffs = {(j, k): c for (j, k, c) in split.head}
-        assert coeffs[(1, 1)].coeff(0).rational == Q(-1, 2)
-        assert coeffs[(1, 1)].coeff(1).rational == Q(1)
+    def test_series_head(self, suite):
+        # the tabulated head a_00, a_10, a_11 against the a_jk recursion at exact eps and as
+        # eps-series; its eps = 0 collapse onto L_{n-1}^1 is the collapse (n,0,j) check
+        labels = ["head a_jk eps=%s" % e for e in (0, Q(1, 100), Q(-1, 7), Q(1, 5))] + ["head (1+2eps) a_jk"]
+        labels += ["collapse (%d,0,%d)" % (n, j) for n in range(1, 9) for j in (0, 1)]
+        suite("dimreg-symbolic").assert_passed(labels)
+        assert [(j, k) for j, k, _ in dr._series_head(2)] == [(0, 0), (1, 0), (1, 1)]
+        assert dr._series_head(0) == ()
 
-    def test_split_wavefunction_guards(self):
-        for n, p in ((0, 1), (2, -1)):
-            with pytest.raises(DomainError, match="split needs n >= 1 and p >= 0"):
-                dr.split_wavefunction(n, p)
+    def test_series_head_guard(self):
+        # every term has head depth p <= 2; a deeper head is not tabulated
+        with pytest.raises(DomainError, match="tabulated for p <= 2"):
+            dr._series_head(3)

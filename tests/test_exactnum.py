@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coulombev import exactnum as en
+from coulombev import brackets as br, coulomb as cb, exactnum as en
 from coulombev import lagint as li
+from coulombev.laguerre import Poly, assoc_laguerre, gegenbauer
 
 
 class TestHarmonic:
@@ -151,6 +152,32 @@ class TestSymExpr:
     def test_basis_is_one_table(self):
         # every named constant has a numeric value, except the per-state ln(2 m_r Za/n)
         assert set(en._TAG_NAMES) == set(en._NUMERIC_TAGS) | {en.LNQN}
+
+    @pytest.mark.parametrize("x", [0, 1, -3, Q(1, 2), Q(-7, 3), Q(10**30 + 1, 3)])
+    def test_a_constant_hashes_as_its_number(self, x):
+        # SymExpr and Poly constants equal their number, so a set or dict must see one key
+        for c in (en.SymExpr.scalar(x), Poly([x])):
+            assert c == x and hash(c) == hash(x)
+            assert len({c, x}) == 1
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [
+        (lambda: br.fourier_kernel(float("nan"), 0), "alpha"),
+        (lambda: br.fourier_kernel(float("inf"), 0), "alpha"),
+        (lambda: br.fourier_kernel(2, 0).prefactor_float(float("nan")), "eps"),
+        (lambda: br.fourier_kernel(2, 0, eps=True).prefactor_float(0.5), "eps"),
+        (lambda: br.fourier_kernel(5, 0, eps=True).prefactor_float(0.0), "pole at eps"),
+        (lambda: gegenbauer(2, float("inf")), "Gegenbauer order lambda"),
+        (lambda: assoc_laguerre(2, float("nan")), "Laguerre order k"),
+        (lambda: cb.cx1_energy_shift(cb.QuantumState(2, 1), 1, 1, float("inf"), 1), "m1"),
+    ],
+    ids="kernel-nan kernel-inf eps-nan eps-range eps-pole gegenbauer-inf laguerre-nan cx1-inf".split(),
+)
+def test_non_finite_input_stops_at_a_domain_guard(call, arg):
+    with pytest.raises(en.DomainError, match=arg):
+        call()
 
 
 class TestExpansionsAgainstSympy:

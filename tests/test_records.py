@@ -8,7 +8,6 @@ import pytest
 
 from coulombev import brackets as br, coulomb as cb, dimreg as dr, lagint, laguerre, shoot, suites
 from coulombev.exactnum import EpsSeries, SymExpr
-from coulombev.laguerre import Poly
 
 # name: (build one instance, its fields in order, its repr, the TypeError of hash() or None)
 RECORDS = {
@@ -25,12 +24,6 @@ RECORDS = {
         "(1/4) m_r^1 (Za)^2 pi^-1",
         None,
     ),
-    "RadialWF": (
-        lambda: cb.radial_wavefunction(cb.QuantumState(2, 0)),
-        ("state", "norm2", "poly"),
-        "RadialWF(state=QuantumState(n=2, l=0), norm2=Fraction(1, 8), poly=2 + -1*x)",
-        None,
-    ),
     "CatalogEntry": (
         lambda: cb.CatalogEntry("r", 0, -1, -1, abs, ((1, "R", "R", 1),), 1, True),
         ("tag", "min_l", "mr_pow", "za_pow", "closed", "pieces", "logpow", "contact"),
@@ -40,21 +33,8 @@ RECORDS = {
     ),
     "MomentumRadialWF": (
         lambda: cb.MomentumRadialWF(cb.QuantumState(2, 0), laguerre.gegenbauer(1, 1), 2.0),
-        ("state", "gegenbauer", "norm", "coeffs"),
-        "MomentumRadialWF(state=QuantumState(n=2, l=0), gegenbauer=GegenbauerPoly(n=1, lam=Fraction(1, 1),"
-        " poly=2*x), norm=2.0, coeffs=(2.0, 0.0))",
-        None,
-    ),
-    "SubtractedPoly": (
-        lambda: laguerre.subtract_laguerre(2, 1, 1),
-        ("n", "k", "p", "poly"),
-        "SubtractedPoly(n=2, k=1, p=1, poly=-3*x + 1/2*x^2)",
-        None,
-    ),
-    "GegenbauerPoly": (
-        lambda: laguerre.gegenbauer(2, 1),
-        ("n", "lam", "poly"),
-        "GegenbauerPoly(n=2, lam=Fraction(1, 1), poly=-1 + 4*x^2)",
+        ("state", "norm", "coeffs"),
+        "MomentumRadialWF(state=QuantumState(n=2, l=0), norm=2.0, coeffs=(2.0, 0.0))",
         None,
     ),
     "MomentSpec": (
@@ -74,12 +54,6 @@ RECORDS = {
         ("series", "mr_pow", "za_pow"),
         "pi.phibar2.mubar^2eps m_r^1 Za^2 * [(1) + O(eps^1)]",
         "unhashable type: 'EpsSeries'",
-    ),
-    "SplitWF": (
-        lambda: dr.SplitWF(2, 0, (), Poly([1, 2])),
-        ("n", "p", "head", "tail"),
-        "SplitWF(n=2, p=0, head=(), tail=1 + 2*x)",
-        None,
     ),
     "FourierKernel": (
         lambda: br.FourierKernel(Q(2), 0, Q(1, 2), Q(1), 0, "1"),
