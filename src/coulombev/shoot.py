@@ -3,13 +3,14 @@
 The eigenvalue nbar is shot from the generalized power series of the radial
 equation (`dimreg.series_coefficients`, summed by `eval_series`), continued to
 rho_max by Taylor steps on a fixed grid, with Newton's method, from the O(eps)
-expansion, on the mismatch with the decaying solution there.  The shot wave
-function then gives phibar^2 and the numeric braces by one fixed tanh-sinh
-rule, evaluated on arrays of nodes; the braces read the term lists of
-`dimreg._TERMS`, so each divergent operator is still described once.  This
-layer only cross-checks the exact eps-poles of `dimreg`, and it is the one
-part of the package that needs numpy, so the exact modules do not import it:
-`dimreg`, `brackets` and the package resolve its names on first use.
+expansion, on the mismatch with the decaying solution there; the dense output
+is Newton's last solve, corrected by its d/dnbar channel, with no solve of its
+own.  The shot wave function then gives phibar^2 and the numeric braces by one
+fixed tanh-sinh rule, evaluated on arrays of nodes; the braces read the term
+lists of `dimreg._TERMS`, so each divergent operator is still described once.
+This layer only cross-checks the exact eps-poles of `dimreg`, and it is the
+one part of the package that needs numpy, so the exact modules do not import
+it: `dimreg`, `brackets` and the package resolve its names on first use.
 
 The same tanh-sinh rule, in theta with p = gamma_n tan(theta/2), gives the
 momentum-space quadratures: the <ln q> oracle `bracket_lnq_oracle` and the
@@ -40,9 +41,9 @@ class ShootingError(RuntimeError):
     """A shoot that found no eigenvalue.
 
     Besides the reason it carries the state, eps and mu, the (nbar, mismatch)
-    pair of every solve, Newton's iterates and, once it converged, the final
-    dense solve, and the nodes counted at the last iterate (None if none
-    were) against the nodes expected, all repeated on one line.
+    pair of every Newton solve (the dense output needs no solve of its own),
+    and the nodes counted at the converged nbar (None if none were) against
+    the nodes expected, all repeated on one line.
     """
 
     def __init__(self, reason, state=None, eps=None, mu=None, iterates=(), nodes=None, nodes_expected=None):
@@ -89,20 +90,34 @@ def gammabar_from_nbar(nbar: float, eps: float, mu: float) -> float:
     return (w * 2.0 ** (-2.0 * eps) / nbar) ** (1.0 / (1.0 + 2.0 * eps))
 
 
+def _cache_last(fn):
+    """fn with a one-entry cache keyed by its argument's identity: the calls that
+    follow on the same table or shot reuse the result, and only it is kept alive."""
+    last = [(None, None)]
+
+    def cached(obj):
+        hit = last[0]
+        if hit[0] is not obj:
+            hit = last[0] = (obj, fn(obj))
+        return hit[1]
+
+    return cached
+
+
+@_cache_last
+def _series_arrays(table: CoeffTable):
+    """(k, j + 2 eps k, a_jk) over the table's terms, as float arrays."""
+    j, k, c = np.array([(j, k, float(c)) for (j, k), c in table.a.items()]).T
+    return k, j + 2.0 * float(table.eps) * k, c
+
+
 def eval_series(table: CoeffTable, nbar: float, rho: float, dnbar: bool = False) -> Tuple[float, float]:
     """(L, dL/drho) of the generalized series at numeric eps and nbar, or with
     dnbar their nbar-derivatives (M, dM/drho); rho may be an array."""
-    eps = float(table.eps)
-    val = der = 0.0
-    for (j, k), c in table.a.items():
-        if dnbar and not k:
-            continue
-        c = float(c) * (k * nbar ** (k - 1) if dnbar else nbar**k)
-        power = j + 2 * eps * k
-        val += c * rho**power
-        if power:
-            der += c * power * rho ** (power - 1)
-    return val, der
+    k, power, c = _series_arrays(table)
+    c = c * (k * nbar ** (k - 1) if dnbar else nbar**k)
+    rho = np.asarray(rho)[..., None]
+    return rho**power @ c, rho ** (power - 1) @ (c * power)
 
 
 _TAYLOR_TERMS = 36  # truncation 3^-36 where the step is a/3, 2^36/36! where it is 2
@@ -110,17 +125,34 @@ _TAYLOR_TERMS = 36  # truncation 3^-36 where the step is a/3, 2^36/36! where it 
 
 @lru_cache(maxsize=None)
 def _grid(rho0: float, rhomax: float):
-    """Starts a and lengths h of the steps h = min(a/3, 2) from rho0 to rhomax.
+    """Starts a of the steps h = min(a/3, 2) from rho0 to rhomax, h^k, k h^(k-1).
     The Taylor series at a converges within a, because rho = 0 is singular;
     the grid depends on nothing else, so every shoot to rhomax shares it."""
     a = [rho0]
     while a[-1] < rhomax:
         a.append(min(a[-1] + min(a[-1] / 3.0, 2.0), rhomax))
     a = np.array(a)
-    return a[:-1], np.diff(a)
+    k = np.arange(_TAYLOR_TERMS)[:, None]
+    powers = np.diff(a) ** k
+    return a[:-1], powers, k[1:] * powers[:-1]
 
 
-def _taylor_basis(l: int, eps: float, nbar: float, a):
+@lru_cache(maxsize=1)
+def _recurrence(l: int, eps: float, rho0: float, rhomax: float):
+    """The nbar-free factors of `_taylor_basis`'s recurrence at every step start
+    a: w[m] = a^{2 eps - m} C(2 eps, m) and, per k, (k+1)(k+2c-a), k+c and 1,
+    each over a (k+1)(k+2).  A shoot solves at one (l, eps, grid): one build."""
+    a, K, c = _grid(rho0, rhomax)[0], _TAYLOR_TERMS, l + 1 - eps
+    binom = [1.0]
+    for m in range(1, K):
+        binom.append(binom[-1] * (2.0 * eps - m + 1) / m)
+    w = a ** (2.0 * eps - np.arange(K)[:, None]) * np.array(binom)[:, None]
+    k = np.arange(K - 2)[:, None]
+    den = a * ((k + 1) * (k + 2))
+    return w, (k + 1) * (k + 2 * c - a) / den, (k + c) / den, 1.0 / den
+
+
+def _taylor_basis(l: int, eps: float, nbar: float, rho0: float, rhomax: float):
     """Taylor coefficients in t = rho - a, at every step start a at once, of the
     basis solutions u ((L, L') = (1, 0) at a) and v ((0, 1)) and of the parts
     p and q that u and v source in M = dL/dnbar from (M, M') = (0, 0); shape
@@ -132,19 +164,14 @@ def _taylor_basis(l: int, eps: float, nbar: float, a):
       y_{k+2} = -[(k+1)(k+2c-a) y_{k+1} - (k+c) y_k + nbar S_k]/(a (k+1)(k+2))
     with S_k = sum_m a^{2 eps - m} C(2 eps, m) y_{k-m}.  M obeys the same
     recurrence with the source S_k of L added to nbar S_k."""
-    K = _TAYLOR_TERMS
-    c = l + 1 - eps
-    binom = [1.0]
-    for m in range(1, K):
-        binom.append(binom[-1] * (2.0 * eps - m + 1) / m)
-    w = a ** (2.0 * eps - np.arange(K)[:, None]) * np.array(binom)[:, None]
-    y = np.zeros((K, 4, len(a)))
+    w, A, B, C = _recurrence(l, eps, rho0, rhomax)
+    y = np.zeros((_TAYLOR_TERMS, 4, w.shape[1]))
     y[0, 0] = y[1, 1] = 1.0
-    for k in range(K - 2):
+    nC = nbar * C
+    for k in range(_TAYLOR_TERMS - 2):
         conv = np.einsum("msi,mi->si", y[k::-1], w[: k + 1])
-        rhs = (k + 1) * (k + 2 * c - a) * y[k + 1] - (k + c) * y[k] + nbar * conv
-        rhs[2:] += conv[:2]
-        y[k + 2] = -rhs / (a * ((k + 1) * (k + 2)))
+        y[k + 2] = B[k] * y[k] - A[k] * y[k + 1] - nC[k] * conv
+        y[k + 2, 2:] -= C[k] * conv[:2]
     return y
 
 
@@ -167,23 +194,22 @@ def _piecewise(a, coef):
 _RTOL = 1e-12  # Newton stops once its step is below _RTOL nbar
 
 
-def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
+def _integrate(l, eps, nbar, rho0, rhomax, table):
     """(L, L', M, M') at rhomax, M = dL/dnbar, from the series at rho0, and the
-    dense output of L if asked (else None).  Each step's end values of u, v,
-    p and q form the block transfer [[U, 0], [P, U]] of (L, L', M, M')."""
-    a, h = _grid(rho0, rhomax)
+    dense output step -> L at nbar - step, whose Taylor coefficients are L's
+    minus step times M's, to O(step^2).  Each step's end values of u, v, p and
+    q form the block transfer [[U, 0], [P, U]] of (L, L', M, M')."""
+    a, powers, dpowers = _grid(rho0, rhomax)
     with np.errstate(all="ignore"):  # overflow is caught below, as a non-finite end value
         nbar = np.float64(nbar)
         start = eval_series(table, nbar, rho0) + eval_series(table, nbar, rho0, dnbar=True)
-        y = _taylor_basis(l, eps, nbar, a)
-        k = np.arange(_TAYLOR_TERMS)[:, None]
-        powers = h ** k
+        y = _taylor_basis(l, eps, nbar, rho0, rhomax)
         val = np.einsum("ksi,ki->is", y, powers).tolist()
-        der = np.einsum("ksi,ki->is", y[1:], k[1:] * powers[:-1]).tolist()
+        der = np.einsum("ksi,ki->is", y[1:], dpowers).tolist()
     L, dL, M, dM = (float(v) for v in start)
     starts = []
     for (uL, vL, pL, qL), (ud, vd, pd, qd) in zip(val, der):
-        starts.append((L, dL))
+        starts.append((L, dL, M, dM))
         L, dL, M, dM = (
             uL * L + vL * dL,
             ud * L + vd * dL,
@@ -193,10 +219,13 @@ def _integrate(l, eps, nbar, rho0, rhomax, table, dense=False):
     end = (L, dL, M, dM)
     if not all(math.isfinite(v) for v in end):
         raise ShootingError("the solution left the float range before rho_max = %r" % rhomax)
-    if not dense:
-        return end, None
-    starts = np.array(starts).T
-    return end, _piecewise(a, starts[0] * y[:, 0] + starts[1] * y[:, 1])
+
+    def dense(step):
+        L, dL, M, dM = np.array(starts).T
+        u, v, p, q = y.transpose(1, 0, 2)
+        return _piecewise(a, L * u + dL * v - step * (M * u + dM * v + L * p + dL * q))
+
+    return end, dense
 
 
 def _count_nodes(sol, l: int, rho0: float, rho_hi: float) -> int:
@@ -207,15 +236,8 @@ def _count_nodes(sol, l: int, rho0: float, rho_hi: float) -> int:
     # leftover e^{+rho} contamination of the shot solution flips sign at
     # amplitudes ~1e-15 of the maximum, which are not nodes
     floor = 1e-9 * float(np.max(np.abs(vals)))
-    nodes, last = 0, 0.0
-    for v in vals:
-        if abs(v) < floor:
-            continue
-        s = math.copysign(1.0, v)
-        if last and s != last:
-            nodes += 1
-        last = s
-    return nodes
+    signs = np.copysign(1.0, vals[~(np.abs(vals) < floor)])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def _numeric_eps(eps, mu) -> float:
@@ -236,7 +258,8 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     result then checks that Newton found the branch of (n, l).
 
     Each solve also carries M = dL/dnbar, so f' = M' - g M - rho_max^{2 eps - 1} L
-    comes with f.  Newton stops once its step is below _RTOL nbar."""
+    comes with f.  Newton stops once its step is below _RTOL nbar, and the
+    dense output is the last solve's L minus that step times its M."""
     eps = _numeric_eps(eps, mu)
     if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
@@ -247,12 +270,12 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     table = series_coefficients(l, eps, 12)
     iterates = []
 
-    def solve(nbar, dense=False):
-        (L, dL, M, dM), sol = _integrate(l, eps, nbar, rho0, rhomax, table, dense)
+    def solve(nbar):
+        (L, dL, M, dM), dense = _integrate(l, eps, nbar, rho0, rhomax, table)
         g = (nbar * rhomax ** (2 * eps) - l - 1 + eps) / rhomax
         f, df = dL - g * L, dM - g * M - rhomax ** (2 * eps - 1) * L
         iterates.append((nbar, f))
-        return (f / df if df else math.nan), sol
+        return (f / df if df else math.nan), dense
 
     def failure(reason, nodes=None):
         return ShootingError(reason, state, eps, mu, iterates, nodes, state.nr)
@@ -260,13 +283,13 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
     try:
         x, step = float(nbar_expansion(state).numeric(eps)), math.inf
         while abs(step) > _RTOL * x and len(iterates) < 30:
-            step = solve(x)[0]
+            step, dense = solve(x)
             x -= step
         if not abs(step) <= _RTOL * x:
             raise ShootingError("Newton's method did not converge")
-        sol = solve(x, dense=True)[1]
     except ShootingError as exc:
         raise failure(exc.reason) from exc
+    sol = dense(step)
     nodes = _count_nodes(sol, l, rho0, min(4.0 * n + 2.0 * l + 4.0, rhomax))
     if nodes != state.nr:
         raise failure("wrong eigenvalue branch", nodes)
@@ -288,9 +311,11 @@ def _tanh_sinh(h: float, tmax: float):
 _TS_Y, _TS_W = _tanh_sinh(2.0**-7, 3.5)
 
 
+@_cache_last
 def _nodes(eig: DimRegEigen):
     """The rule's nodes x on [0, 1], [1, 10] and [10, rho_max], their weights and
-    (F_0, F_1, F_2) at x (see `_rho_integral`), shared by a brace's terms."""
+    (F_0, F_1, F_2) at x (see `_rho_integral`), shared by the terms of every
+    brace of the last shot."""
     cuts = (0.0, 1.0, 10.0, eig.rhomax)
     x = np.concatenate([a + (b - a) * _TS_Y for a, b in zip(cuts, cuts[1:])])
     w = np.concatenate([(b - a) * _TS_W for a, b in zip(cuts, cuts[1:])])

@@ -127,16 +127,31 @@ def test_criterion_9_cx1_demo():
     _report(9, "exact symbolic match, both branches", elapsed, 9999)
 
 
+def _benchmark_pass(workload: str) -> dict:
+    """The JSON result of one perfbench pass of the workload at seed 1."""
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    proc = subprocess.run(
+        [sys.executable, str(worker), "--workload", workload, "--seed", "1"],
+        capture_output=True, text=True, check=True, timeout=300, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_benchmark_exact_sweep_pass():
     """One exact-sweep pass of perfbench (seed 1) fails no operation: every closed form
     equals its oracle, and the catalog, divergent and identity digests equal the
     ones recorded in perfbench/expected.json."""
-    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    proc = subprocess.run(
-        [sys.executable, str(worker), "--workload", "exact-sweep", "--seed", "1"],
-        capture_output=True, text=True, check=True, timeout=300, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-    )
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _benchmark_pass("exact-sweep")
     assert sorted(out["core_digests"]) == ["catalog", "divergent", "identity"]
     assert out["attempted"] > 4000
     assert out["failed"] == 0, out["failures"]
+
+
+def test_benchmark_numeric_oracles_pass():
+    """One numeric-oracles pass of perfbench (seed 1) fails no operation, and every
+    tolerance check (nbar(0) = n, the energy order, the pole fits and <ln q>) uses
+    less than its whole bound."""
+    out = _benchmark_pass("numeric-oracles")
+    assert out["failed"] == 0, out["failures"]
+    assert sorted(out["tol_use"]) == ["energy_order", "lnq", "nbar0", "pole_fit"]
+    assert all(use < 1 for use in out["tol_use"].values()), out["tol_use"]

@@ -116,6 +116,33 @@ class TestShooting:
         sol = lambda x: np.array([L(x), L.deriv()(x)])
         assert shoot._count_nodes(sol, l, 1e-3, 4.0 * n + 2.0 * l + 4.0) == n - l - 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_nodes_rule(self, seed):
+        # the rule of the scalar loop it replaced: values below the floor
+        # 1e-9 max|v| are skipped, values at it count, the sign is copysign's
+        # (0.0 is +, -0.0 is -) and every change of sign is a node; at rho0 =
+        # rho_hi = 0 the radial factor is exactly 1, so sol's values are counted
+        def loop(vals):
+            floor = 1e-9 * float(np.max(np.abs(vals)))
+            nodes, last = 0, 0.0
+            for v in vals:
+                if abs(v) < floor:
+                    continue
+                s = math.copysign(1.0, v)
+                if last and s != last:
+                    nodes += 1
+                last = s
+            return nodes
+
+        rng = np.random.default_rng(seed)
+        pool = [1.0, -1.0, 1e-9, -1e-9, 5e-10, -5e-10, 0.0, -0.0, 0.3, -2e-3]
+        cases = [rng.choice(pool, 1600), np.where(rng.random(1600) < 0.5, 0.0, -0.0)]
+        cases.append(np.concatenate([[1.0, -1e-9, 1e-9, -9.99e-10, 0.0, -0.0, 5e-10, -1.0], np.zeros(1592)]))
+        for vals in cases:
+            count = shoot._count_nodes(lambda xs: np.array([vals, vals]), 0, 0.0, 0.0)
+            assert type(count) is int and count == loop(vals)
+        assert loop(cases[2]) == 3
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_range_edge_every_l(self, n):
         # eps = +0.05 is where the O(eps) start lies farthest from nbar; the
@@ -164,6 +191,59 @@ class TestShooting:
         eig = dr.eigenvalue_shoot(cb.QuantumState(n, l), eps, mu)
         assert abs(eig.nbar - ref) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "n,l,eps,mu",
+        [(1, 0, 0.01, 0.7), (3, 1, 1e-3, 1.0), (3, 2, 0.01, 1.0), (3, 2, -0.048, 1.2), (4, 2, 0.05, 1.0)],
+        ids=["1-0-0.01-0.7", "3-1-0.001-1.0", "3-2-0.01-1.0", "3-2--0.048-1.2", "4-2-0.05-1.0"],
+    )
+    def test_dense_output_is_a_solve_at_nbar(self, n, l, eps, mu):
+        # at the states of test_nbar_pinned the dense output, Newton's last
+        # solve corrected by its M channel, equals a fresh solve at the
+        # converged nbar on the brace nodes, under
+        # the weight e^{-rho} of the braces' integrands; unweighted, the
+        # growing solution that any solve within rounding of nbar carries
+        # separates the two at the outer nodes
+        eig = dr.eigenvalue_shoot(cb.QuantumState(n, l), eps, mu)
+        x = shoot._nodes(eig)[0]
+        x = x[x > eig.rho0]
+        fresh = shoot._integrate(l, eps, eig.nbar, eig.rho0, eig.rhomax, eig.table)[1](0.0)(x) * np.exp(-x)
+        shot = eig.sol(x) * np.exp(-x)
+        assert np.all(np.abs(shot - fresh).max(axis=1) <= 1e-13 * np.abs(fresh).max(axis=1))
+
+    @pytest.mark.parametrize("l,eps", [(0, 0.01), (2, -0.048)])
+    def test_eval_series_matches_term_loop(self, l, eps):
+        # the array sums take the a_jk in another order than the term-by-term
+        # loop they replaced; for rho <= 1/3 the terms fall fast enough that
+        # the two agree to a few ulps, at a float rho as on an array
+        table, nbar = dr.series_coefficients(l, eps, 12), 2.5
+        rho = np.array([1e-6, 1e-4, 1e-3, 0.3])
+        for dnbar in (False, True):
+            val = der = 0.0
+            for (j, k), c in table.a.items():
+                if dnbar and not k:
+                    continue
+                c = float(c) * (k * nbar ** (k - 1) if dnbar else nbar**k)
+                power = j + 2 * eps * k
+                val += c * rho**power
+                if power:
+                    der += c * power * rho ** (power - 1)
+            np.testing.assert_allclose(shoot.eval_series(table, nbar, rho, dnbar), (val, der), rtol=1e-14, atol=0)
+            at_rho0 = shoot.eval_series(table, nbar, 1e-3, dnbar)
+            np.testing.assert_allclose(at_rho0, (val[2], der[2]), rtol=1e-15, atol=0)
+
+    def test_dense_output_first_order_in_step(self):
+        # a converged step is often below the rounding of nbar; a step of 1e-6
+        # shows the correction: the error falls from O(step) to O(step^2)
+        table = dr.series_coefficients(0, 0.01, 12)
+        x = np.linspace(2e-3, 29.0, 500)
+        dense = shoot._integrate(0, 0.01, 0.99, 1e-3, 30.0, table)[1]
+        fresh = shoot._integrate(0, 0.01, 0.99 - 1e-6, 1e-3, 30.0, table)[1](0.0)(x) * np.exp(-x)
+
+        def error(step):
+            return np.max(np.abs(dense(step)(x) * np.exp(-x) - fresh).max(axis=1) / np.abs(fresh).max(axis=1))
+
+        assert error(1e-6) < 1e-11 and error(0.0) > 1e-7 and error(-1e-6) > 1e-7
+
     @pytest.mark.parametrize("n,l,eps", [(1, 0, 0.0), (3, 2, -0.048), (4, 2, 0.05)])
     def test_solve_budget(self, monkeypatch, n, l, eps):
         calls = []
@@ -176,7 +256,9 @@ class TestShooting:
         monkeypatch.setattr(shoot, "_integrate", counting)
         dr.eigenvalue_shoot(cb.QuantumState(n, l), eps)
         assert calls  # the patch reached the solver
-        assert len(calls) <= 12
+        # the dense output needs no solve of its own, so at eps = 0, where
+        # the start nbar = n is exact, one Newton solve is the whole shoot
+        assert len(calls) == 1 if eps == 0 else len(calls) <= 11
 
     def test_error_context(self, monkeypatch):
         monkeypatch.setattr(shoot, "_count_nodes", lambda sol, l, rho0, rho_hi: 3)
