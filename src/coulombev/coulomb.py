@@ -1,6 +1,7 @@
 """Three-dimensional Coulomb bound states: the closed-form expectation-value
 catalog, and an independent oracle that computes every catalog entry by exact
-term-by-term integration of the radial wave function, held as integer tables.
+term-by-term integration of the radial wave function, held as the integer
+tables of `laguerre` (`laguerre_table`).
 
 The catalog is one table, `CATALOG`: each row holds a closed form of
 (n, l, L = l(l+1)) and the oracle as a list of pieces (coef, left, right,
@@ -44,7 +45,7 @@ from .exactnum import (
     _finite,
     _set,
 )
-from .laguerre import Poly, assoc_laguerre, gegenbauer
+from .laguerre import Poly, convolve_into, drho, gegenbauer, laguerre_table
 from . import lagint
 
 HALF = Q(1, 2)
@@ -234,49 +235,12 @@ def p2(op):
     return scaled(d(d(op)), -1) + scaled(over_r(d(op)), -2) + scaled(over_r(over_r(op)), ang=1)
 
 
-# An integer table (den, ((j, c_j), ...)) stands for the radial function
-# e^{-rho/2} sum_j (c_j / den) rho^j with integer den and c_j (j may be < 0).
-# The evaluator multiplies and sums these integers and builds one Fraction per
-# result; each state's derivative chain and operand tables are built once.
-
-
-def int_table(coeffs: Dict[int, Fraction]):
-    """The integer table of e^{-rho/2} sum_j coeffs[j] rho^j."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return den, tuple((j, c.numerator * (den // c.denominator)) for j, c in coeffs.items() if c)
-
-
-def drho(table, a: int = 1, step: int = 2):
-    """((2/step) d/drho)^a of a table's function, including the e^{-rho/2} factor.
-
-    step = 2 gives d/drho; step = n gives d/dr, since rho = 2r/n.
-    """
-    den, cs = table
-    for _ in range(a):
-        out: Dict[int, int] = {}
-        for j, c in cs:
-            if j:
-                out[j - 1] = out.get(j - 1, 0) + 2 * j * c
-            out[j] = out.get(j, 0) - c
-        den, cs = den * step, tuple((j, c) for j, c in out.items() if c)
-    return den, cs
-
-
-def convolve_into(into: Dict[int, int], left, right, shift: int, m: int = 1):
-    """into[shift + j1 + j2] += m c1 c2 over the integer pairs of two tables."""
-    for j1, c1 in left:
-        c1 *= m
-        for j2, c2 in right:
-            t = shift + j1 + j2
-            into[t] = into.get(t, 0) + c1 * c2
-
-
 @lru_cache(maxsize=None)
 def _radial_chain(n: int, l: int, a: int):
     """d^a/dr^a [rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho)] as an integer table."""
     if a == 0:
-        poly = assoc_laguerre(n - l - 1, 2 * l + 1)
-        return int_table({l + j: c for j, c in enumerate(poly.coeffs)})
+        den, cs = laguerre_table(n - l - 1, 2 * l + 1)
+        return den, tuple((l + j, c) for j, c in cs)
     return drho(_radial_chain(n, l, a - 1), step=n)
 
 

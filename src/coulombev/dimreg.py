@@ -57,10 +57,8 @@ from .coulomb import (
     R,
     QuantumState,
     Value,
-    _radial_chain,
-    convolve_into,
-    drho,
 )
+from .laguerre import convolve_into, drho, laguerre_table
 
 HALF = Q(1, 2)
 
@@ -249,11 +247,14 @@ def _head_terms(head: tuple, derivs: int):
     return [(j, k, c) for (j, k, c) in terms if not c.is_zero()]
 
 
-# a_jk(eps) of the S-state series for j <= 1 through eps^2, the j <= 1 rows of
-# the a_jk recursion at l = 0: a_00 = 1, a_10 = 1/2, a_11 = -1/(2(1 + 2 eps)).
-# Every term of `_TERMS` and `_IDENTITIES` has head depth
-# p = max(0, max(a, b) - 2 - sigma) <= 2, so no row j >= 2 is read.
-_HEAD = ((0, 0, _eps_poly(1)), (1, 0, _eps_poly(HALF)), (1, 1, _eps_poly(-HALF, 1, -2)))
+# a_jk(eps) of the S-state series for j <= 1 through eps^1 (`_head_sums` reads no
+# more), the j <= 1 rows of the a_jk recursion at l = 0: a_00 = 1, a_10 = 1/2,
+# a_11 = -1/(2(1 + 2 eps)).  Every term of `_TERMS` and `_IDENTITIES` has head
+# depth p = max(0, max(a, b) - 2 - sigma) <= 2, so no row j >= 2 is read.
+_HEAD = tuple(
+    (j, k, EpsSeries.from_coeffs(0, [SymExpr.scalar(c0), SymExpr.scalar(c1)]))
+    for j, k, c0, c1 in ((0, 0, 1, 0), (1, 0, HALF, 0), (1, 1, -HALF, 1))
+)
 
 
 def _series_head(p: int) -> tuple:
@@ -318,8 +319,9 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
         int_total = int_total + s_k.mul(nbar_pow, order_cap=0)
 
     # --- tail cross terms at eps = 0: head x tail + tail x (head + tail).  The series is
-    #     L_{n-1}^1/n: the oracle's table of L_{n-1}^1, with each factor's 1/n in the denominator ---
-    den, pairs = _radial_chain(n, 0, 0)
+    #     L_{n-1}^1/n: the integer table of L_{n-1}^1 (`laguerre_table`, which the catalog
+    #     oracle reads too), with each factor's 1/n in the denominator ---
+    den, pairs = laguerre_table(n - 1, 1)
     head0 = (den, tuple((j, v) for j, v in pairs if j < p))
     tail0 = (den, tuple((j, v) for j, v in pairs if j >= p))
     combined: Dict[int, int] = {}

@@ -152,17 +152,6 @@ def diharmonic(sign: str, n: int, m: int) -> Fraction:
     return total
 
 
-def binomial(a: Scalar, b: int) -> Fraction:
-    """Generalized binomial (a over b) for integer b >= 0, exact."""
-    if b < 0:
-        return Q(0)
-    a = Q(a)
-    num = Q(1)
-    for i in range(b):
-        num *= a - i
-    return num / factorial(b)
-
-
 @lru_cache(maxsize=None)
 def factorial(n: int) -> Fraction:
     if n < 0:

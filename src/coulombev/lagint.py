@@ -1,7 +1,8 @@
 """Closed-form Laguerre moment integrals I, J, K, L, M and their p-subtracted
 variants, with the integer-power limiting machinery, plus an independent
-brute-force oracle that integrates monomial by monomial (`mono_moments`, on
-integer rows of Stirling numbers).
+brute-force oracle that convolves the integer Laguerre tables of `laguerre`
+and integrates monomial by monomial (`mono_moments`, on integer rows of
+Stirling numbers).
 
 All integrals are of the shape  int_0^inf dx e^{-x} x^s (ln x)^m  P(x) Q(x)
 with integer s, the powers the catalog and the eps-poles need; every entry
@@ -33,7 +34,7 @@ from .exactnum import (
     gamma_ratio_eps,
     gamma_series,
 )
-from .laguerre import Poly, assoc_laguerre, subtract_laguerre
+from .laguerre import convolve_into, laguerre_table
 
 Scalar = Union[int, Fraction]
 
@@ -107,25 +108,25 @@ def mono_moments(pairs, logpow: int) -> Dict[object, int]:
     return {ONE: s2, GAMMA_E: -2 * s1, GAMMA2: s0, ZETA2: s0}
 
 
-def poly_moment(p: Poly, q: Poly, s: int, logpow: int = 0) -> SymExpr:
-    """Exact int_0^inf e^{-x} x^s ln^m x P(x) Q(x) dx for integer s."""
-
-    def monomials():  # the product P Q is formed only once mono_moments reads it
-        for r, c in enumerate((p * q).coeffs):
-            yield s + r, c
-
-    return SymExpr(mono_moments(monomials(), logpow))
-
-
 def brute_force_moment(spec: MomentSpec) -> SymExpr:
-    """Monomial-by-monomial oracle for integer s, exact."""
+    """Monomial-by-monomial oracle for integer s, exact: the j >= p pairs of the
+    table of L_n^k (^pL_n^k) convolved in integers with the table of L_n'^k'."""
     s = _integer_power(spec.s)
     if s + spec.left[2] <= -1:
         raise DivergenceError("moment diverges: leading monomial x^%d below x^-1" % (s + spec.left[2]))
     n, k, p = spec.left
-    left = subtract_laguerre(n, k, p)
-    right = assoc_laguerre(*spec.right) if spec.right else Poly([1])
-    return poly_moment(left, right, s, spec.logpow)
+    _require_depth(p)
+    right = spec.right or (0, 0)  # L_0^0 = 1
+
+    def monomials():  # the tables are built only once mono_moments has checked the log power
+        combined: Dict[int, int] = {}
+        left = [(j, c) for j, c in laguerre_table(n, k)[1] if j >= p]  # ^pL_n^k
+        convolve_into(combined, left, laguerre_table(*right)[1], s)
+        yield from combined.items()
+
+    sums = mono_moments(monomials(), spec.logpow)
+    den = laguerre_table(n, k)[0] * laguerre_table(*right)[0]  # cached by now
+    return SymExpr({tag: Fraction(v, den) for tag, v in sums.items()})
 
 
 # ---------------------------------------------------------------------------

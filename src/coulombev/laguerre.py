@@ -1,12 +1,17 @@
-"""Exact polynomial layer: associated Laguerre polynomials, their p-subtracted
-variants, and Gegenbauer polynomials, all with Fraction coefficients."""
+"""Exact polynomial layer: the associated Laguerre polynomials as integer
+tables, built once and read by every exact Laguerre integral (with `drho` and
+`convolve_into`), and `Poly`, the Fraction polynomial that `assoc_laguerre`,
+`subtract_laguerre` and `gegenbauer` return."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import lru_cache
+from operator import index
+from typing import Dict, Sequence, Union
 
-from .exactnum import DomainError, Q, _finite, binomial, factorial, rising
+from .exactnum import DomainError, Q, _finite, factorial, rising
 
 Scalar = Union[int, Fraction]
 
@@ -94,24 +99,61 @@ class Poly:
         return " + ".join(bits)
 
 
-def assoc_laguerre(n: int, k: Scalar) -> Poly:
-    """L_n^k(x) with c_r = (-1)^r/r! binom(n+k, n-r); L_n^k = 0 for n < 0.
+@lru_cache(maxsize=None)
+def laguerre_table(n: int, k: int):
+    """L_n^k(x) with c_r = (-1)^r/r! binom(n+k, n-r) as an integer table; L_n^k = 0 for n < 0.
 
-    The c_r are stepped from c_0 = binom(n+k, n) by their ratio
-    c_{r+1}/c_r = -(n-r)/((r+1)(r+1+k)), so a degree-n polynomial costs O(n)
-    products.  k may be a non-negative integer or half-integer (general
-    binomial); other non-integer orders are rejected since nothing downstream
-    needs them.
+    An integer table (den, ((j, c_j), ...)) stands for sum_j (c_j / den) x^j
+    with integer den and c_j (j may be < 0); `drho` and `convolve_into` read it
+    as the radial function e^{-rho/2} sum_j (c_j / den) rho^j, and the
+    evaluators build one Fraction per result.  Here den = n! and the n! c_r
+    are integers; n! c_n = (-1)^n, so no smaller den exists.  k must be a
+    non-negative integer.
     """
-    if n < 0:
-        return Poly()
+    try:
+        n = index(n)
+    except TypeError:
+        raise DomainError("Laguerre degree n must be an integer, got %r" % (n,)) from None
     k = _finite(k, "Laguerre order k")
-    if k.denominator not in (1, 2) or k < 0:
-        raise DomainError("Laguerre order k must be a non-negative integer or half-integer")
-    coeffs = [binomial(n + k, n)]
-    for r in range(n):
-        coeffs.append(-coeffs[r] * (n - r) / ((r + 1) * (r + 1 + k)))
-    return Poly(coeffs)
+    if k.denominator != 1 or k < 0:
+        raise DomainError("Laguerre order k must be a non-negative integer, got %s" % k)
+    if n < 0:
+        return 1, ()
+    k = int(k)
+    # n! c_r, with math.perm(n, n - r) = n!/r!
+    cs = tuple((r, (-1) ** r * math.comb(n + k, n - r) * math.perm(n, n - r)) for r in range(n + 1))
+    return math.factorial(n), cs
+
+
+def drho(table, a: int = 1, step: int = 2):
+    """((2/step) d/drho)^a of a table's function, including the e^{-rho/2} factor.
+
+    step = 2 gives d/drho; step = n gives d/dr, since rho = 2r/n.
+    """
+    den, cs = table
+    for _ in range(a):
+        out: Dict[int, int] = {}
+        for j, c in cs:
+            if j:
+                out[j - 1] = out.get(j - 1, 0) + 2 * j * c
+            out[j] = out.get(j, 0) - c
+        den, cs = den * step, tuple((j, c) for j, c in out.items() if c)
+    return den, cs
+
+
+def convolve_into(into: Dict[int, int], left, right, shift: int, m: int = 1):
+    """into[shift + j1 + j2] += m c1 c2 over the integer pairs of two tables."""
+    for j1, c1 in left:
+        c1 *= m
+        for j2, c2 in right:
+            t = shift + j1 + j2
+            into[t] = into.get(t, 0) + c1 * c2
+
+
+def assoc_laguerre(n: int, k: int) -> Poly:
+    """L_n^k(x) as a Poly, read from `laguerre_table`."""
+    den, cs = laguerre_table(n, k)
+    return Poly([Q(c, den) for _, c in cs])
 
 
 def subtract_laguerre(n: int, k: int, p: int) -> Poly:

@@ -27,7 +27,6 @@ from .exactnum import (
     gamma_ratio_eps,
     h0,
     harmonic,
-    binomial,
 )
 from .laguerre import Poly, assoc_laguerre, gegenbauer
 from . import lagint
@@ -189,7 +188,7 @@ def suite_laguerre() -> SuiteResult:
     for n in range(0, 16):
         for k in range(0, 9):
             r.check(assoc_laguerre(n, k).deriv() == -assoc_laguerre(n - 1, k + 1), "dL (%d,%d)" % (n, k))
-            r.check(assoc_laguerre(n, k)(0) == binomial(n + k, n), "L(0) (%d,%d)" % (n, k))
+            r.check(assoc_laguerre(n, k)(0) == math.comb(n + k, n), "L(0) (%d,%d)" % (n, k))
     for n in range(0, 13):
         for k in range(1, 7):
             L = assoc_laguerre
@@ -253,11 +252,11 @@ def suite_lagint() -> SuiteResult:
     for n in range(1, 26):
         lhs = SymExpr()
         for j in range(0, n):
-            lhs = lhs + binomial(n, j + 1) * Q(-1) ** j * psi(j + 1)
+            lhs = lhs + math.comb(n, j + 1) * Q(-1) ** j * psi(j + 1)
         r.check(lhs == SymExpr({ONE: -harmonic(n - 1), GAMMA_E: Q(-1)}), "psi sum 1 n=%d" % n)
         lhs = SymExpr()
         for j in range(0, n + 1):
-            lhs = lhs + binomial(n, j) * Q(-1) ** j * psi(j + 1)
+            lhs = lhs + math.comb(n, j) * Q(-1) ** j * psi(j + 1)
         r.check(lhs == SymExpr.scalar(Q(-1, n)), "psi sum 2 n=%d" % n)
     from .exactnum import factorial
 

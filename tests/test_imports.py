@@ -95,3 +95,38 @@ def test_guard_sees_dead_private_def():
 
 def test_every_private_def_is_used():
     assert dead_private_defs({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def private_imports(source, module):
+    """Names beginning with `_` that the source imports from the sibling `module`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_guard_sees_private_import():
+    source = "from .coulomb import R, _norm2\nfrom .exactnum import _finite\n\ndef f():\n    from .coulomb import _p6\n"
+    assert private_imports(source, "coulomb") == ["_norm2", "_p6"]
+
+
+def test_dimreg_imports_no_private_coulomb_name():
+    # the l = 0 tail reads the Laguerre tables from `laguerre`, not the oracle's internals
+    source = (Path(coulombev.__file__).resolve().parent / "dimreg.py").read_text()
+    assert private_imports(source, "coulomb") == []
+
+
+# the integer Laguerre tables and their two helpers: one definition, in `laguerre`
+TABLE_FUNCTIONS = {"drho", "convolve_into", "laguerre_table"}
+
+
+def defined_functions(source):
+    """Names of the functions the source defines at any depth."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, functions)}
+
+
+def test_table_functions_defined_only_in_laguerre():
+    homes = {name: [p.stem for p in MODULES if name in defined_functions(p.read_text())] for name in TABLE_FUNCTIONS}
+    assert homes == {name: ["laguerre"] for name in TABLE_FUNCTIONS}

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
 
-from coulombev.exactnum import DomainError, binomial, factorial
-from coulombev.laguerre import Poly, assoc_laguerre, gegenbauer, subtract_laguerre
+from coulombev import lagint
+from coulombev.exactnum import DomainError, factorial
+from coulombev.laguerre import Poly, assoc_laguerre, gegenbauer, laguerre_table, subtract_laguerre
 
 
 def test_reference_values():
@@ -13,12 +15,22 @@ def test_reference_values():
     assert assoc_laguerre(-2, 3).is_zero()
 
 
-@pytest.mark.parametrize("k", [0, 1, 5, Q(1, 2), Q(7, 2)])
+@pytest.mark.parametrize("k", [0, 1, 5])
 def test_coefficients_match_binomial_form(k):
-    # the ratio-stepped coefficients against c_r = (-1)^r/r! binom(n+k, n-r)
+    # the Poly read from the integer table against c_r = (-1)^r/r! binom(n+k, n-r)
     for n in range(-1, 40):
-        expect = Poly([Q(-1) ** r / factorial(r) * binomial(n + k, n - r) for r in range(n + 1)])
+        expect = Poly([Q(-1) ** r / factorial(r) * math.comb(n + k, n - r) for r in range(n + 1)])
         assert assoc_laguerre(n, k) == expect, n
+
+
+def test_table_matches_binomial_form():
+    # every power r <= n in order, c_r/den = (-1)^r/r! binom(n+k, n-r), and den the least one
+    for n, k in [(n, k) for n in range(-1, 41) for k in range(0, 26)] + [(1000, 1)]:
+        den, pairs = laguerre_table(n, k)
+        assert [j for j, _ in pairs] == list(range(n + 1)), (n, k)
+        expect = [Q((-1) ** r * math.comb(n + k, n - r), math.factorial(r)) for r in range(n + 1)]
+        assert [Q(c, den) for _, c in pairs] == expect, (n, k)
+        assert math.gcd(den, *(c for _, c in pairs)) == 1, (n, k)
 
 
 def test_subtraction():
@@ -44,10 +56,15 @@ def test_value_at_zero(suite):
 
 
 def test_half_integer_order():
-    p = assoc_laguerre(2, Q(1, 2))
-    assert p.coeff(0) == binomial(Q(5, 2), 2)
+    # k must be a non-negative integer: the table, its Poly and the moment oracle refuse the rest
+    for k in (Q(1, 2), -1, float("nan")):
+        for build in (assoc_laguerre, laguerre_table):
+            with pytest.raises(DomainError):
+                build(2, k)
+        with pytest.raises(DomainError):
+            lagint.brute_force_moment(lagint.MomentSpec(Q(1), 0, (2, 1, 0), (2, k)))
     with pytest.raises(DomainError):
-        assoc_laguerre(2, Q(1, 3))
+        laguerre_table(Q(5, 2), 1)
 
 
 def test_gegenbauer_spec_examples():
