@@ -17,14 +17,14 @@ __version__ = "1.0.0"
 # submodule -> the public names it defines
 _LAYERS = {
     "exactnum": "DivergenceError DomainError EpsSeries SymExpr diharmonic harmonic",
-    "laguerre": "Poly assoc_laguerre gegenbauer subtract_laguerre",
-    "lagint": "MomentSpec brute_force_moment integral_I integral_J integral_K integral_L integral_M",
-    "coulomb": "MomentumRadialWF PhysScale QuantumState Value catalog_tags cx1_energy_shift"
+    "lagint": "MomentSpec Poly assoc_laguerre brute_force_moment gegenbauer integral_I integral_J integral_K"
+    " integral_L integral_M subtract_laguerre",
+    "coulomb": "PhysScale QuantumState Value catalog_tags"
     " expectation_closed expectation_oracle feynman_hellmann_residual power_moment recursion_residual",
-    "dimreg": "DivergentValue contact_expansion divergent_expectation divergent_tags"
+    "dimreg": "DivergentValue contact_expansion cx1_energy_shift divergent_expectation divergent_tags"
     " energy_expansion identity_residuals series_coefficients",
     "brackets": "bracket bracket_lnq bracket_tags fourier_kernel",
-    "shoot": "eigenvalue_shoot bracket_lnq_oracle",
+    "shoot": "MomentumRadialWF eigenvalue_shoot bracket_lnq_oracle",
 }
 _HOME = {name: module for module, names in _LAYERS.items() for name in names.split()}
 __all__ = sorted(_HOME)

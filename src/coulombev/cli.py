@@ -27,7 +27,6 @@ from .coulomb import (
     RequiresDimregError,
     Value,
     catalog_tags,
-    cx1_energy_shift,
     expectation_closed,
 )
 
@@ -222,6 +221,8 @@ def _fraction(flag, text) -> Fraction:
 
 
 def cmd_demo_cx1(args) -> int:
+    from .dimreg import cx1_energy_shift
+
     st = QuantumState(args.n, args.l)
     c1, c2, m1, m2 = (_fraction("--" + k, getattr(args, k)) for k in ("c1", "c2", "m1", "m2"))
     coef, val = cx1_energy_shift(st, c1, c2, m1, m2)

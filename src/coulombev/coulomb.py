@@ -1,13 +1,12 @@
-"""Three-dimensional Coulomb bound states: the closed-form expectation-value
-catalog, and an independent oracle that computes every catalog entry by exact
-term-by-term integration of the radial wave function, held as the integer
-tables of `laguerre` (`laguerre_table`).
+"""Three-dimensional Coulomb bound states and their closed-form
+expectation-value catalog, each entry with an independent oracle.
 
 The catalog is one table, `CATALOG`: each row holds a closed form of
 (n, l, L = l(l+1)) and the oracle as a list of pieces (coef, left, right,
 sigma), whose operands are built from `R` by `d`, `over_r`, `p2` and
-`scaled`.  `bilinear_sum` integrates all pieces of a row as one integrand
-(`contact` takes their r -> 0 limit for the delta-function rows).
+`scaled`.  `lagint.bilinear_sum` integrates all pieces of a row as one
+integrand by exact term-by-term integration of the radial wave function
+(`lagint.contact` takes their r -> 0 limit for the delta-function rows).
 
 Internal units fix m_r Zalpha = 1 (Bohr radius a = 1, rho = 2r/n).  Every
 value carries integer powers of m_r, Zalpha and pi so physical units can be
@@ -19,12 +18,10 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 from typing import Callable, Dict, Optional
 
 from .exactnum import (
-    DivergenceError,
     DomainError,
     Q,
     SymExpr,
@@ -36,16 +33,13 @@ from .exactnum import (
     ZETA2,
     GAMMA2,
     diharmonic,
-    factorial,
     harmonic,
     lam,
     lam2,
     gamma_lam,
     _NUMERIC_TAGS,
-    _finite,
     _set,
 )
-from .laguerre import Poly, convolve_into, drho, gegenbauer, laguerre_table
 from . import lagint
 
 HALF = Q(1, 2)
@@ -195,19 +189,13 @@ class Value(Record):
 
 
 # ---------------------------------------------------------------------------
-# operands and the radial evaluator
+# operands of the oracle pieces
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _norm2(n: int, l: int) -> Fraction:
-    """norm2 of R_{nl}(r) = sqrt(norm2) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n."""
-    return Q(4) * factorial(n - l - 1) / (n**4 * factorial(n + l))
-
-
-# An operand is a tuple of terms (c, j, a, ang, k), each standing for
-# c [l(l+1)]^ang E^k r^{-j} d^a R(r) with E = -1/2n^2; concatenating two
-# operands adds them.
+# An operand is a tuple of terms (c, j, a, ang, k), read only by
+# `lagint._operand_table`, whose docstring gives their meaning; R is the
+# radial function itself, and concatenating two operands adds them.
 R = ((1, 0, 0, 0, 0),)
 
 
@@ -235,96 +223,6 @@ def p2(op):
     return scaled(d(d(op)), -1) + scaled(over_r(d(op)), -2) + scaled(over_r(over_r(op)), ang=1)
 
 
-@lru_cache(maxsize=None)
-def _radial_chain(n: int, l: int, a: int):
-    """d^a/dr^a [rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho)] as an integer table."""
-    if a == 0:
-        den, cs = laguerre_table(n - l - 1, 2 * l + 1)
-        return den, tuple((l + j, c) for j, c in cs)
-    return drho(_radial_chain(n, l, a - 1), step=n)
-
-
-@lru_cache(maxsize=None)
-def _operand_table(n: int, l: int, op):
-    """An operand applied to R_{nl}, without sqrt(norm2), as an integer table."""
-    L, E, over = l * (l + 1), Q(-1, 2 * n * n), Q(2, n)
-    parts = []
-    for c, j, a, g, k in op:
-        w = c * L**g * E**k * over**j
-        if w:
-            den, cs = _radial_chain(n, l, a)
-            parts.append((w / den, j, cs))
-    den = math.lcm(*(w.denominator for w, _, _ in parts))
-    table: Dict[int, int] = {}
-    for w, j, cs in parts:
-        m = w.numerator * (den // w.denominator)
-        for i, v in cs:
-            table[i - j] = table.get(i - j, 0) + m * v
-    return den, tuple((t, v) for t, v in table.items() if v)
-
-
-def _weighted(state: QuantumState, pieces, shift: int):
-    """rho^shift sum_i coef_i r^sigma_i (left_i R)(right_i R) = (num/den) sum_t c_t rho^t e^{-rho}.
-
-    shift = 2 is the rho^2 of the radial measure, shift = 0 the bare sum.
-    Returns (num, den, monomials), all integers: the weights coef (n/2)^sigma /
-    (d_l d_r) are integer pairs put on one denominator and summed before any
-    c_t is read; `monomials` yields the (t, c_t) by running the convolution.
-    No Fraction is built here; the caller's last line builds one per coefficient.
-    """
-    n, l = state.n, state.l
-    parts = []
-    for coef, left, right, sigma in pieces:
-        dl, tl = _operand_table(n, l, left)
-        dr, tr = _operand_table(n, l, right)
-        up, down = (n**sigma, 1 << sigma) if sigma >= 0 else (1 << -sigma, n**-sigma)  # (n/2)^sigma
-        parts.append((coef.numerator * up, coef.denominator * dl * dr * down, sigma, tl, tr))
-    common = math.lcm(*(den for _, den, _, _, _ in parts))
-
-    def monomials():
-        combined: Dict[int, int] = {}
-        for num, den, sigma, tl, tr in parts:
-            convolve_into(combined, tl, tr, shift + sigma, num * (common // den))
-        yield from combined.items()
-
-    norm2 = _norm2(n, l)
-    return norm2.numerator, norm2.denominator * common, monomials()
-
-
-def bilinear_sum(state: QuantumState, pieces, logpow: int = 0, kappa: str = "kappa") -> SymExpr:
-    """sum_i coef_i int_0^inf dr r^{2+sigma_i} ln^logpow(kappa r) (left_i R)(right_i R), exact.
-
-    `pieces` holds (coef, left, right, sigma) with operands built from `R` by
-    `d`, `over_r`, `p2` and `scaled`.  Divergent monomials may cancel between
-    pieces: the check runs after they are combined.  ln(kappa r) = ln(rho) +
-    Lambda_kappa with Lambda_kappa = ln(kappa n / (2 m_r Za)).  All is integer
-    arithmetic up to the last line, which builds one Fraction per coefficient.
-    """
-    num, den, monomials = _weighted(state, pieces, 2)
-    # int rho^t ln^m(rho) e^{-rho}; mono_moments checks logpow before the convolution runs
-    sums = lagint.mono_moments(monomials, logpow)
-    # d^m/ds^m [e^{Lambda s} Gamma(t+1+s)] at s = 0 holds gamma_E only as gamma_E - Lambda,
-    # so the ln(kappa r) moments are the ln(rho) ones with gamma_E -> gamma_E - Lambda_kappa
-    g, g2 = sums.get(GAMMA_E, 0), sums.get(GAMMA2, 0)
-    sums.update({lam(kappa): -g, gamma_lam(kappa): -2 * g2, lam2(kappa): g2})
-    num, den = num * state.n**3, den << 3  # dr = (n/2) drho and r^2 = (n/2)^2 rho^2
-    return SymExpr({tag: Fraction(c * num, den) for tag, c in sums.items() if c})
-
-
-def contact(state: QuantumState, pieces) -> SymExpr:
-    """(1/4) lim_{r->0} sum_i coef_i r^sigma_i (left_i R)(right_i R), exact; error if it diverges.
-
-    The delta function's 1/pi is left to the caller.  As in `bilinear_sum`,
-    the last line builds the one Fraction from integers.
-    """
-    num, den, monomials = _weighted(state, pieces, 0)
-    combined = dict(monomials)
-    for t, c in combined.items():
-        if c and t < 0:
-            raise DivergenceError("contact value divergent (r^%d)" % t)
-    return SymExpr({ONE: Fraction(combined.get(0, 0) * num, den << 2)})
-
-
 # ---------------------------------------------------------------------------
 # the expectation-value catalog
 # ---------------------------------------------------------------------------
@@ -335,7 +233,7 @@ class CatalogEntry(Record):
 
     `closed(n, l, L)`, with L = l(l+1) and the kappa label as a fourth
     argument for the log rows, returns a scalar or a SymExpr.  The oracle is
-    `bilinear_sum` of `pieces` with ln^logpow(kappa r), or their `contact`
+    `lagint.bilinear_sum` of `pieces` with ln^logpow(kappa r), or their `contact`
     limit; `value` adds the 1/pi of the delta function to a contact row.
     """
 
@@ -385,7 +283,7 @@ def _grad(f, sigma, coef=1):
 
 def p6_naive_oracle(st: QuantumState) -> Value:
     """<p^6> as int |grad(p^2 psi)|^2; diverges for S states."""
-    return Value(bilinear_sum(st, _grad(P2R, 0)))
+    return Value(lagint.bilinear_sum(st, _grad(P2R, 0)))
 
 
 def _p6(n, l, L):
@@ -709,8 +607,8 @@ def expectation_oracle(tag: str, state: QuantumState, kappa: str = "kappa") -> V
     """Independent exact-integration value of the same entry."""
     row = _lookup(tag, state)
     if row.contact:
-        return row.value(contact(state, row.pieces))
-    return row.value(bilinear_sum(state, row.pieces, row.logpow, kappa))
+        return row.value(lagint.contact(state, row.pieces))
+    return row.value(lagint.bilinear_sum(state, row.pieces, row.logpow, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +617,14 @@ def expectation_oracle(tag: str, state: QuantumState, kappa: str = "kappa") -> V
 
 
 def power_moment(state: QuantumState, s: int) -> Fraction:
-    """<r^s> in units m_r Zalpha = 1, exact, any integer s with 2 + s + 2l >= 0."""
-    return bilinear_sum(state, ((1, R, R, s),)).rational
+    """<r^s> in units m_r Zalpha = 1, exact, any integer s with 2 + s + 2l >= 0; an
+    integral float or Fraction counts as its integer, any other s is a DomainError."""
+    return lagint.bilinear_sum(state, ((1, R, R, lagint._integer_power(s)),)).rational
 
 
 def recursion_residual(s: int, state: QuantumState) -> Fraction:
     """Residual of the r^s recursion at eps = 0; vanishes for bound states."""
-    n, l = state.n, state.l
+    s, n, l = lagint._integer_power(s), state.n, state.l
     e = Q(-1, 2 * n * n)
     res = 8 * e * (s + 1) * power_moment(state, s)
     res += 4 * (2 * s + 1) * power_moment(state, s - 1)
@@ -737,67 +636,3 @@ def feynman_hellmann_residual(state: QuantumState) -> Fraction:
     """<V>/beta - dE/dbeta with E = -m_r beta^2/(2 n^2), at eps = 0."""
     n = state.n
     return -power_moment(state, -1) + Q(1, n * n)
-
-
-def cx1_energy_shift(state: QuantumState, c1, c2, m1, m2):
-    """Energy shift -4 m_r (c1/m1^4 + c2/m2^4) <(V')^2> for the CX1 vertex.
-
-    Masses are in arbitrary common units; m_r = m1 m2/(m1+m2).  Returns the
-    scaled divergent object for l = 0 and an exact Value for l > 0, along with
-    the rational prefactor used.
-    """
-    from . import dimreg  # local import; dimreg depends on this module
-
-    c1, c2, m1, m2 = (_finite(x, name) for x, name in ((c1, "c1"), (c2, "c2"), (m1, "m1"), (m2, "m2")))
-    if m1 <= 0 or m2 <= 0:
-        raise DomainError("masses must be positive")
-    mr = m1 * m2 / (m1 + m2)
-    coef = -4 * (c1 * (mr / m1) ** 4 + c2 * (mr / m2) ** 4)
-    vp2 = dimreg.divergent_expectation("(V')2", state.n, state.l)
-    # -4 m_r (c1/m1^4 + c2/m2^4) = coef / m_r^3 with coef dimensionless
-    return coef, vp2.scale(coef).shift_dims(mr=-3)
-
-
-# ---------------------------------------------------------------------------
-# momentum-space wave function
-# ---------------------------------------------------------------------------
-
-
-class MomentumRadialWF(Record):
-    """R_{nl}(p) = phi_n N_{nl} p^l gamma_n^{l+1} / D_n^{l+2} C_{n-l-1}^{l+1}(Dbar_n/D_n).
-
-    D_n = p^2 + gamma_n^2, Dbar_n = p^2 - gamma_n^2; units m_r Zalpha = 1 so
-    gamma_n = 1/n and the normalization is int p^2 R^2 dp/(2 pi)^3 = 1.
-    Evaluated in t = p/gamma_n, where it is n^3 t^l/(1+t^2)^{l+2} C(1 - 2/(1+t^2)),
-    so that large p underflows to 0 instead of overflowing.
-    """
-
-    __slots__ = ("state", "norm", "coeffs")
-
-    def __init__(self, state: QuantumState, gegenbauer: Poly, norm: float):
-        # gegenbauer is C_{n-l-1}^{l+1}, norm is phi_n * N_{nl}, and coeffs holds
-        # its coefficients as floats, highest degree first
-        self._fill(state, norm, tuple(float(c) for c in reversed(gegenbauer.coeffs)))
-
-    def __call__(self, p: float) -> float:
-        n, l = self.state.n, self.state.l
-        t = p * n
-        u = 1.0 + t * t
-        beta = 1.0 - 2.0 / u
-        acc = 0.0
-        for c in self.coeffs:
-            acc = acc * beta + c
-        return self.norm * n**3 * (t / u) ** l / (u * u) * acc
-
-
-def momentum_radial(state: QuantumState) -> MomentumRadialWF:
-    """Momentum-space radial wave function, callable at numeric p."""
-    n, l = state.n, state.l
-    phi = math.sqrt(1.0 / (math.pi * n**3))
-    norm = (
-        2.0 ** (2 * l + 3)
-        * math.pi
-        * float(factorial(l))
-        * math.sqrt(4 * math.pi * n * float(factorial(n - l - 1)) / float(factorial(n + l)))
-    )
-    return MomentumRadialWF(state, gegenbauer(n - l - 1, l + 1), phi * norm)

@@ -16,7 +16,8 @@ with pi phibar^2 -> (m_r Zalpha)^3/n^3 as eps -> 0.  For l > 0 every term is
 finite at eps = 0 and its radial integral is the closed form of a 3D catalog
 row (`_RADIAL`), so the exact finite Value costs O(1) in n.  Both take their
 units from the terms.  The float layer reads the l = 0 lists a third time, at
-finite eps on a shot wave function (`shoot._brace_numeric`).
+finite eps on a shot wave function (`shoot._brace_numeric`).  The l = 0 tail
+is `lagint.tail_cross_moment`, so this module builds no Laguerre table.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .exactnum import (
     harmonic,
     lam,
     _eps_value,
+    _finite,
     _set,
 )
 from . import lagint
@@ -58,7 +60,6 @@ from .coulomb import (
     QuantumState,
     Value,
 )
-from .laguerre import convolve_into, drho, laguerre_table
 
 HALF = Q(1, 2)
 
@@ -319,15 +320,8 @@ def _head_tail_primitive(n: int, sigma: int, c: int, a: int, b: int, beta_pow: i
         int_total = int_total + s_k.mul(nbar_pow, order_cap=0)
 
     # --- tail cross terms at eps = 0: head x tail + tail x (head + tail).  The series is
-    #     L_{n-1}^1/n: the integer table of L_{n-1}^1 (`laguerre_table`, which the catalog
-    #     oracle reads too), with each factor's 1/n in the denominator ---
-    den, pairs = laguerre_table(n - 1, 1)
-    head0 = (den, tuple((j, v) for j, v in pairs if j < p))
-    tail0 = (den, tuple((j, v) for j, v in pairs if j >= p))
-    combined: Dict[int, int] = {}
-    for left, right in ((drho(head0, a), drho(tail0, b)), (drho(tail0, a), drho((den, pairs), b))):
-        convolve_into(combined, left[1], right[1], sig_rho)
-    tail = Q(lagint.mono_moments(combined.items(), 0)[ONE], left[0] * right[0] * n * n)
+    #     L_{n-1}^1/n, so the subtracted-Laguerre cross moment carries 1/n^2 ---
+    tail = lagint.tail_cross_moment(n - 1, 1, p, a, b, sig_rho) / (n * n)
     int_total = int_total + EpsSeries.constant(tail, 0)
 
     # --- prefactor: 4 (2/n)^A times factors that are each 1 + x eps through eps^1, so their x add:
@@ -583,3 +577,17 @@ def identity_residuals(n: int, l: int) -> List[Tuple[str, object]]:
     # l > 0: everything is finite and the identities close at eps = 0
     out.insert(4, ("V'.dr == 0 (l>0)", _evaluate(_VP_DR, st)))
     return [(name, v.sym) for name, v in out]
+
+
+def cx1_energy_shift(state: QuantumState, c1, c2, m1, m2):
+    """(coef, shift): the energy shift -4 m_r (c1/m1^4 + c2/m2^4) <(V')^2> of the
+    CX1 vertex, a brace at l = 0 and an exact Value at l > 0, and its rational
+    prefactor coef; masses in common units, m_r = m1 m2/(m1+m2)."""
+    c1, c2, m1, m2 = (_finite(x, name) for x, name in ((c1, "c1"), (c2, "c2"), (m1, "m1"), (m2, "m2")))
+    if m1 <= 0 or m2 <= 0:
+        raise DomainError("masses must be positive")
+    mr = m1 * m2 / (m1 + m2)
+    coef = -4 * (c1 * (mr / m1) ** 4 + c2 * (mr / m2) ** 4)
+    vp2 = divergent_expectation("(V')2", state.n, state.l)
+    # -4 m_r (c1/m1^4 + c2/m2^4) = coef / m_r^3 with coef dimensionless
+    return coef, vp2.scale(coef).shift_dims(mr=-3)

@@ -13,7 +13,8 @@ one part of the package that needs numpy, so the exact modules do not import
 it: `dimreg`, `brackets` and the package resolve its names on first use.
 
 The same tanh-sinh rule, in theta with p = gamma_n tan(theta/2), gives the
-momentum-space quadratures: the <ln q> oracle `bracket_lnq_oracle` and the
+quadratures of the momentum-space wave function (`momentum_radial`, a float
+Gegenbauer series): the <ln q> oracle `bracket_lnq_oracle` and the
 normalization check `momentum_norm_numeric`.
 """
 
@@ -25,8 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .exactnum import DomainError, EULER_GAMMA, Record, _eps_value, lam
-from .coulomb import MomentumRadialWF, QuantumState, momentum_radial
+from .exactnum import DomainError, EULER_GAMMA, Record, _eps_value, factorial, lam
+from .coulomb import QuantumState
 from .dimreg import (
     CoeffTable,
     _TERMS,
@@ -35,6 +36,7 @@ from .dimreg import (
     nbar_expansion,
     series_coefficients,
 )
+from .lagint import Poly, gegenbauer
 
 
 class ShootingError(RuntimeError):
@@ -404,8 +406,49 @@ def vp2_brace_numeric(eig: DimRegEigen) -> float:
 
 
 # ---------------------------------------------------------------------------
-# momentum-space quadratures
+# the momentum-space wave function and its quadratures
 # ---------------------------------------------------------------------------
+
+
+class MomentumRadialWF(Record):
+    """R_{nl}(p) = phi_n N_{nl} p^l gamma_n^{l+1} / D_n^{l+2} C_{n-l-1}^{l+1}(Dbar_n/D_n).
+
+    D_n = p^2 + gamma_n^2, Dbar_n = p^2 - gamma_n^2; units m_r Zalpha = 1 so
+    gamma_n = 1/n and the normalization is int p^2 R^2 dp/(2 pi)^3 = 1.
+    Evaluated in t = p/gamma_n, where it is n^3 t^l/(1+t^2)^{l+2} C(1 - 2/(1+t^2)),
+    so that large p underflows to 0 instead of overflowing.
+    """
+
+    __slots__ = ("state", "norm", "coeffs")
+
+    def __init__(self, state: QuantumState, gegenbauer: Poly, norm: float):
+        # gegenbauer is C_{n-l-1}^{l+1}, norm is phi_n * N_{nl}, and coeffs holds
+        # its coefficients as floats, highest degree first
+        self._fill(state, norm, tuple(float(c) for c in reversed(gegenbauer.coeffs)))
+
+    def __call__(self, p: float) -> float:
+        n, l = self.state.n, self.state.l
+        t = p * n
+        u = 1.0 + t * t
+        beta = 1.0 - 2.0 / u
+        acc = 0.0
+        for c in self.coeffs:
+            acc = acc * beta + c
+        return self.norm * n**3 * (t / u) ** l / (u * u) * acc
+
+
+def momentum_radial(state: QuantumState) -> MomentumRadialWF:
+    """Momentum-space radial wave function, callable at numeric p."""
+    n, l = state.n, state.l
+    phi = math.sqrt(1.0 / (math.pi * n**3))
+    norm = (
+        2.0 ** (2 * l + 3)
+        * math.pi
+        * float(factorial(l))
+        * math.sqrt(4 * math.pi * n * float(factorial(n - l - 1)) / float(factorial(n + l)))
+    )
+    return MomentumRadialWF(state, gegenbauer(n - l - 1, l + 1), phi * norm)
+
 
 # p = gamma_n tan(theta/2) maps [0, inf) onto [0, pi] and turns the momentum
 # integrands into bounded functions of theta, which a coarse rule resolves

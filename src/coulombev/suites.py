@@ -28,7 +28,7 @@ from .exactnum import (
     h0,
     harmonic,
 )
-from .laguerre import Poly, assoc_laguerre, gegenbauer
+from .lagint import Poly, assoc_laguerre, gegenbauer
 from . import lagint
 from . import coulomb as cb
 from . import dimreg
@@ -302,7 +302,7 @@ def suite_coulomb() -> SuiteResult:
         r.check(cb.expectation_closed("p4", st).sym.rational == rhs, "p4 reduction (%d,%d)" % (st.n, st.l))
     for st in [s for s in states if s.n <= 8]:
         for s_pow in (1, 2, 3):
-            lhs = cb.bilinear_sum(st, [(1, cb.R, cb.DR, s_pow)]).rational
+            lhs = lagint.bilinear_sum(st, [(1, cb.R, cb.DR, s_pow)]).rational
             r.check(lhs == -Q(s_pow + 2, 2) * cb.power_moment(st, s_pow - 1), "r^s dr (%d,%d,%d)" % (st.n, st.l, s_pow))
     from . import shoot
 
@@ -380,7 +380,7 @@ def suite_dimreg_symbolic() -> SuiteResult:
             for tag in dimreg.divergent_tags():
                 v = dimreg.divergent_expectation(tag, n, l).sym
                 pieces = [(t.coef[0] * e**t.k * L**t.ang, D[t.a], D[t.b], t.sigma) for t in dimreg._TERMS[tag]]
-                r.check(v == cb.bilinear_sum(st, pieces), "%s (%d,%d)" % (tag, n, l))
+                r.check(v == lagint.bilinear_sum(st, pieces), "%s (%d,%d)" % (tag, n, l))
                 if tag in dimreg._TWINS:
                     sign, twin = dimreg._TWINS[tag]
                     r.check(v == sign * cb.expectation_closed(twin, st).sym, "twin %s (%d,%d)" % (tag, n, l))

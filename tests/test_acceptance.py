@@ -113,13 +113,13 @@ def test_criterion_9_cx1_demo():
     t0 = time.time()
     c1 = c2 = Q(5, 128)
     # l > 0 branch at (2,1), equal masses m1 = m2 = 2 m_r
-    coef, val = cb.cx1_energy_shift(cb.QuantumState(2, 1), c1, c2, 2, 2)
+    coef, val = dr.cx1_energy_shift(cb.QuantumState(2, 1), c1, c2, 2, 2)
     assert coef == -4 * (c1 * Q(1, 16) + c2 * Q(1, 16))
     vp2 = dr.divergent_expectation("(V')2", 2, 1)
     assert val.sym == vp2.sym * coef
     assert (val.mr_pow, val.za_pow) == (vp2.mr_pow - 3, vp2.za_pow)
     # l = 0 branch: Laurent series proportional to the (V')^2 brace
-    coef0, val0 = cb.cx1_energy_shift(cb.QuantumState(1, 0), c1, c2, 2, 2)
+    coef0, val0 = dr.cx1_energy_shift(cb.QuantumState(1, 0), c1, c2, 2, 2)
     brace = dr.divergent_expectation("(V')2", 1, 0)
     assert val0.series == brace.series * coef0
     assert val0.pole() == S(coef0 * -2)

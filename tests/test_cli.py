@@ -396,7 +396,7 @@ machinery = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("coulombev.") or m == "numpy"), machinery]))
 """
 # what every exact command loads: the CLI and the 3D catalog with the layers under it
-EXACT_CORE = ["cli", "coulomb", "exactnum", "lagint", "laguerre"]
+EXACT_CORE = ["cli", "coulomb", "exactnum", "lagint"]
 
 
 @pytest.mark.parametrize(

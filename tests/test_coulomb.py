@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coulombev import coulomb as cb
-from coulombev import lagint
+from coulombev import dimreg, lagint, shoot
 from coulombev.exactnum import DivergenceError, DomainError, SymExpr, lam
 
 STATES = [cb.QuantumState(n, l) for n in range(1, 11) for l in range(n)]
@@ -33,10 +33,10 @@ def test_state_refuses_non_integer_quantum_numbers(n, l):
 
 def test_wavefunction_spec_examples():
     # R_nl / sqrt(norm2) as the integer table (den, ((power of rho, c), ...)) of rho^l L_{n-l-1}^{2l+1}
-    assert cb._radial_chain(1, 0, 0) == (1, ((0, 1),))
-    assert cb._norm2(1, 0) == Q(4)
-    assert cb._radial_chain(2, 0, 0) == (1, ((0, 2), (1, -1)))
-    assert cb._radial_chain(3, 1, 0) == (1, ((1, 4), (2, -1)))
+    assert lagint._radial_chain(1, 0, 0) == (1, ((0, 1),))
+    assert lagint._norm2(1, 0) == Q(4)
+    assert lagint._radial_chain(2, 0, 0) == (1, ((0, 2), (1, -1)))
+    assert lagint._radial_chain(3, 1, 0) == (1, ((1, 4), (2, -1)))
 
 
 def test_normalization_exact(suite):
@@ -91,9 +91,9 @@ def test_bilinear_sum_refuses_log_power(logpow, monkeypatch):
     def convolve_into(*args):
         raise AssertionError("convolved before the log power was checked")
 
-    monkeypatch.setattr(cb, "convolve_into", convolve_into)
+    monkeypatch.setattr(lagint, "convolve_into", convolve_into)
     with pytest.raises(DomainError):
-        cb.bilinear_sum(cb.QuantumState(2, 1), ((1, cb.R, cb.R, 0),), logpow=logpow)
+        lagint.bilinear_sum(cb.QuantumState(2, 1), ((1, cb.R, cb.R, 0),), logpow=logpow)
 
 
 # the integer path of the oracle: random states, operands, Fraction coefficients and r^sigma
@@ -119,22 +119,22 @@ def _units(fn, state, pieces, message):
 def test_bilinear_sum_is_linear_in_each_coefficient(state, pieces, logpow):
     if logpow not in (0, 1, 2):
         with pytest.raises(DomainError, match=r"^log power must be 0, 1 or 2, got %d$" % logpow):
-            cb.bilinear_sum(state, pieces, logpow)
+            lagint.bilinear_sum(state, pieces, logpow)
         return
     units = _units(
-        lambda s, p: cb.bilinear_sum(s, p, logpow), state, pieces,
+        lambda s, p: lagint.bilinear_sum(s, p, logpow), state, pieces,
         r"moment diverges: surviving x\^-\d+ monomial at the origin",
     )
     want = sum((c * u for (c, _, _, _), u in zip(pieces, units)), SymExpr())
-    assert cb.bilinear_sum(state, pieces, logpow) == want
+    assert lagint.bilinear_sum(state, pieces, logpow) == want
 
 
 @given(STATE, PIECES)
 @settings(max_examples=150, deadline=None)
 def test_contact_is_linear_in_each_coefficient(state, pieces):
-    units = _units(cb.contact, state, pieces, r"contact value divergent \(r\^-\d+\)")
+    units = _units(lagint.contact, state, pieces, r"contact value divergent \(r\^-\d+\)")
     want = sum((c * u for (c, _, _, _), u in zip(pieces, units)), SymExpr())
-    assert cb.contact(state, pieces) == want
+    assert lagint.contact(state, pieces) == want
 
 
 def test_reference_values():
@@ -185,7 +185,18 @@ def test_power_moment_against_laguerre_moment():
             L = (n - l - 1, 2 * l + 1)
             for s in range(-2 * l - 2, 6):
                 moment = lagint.brute_force_moment(lagint.MomentSpec(Q(2 * l + 2 + s), 0, L + (0,), L)).rational
-                assert cb.power_moment(st, s) == cb._norm2(n, l) * Q(n, 2) ** (3 + s) * moment, (n, l, s)
+                assert cb.power_moment(st, s) == lagint._norm2(n, l) * Q(n, 2) ** (3 + s) * moment, (n, l, s)
+
+
+def test_power_moment_reads_an_integral_power_as_its_integer():
+    # as for lagint.integral_I; a float s once reached `1 << sigma` and raised a bare TypeError
+    st = cb.QuantumState(2, 1)
+    for s in (2.0, Q(2), Q(4, 2)):
+        assert cb.power_moment(st, s) == cb.power_moment(st, 2) == 30, s
+        assert type(cb.recursion_residual(s, st)) is Q and not cb.recursion_residual(s, st), s
+    for s in (1.5, Q(1, 2), float("nan"), float("inf"), "2"):
+        with pytest.raises(DomainError, match="power s must be an integer"):
+            cb.power_moment(st, s)
 
 
 def test_recursion_and_feynman_hellmann(suite):
@@ -209,17 +220,17 @@ def test_momentum_normalization(suite):
 
 def test_cx1_l_positive_branch():
     # (2,1) with c1 = c2 = 5/128 and equal masses m1 = m2 = 2 m_r
-    coef, val = cb.cx1_energy_shift(cb.QuantumState(2, 1), Q(5, 128), Q(5, 128), 2, 2)
+    coef, val = dimreg.cx1_energy_shift(cb.QuantumState(2, 1), Q(5, 128), Q(5, 128), 2, 2)
     assert coef == Q(-5, 256)
     assert val.sym.rational == Q(-5, 256) * Q(1, 24)
     assert (val.mr_pow, val.za_pow) == (1, 6)
 
 
 def test_cx1_l0_branch_pole():
-    coef, val = cb.cx1_energy_shift(cb.QuantumState(1, 0), Q(5, 128), Q(5, 128), 2, 2)
+    coef, val = dimreg.cx1_energy_shift(cb.QuantumState(1, 0), Q(5, 128), Q(5, 128), 2, 2)
     # pole: coef * (-2/eps) relative to pi phibar^2 mubar^2eps prefactor
     assert val.pole() == SymExpr.scalar(coef * -2)
-    assert cb.cx1_energy_shift(cb.QuantumState(1, 0), 0, 0, 2, 2)[1].series.is_zero()
+    assert dimreg.cx1_energy_shift(cb.QuantumState(1, 0), 0, 0, 2, 2)[1].series.is_zero()
 
 
 def test_value_unit_arithmetic():
@@ -231,8 +242,8 @@ def test_value_unit_arithmetic():
 
 
 def test_momentum_wavefunction_structure():
-    R = cb.momentum_radial(cb.QuantumState(3, 1))
-    assert isinstance(R, cb.MomentumRadialWF)
+    R = shoot.momentum_radial(cb.QuantumState(3, 1))
+    assert isinstance(R, shoot.MomentumRadialWF)
     assert R.state == cb.QuantumState(3, 1)
     assert R.coeffs == (4.0, 0.0)  # C_{n-l-1}^{l+1} = C_1^2(beta) = 4 beta, highest degree first
     assert abs(R(0.4) / 22.00905236788859 - 1) <= 1e-14

@@ -16,8 +16,8 @@ import coulombev
 from coulombev import brackets as br
 from coulombev import coulomb as cb
 from coulombev import dimreg as dr
-from coulombev import shoot, suites
-from coulombev.laguerre import assoc_laguerre
+from coulombev import lagint, shoot, suites
+from coulombev.lagint import assoc_laguerre
 from coulombev.exactnum import (
     DomainError,
     GAMMA_E,
@@ -392,8 +392,7 @@ class TestLPositiveBranch:
 
     def test_no_convolution(self, monkeypatch):
         # every l > 0 value reads catalog closed forms: no term lacks a row, or needs l >= 2
-        monkeypatch.setattr(cb, "convolve_into", None)
-        monkeypatch.setattr(dr, "convolve_into", None)
+        monkeypatch.setattr(lagint, "convolve_into", None)
         for tag in dr.divergent_tags():
             assert isinstance(dr.divergent_expectation(tag, 1000, 1), cb.Value), tag
         assert all(not res for _, res in dr.identity_residuals(1000, 1))
@@ -498,6 +497,21 @@ def test_exact_divergent_outputs_pinned():
             count += 1
     assert count == 1320
     assert h.hexdigest() == "922d82abf25118574e75e76a72b4a91858c2389469e545bc1267286817eb08a6"
+
+
+def test_exact_divergent_outputs_pinned_high_n():
+    # the l = 0 tail past n = 10: every divergent tag and the identity residuals at
+    # n = 20, 40, 80, as in test_exact_divergent_outputs_pinned
+    h = hashlib.sha256()
+    count = 0
+    for n in (20, 40, 80):
+        for tag in dr.divergent_tags():
+            h.update(("%s/%d/0\t%r\n" % (tag, n, dr.divergent_expectation(tag, n, 0))).encode())
+            count += 1
+        h.update(("identity/%d/0\t%r\n" % (n, dr.identity_residuals(n, 0))).encode())
+        count += 1
+    assert count == 72
+    assert h.hexdigest() == "39738f84c37fa9cfd50e2b23ef23bd618c1b9077b0c01310d4ffba8bd56f47f8"
 
 
 def test_bracket_outputs_pinned():

@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coulombev import brackets as br, coulomb as cb, exactnum as en
+from coulombev import brackets as br, coulomb as cb, dimreg as dr, exactnum as en
 from coulombev import lagint as li
-from coulombev.laguerre import Poly, assoc_laguerre, gegenbauer
+from coulombev.lagint import Poly, assoc_laguerre, gegenbauer
 
 
 class TestHarmonic:
@@ -171,7 +171,7 @@ class TestSymExpr:
         (lambda: br.fourier_kernel(5, 0, eps=True).prefactor_float(0.0), "pole at eps"),
         (lambda: gegenbauer(2, float("inf")), "Gegenbauer order lambda"),
         (lambda: assoc_laguerre(2, float("nan")), "Laguerre order k"),
-        (lambda: cb.cx1_energy_shift(cb.QuantumState(2, 1), 1, 1, float("inf"), 1), "m1"),
+        (lambda: dr.cx1_energy_shift(cb.QuantumState(2, 1), 1, 1, float("inf"), 1), "m1"),
     ],
     ids="kernel-nan kernel-inf eps-nan eps-range eps-pole gegenbauer-inf laguerre-nan cx1-inf".split(),
 )

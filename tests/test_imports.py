@@ -112,12 +112,12 @@ def test_guard_sees_private_import():
 
 
 def test_dimreg_imports_no_private_coulomb_name():
-    # the l = 0 tail reads the Laguerre tables from `laguerre`, not the oracle's internals
+    # the l = 0 tail calls `lagint.tail_cross_moment`, not the oracle's internals
     source = (Path(coulombev.__file__).resolve().parent / "dimreg.py").read_text()
     assert private_imports(source, "coulomb") == []
 
 
-# the integer Laguerre tables and their two helpers: one definition, in `laguerre`
+# the integer Laguerre tables and their two helpers: defined and used in `lagint` only
 TABLE_FUNCTIONS = {"drho", "convolve_into", "laguerre_table"}
 
 
@@ -127,6 +127,30 @@ def defined_functions(source):
     return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, functions)}
 
 
-def test_table_functions_defined_only_in_laguerre():
+def referred_names(source):
+    """Names the source reads as a name or an attribute, or imports; a word in a string does not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_guard_sees_table_reference():
+    source = 'from .lagint import drho as d\nfrom . import lagint\n\ndef f(t):\n    "laguerre_table"\n'
+    source += "    return d(t), lagint.convolve_into\n"
+    assert referred_names(source) & TABLE_FUNCTIONS == {"drho", "convolve_into"}
+
+
+def test_table_functions_defined_only_in_lagint():
     homes = {name: [p.stem for p in MODULES if name in defined_functions(p.read_text())] for name in TABLE_FUNCTIONS}
-    assert homes == {name: ["laguerre"] for name in TABLE_FUNCTIONS}
+    assert homes == {name: ["lagint"] for name in TABLE_FUNCTIONS}
+
+
+def test_table_functions_referred_to_only_in_lagint():
+    users = {name: [p.stem for p in MODULES if name in referred_names(p.read_text())] for name in TABLE_FUNCTIONS}
+    assert users == {name: ["lagint"] for name in TABLE_FUNCTIONS}

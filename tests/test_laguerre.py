@@ -5,7 +5,7 @@ import pytest
 
 from coulombev import lagint
 from coulombev.exactnum import DomainError, factorial
-from coulombev.laguerre import Poly, assoc_laguerre, gegenbauer, laguerre_table, subtract_laguerre
+from coulombev.lagint import Poly, assoc_laguerre, gegenbauer, laguerre_table, subtract_laguerre
 
 
 def test_reference_values():
@@ -37,6 +37,13 @@ def test_subtraction():
     assert subtract_laguerre(1, 1, 1) == Poly([0, -1])
     assert subtract_laguerre(4, 2, 0) == assoc_laguerre(4, 2)
     assert subtract_laguerre(1, 1, 2).is_zero()
+
+
+@pytest.mark.parametrize("p", [1.5, 1.0, Q(1, 2), float("nan"), -1, "1"])
+def test_subtraction_depth_must_be_a_non_negative_integer(p):
+    # a float depth once reached `[0] * p` and raised a bare TypeError
+    with pytest.raises(DomainError, match="subtraction depth p must be a non-negative integer"):
+        subtract_laguerre(3, 1, p)
 
 
 @pytest.mark.parametrize("n", range(0, 16))

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coulombev import brackets as br, coulomb as cb, dimreg as dr, lagint, laguerre, shoot, suites
+from coulombev import brackets as br, coulomb as cb, dimreg as dr, lagint, shoot, suites
 from coulombev.exactnum import EpsSeries, SymExpr
 
 # name: (build one instance, its fields in order, its repr, the TypeError of hash() or None)
@@ -32,7 +32,7 @@ RECORDS = {
         None,
     ),
     "MomentumRadialWF": (
-        lambda: cb.MomentumRadialWF(cb.QuantumState(2, 0), laguerre.gegenbauer(1, 1), 2.0),
+        lambda: shoot.MomentumRadialWF(cb.QuantumState(2, 0), lagint.gegenbauer(1, 1), 2.0),
         ("state", "norm", "coeffs"),
         "MomentumRadialWF(state=QuantumState(n=2, l=0), norm=2.0, coeffs=(2.0, 0.0))",
         None,
