@@ -303,10 +303,29 @@ def cmd_tags(args) -> int:
     return 0
 
 
+def _join_negative_values(argv):
+    """argv with each option joined to a following number that starts with a
+    minus sign, as --eps=-1e-3: argparse takes only plain decimals such as
+    -0.001 for negative numbers, and reads -1e-3 or -inf as an option."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and prev not in ("--", "--help") and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = prev + "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

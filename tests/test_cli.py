@@ -178,7 +178,7 @@ def test_dimreg_nan_eps(capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("mu", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("mu", ["0", "-1", "nan", "inf", "-inf"])
 def test_dimreg_bad_mu(capsys, mu):
     code = cli.main(["dimreg", "--n", "1", "--eps", "0.01", "--mu", mu])
     captured = capsys.readouterr()
@@ -217,6 +217,13 @@ def test_dimreg_pretty(capsys):
     values = [float(line.split("=")[1].split()[0]) for line in lines]
     assert abs(values[0] - 1) < 0.01 and abs(values[2] + 0.5) < 0.01
     assert abs(values[2] - values[3] - values[4]) < 1e-9 and lines[4].endswith("(O(eps^2))")
+
+
+def test_dimreg_negative_eps_in_exponent_notation(capsys):
+    # argparse alone reads -1e-3 as an option, not as the value of --eps
+    code, out = run(capsys, "dimreg", "--n", "1", "--eps", "-1e-3")
+    assert code == 0
+    assert out == run(capsys, "dimreg", "--n", "1", "--eps", "-0.001")[1]
 
 
 def test_dimreg_shooting_failure(capsys, monkeypatch):
@@ -259,7 +266,9 @@ def test_eval_unit_flags_finite_divergent_tag(capsys):
     assert "numeric" in out
 
 
-@pytest.mark.parametrize("flag", [("--mr", "-1"), ("--kappa", "-2"), ("--mr", "0"), ("--mr", "nan")])
+@pytest.mark.parametrize(
+    "flag", [("--mr", "-1"), ("--kappa", "-2"), ("--mr", "0"), ("--mr", "nan"), ("--mr", "-1e-3")]
+)
 def test_eval_bad_phys_scale(capsys, flag):
     code = cli.main(["eval", "--n", "1", "--op", "1/r", "--format", "json", *flag])
     captured = capsys.readouterr()

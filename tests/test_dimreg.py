@@ -106,6 +106,21 @@ class TestShooting:
         with pytest.raises(DomainError, match="n <= 12"):
             dr.eigenvalue_shoot(cb.QuantumState(13, 0), 0.01)
 
+    def test_truncation_past_n_max(self, monkeypatch):
+        # the Taylor truncation does not limit n: with _N_MAX lifted to 20,
+        # each of the 132 states 13 <= n <= 20 shoots at eps = 0, where the
+        # start nbar = n is exact, back to n
+        monkeypatch.setattr(shoot, "_N_MAX", 20)
+        off = {}
+        for n in range(13, 21):
+            for l in range(n):
+                try:
+                    off[n, l] = abs(dr.eigenvalue_shoot(cb.QuantumState(n, l), 0.0).nbar - n)
+                except dr.ShootingError as exc:
+                    off[n, l] = exc.reason
+        assert len(off) == 132
+        assert {s: e for s, e in off.items() if not (isinstance(e, float) and e <= 1e-13)} == {}
+
     @pytest.mark.parametrize("n,l", [(14, 6), (14, 7)])
     def test_count_nodes_high_l(self, n, l):
         # the exact eps = 0 solution L = L_{n-l-1}^{2l+1}(rho)/L(0): the lobes
