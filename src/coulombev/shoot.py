@@ -2,9 +2,11 @@
 
 The eigenvalue nbar is shot from the generalized power series of the radial
 equation (`dimreg.series_coefficients`, summed by `eval_series`), continued to
-rho_max by Taylor steps on a fixed grid, with Newton's method, from the O(eps)
-expansion, on the mismatch with the decaying solution there; the dense output
-is Newton's last solve, corrected by its d/dnbar channel, with no solve of its
+rho_max by Taylor steps on a fixed grid, with Newton's method on the mismatch
+with the decaying solution there.  Newton starts at the Laguerre-Galerkin
+eigenvalue of the branch (`galerkin_nbar`): one small symmetric eigenproblem
+gives nbar of every branch at (l, eps) at once, in order.  The dense output is
+Newton's last solve, corrected by its d/dnbar channel, with no solve of its
 own.  The shot wave function then gives phibar^2 and the numeric braces by one
 fixed tanh-sinh rule, evaluated on arrays of nodes; the braces read the term
 lists of `dimreg._TERMS`, so each divergent operator is still described once.
@@ -33,7 +35,6 @@ from .dimreg import (
     _TERMS,
     contact_expansion,
     energy_expansion,
-    nbar_expansion,
     series_coefficients,
 )
 from .lagint import Poly, gegenbauer
@@ -255,27 +256,60 @@ def _numeric_eps(eps, mu) -> float:
     return eps
 
 
-# every l < n shoots to its branch at eps = 0, +-0.02 and +-0.05 up to here; the
-# Taylor truncation holds to n = 20, so what limits n is Newton's O(eps) start,
-# which past n = 12 can land on a neighbouring branch
-_N_MAX = 12
+def galerkin_nbar(l: int, eps: float, size: int) -> np.ndarray:
+    """nbar of the branches n_r = 0 .. size - 1 at (l, eps), ascending, from the
+    Laguerre-Galerkin pencil on the first `size` functions L_k^alpha.
+
+    With c = l + 1 - eps and alpha = 2c - 1, rho L'' + (2c - rho) L' - c L is
+    -(k + c) L at L = L_k^alpha, so in the orthonormal basis the radial
+    equation is the pencil diag(k + c) x = nbar G x with
+    G_jk = int rho^{alpha + 2 eps} e^{-rho} Lhat_j Lhat_k, and alpha + 2 eps = 2l + 1.
+    The connection L_k^alpha = sum_m T_km L_m^{2l+1}, T_km = (-2 eps)_{k-m}/(k-m)!,
+    gives G = W W^T, W = diag(h^alpha)^{-1/2} T diag(h^{2l+1})^{1/2}, where
+    h_m^a = Gamma(m + a + 1)/m! are the Laguerre norms.  T is lower triangular,
+    so the leading block of G is exact, and its inverse is (2 eps)_{k-m}/(k-m)!,
+    so nbar are the eigenvalues of W^{-1} diag(k + c) W^{-T}, with no quadrature.
+    At eps = 0, W = I and nbar = k + l + 1 exactly."""
+    c = l + 1 - eps
+    k = np.arange(size)
+    pochhammer = [1.0]
+    for j in range(1, size):
+        pochhammer.append(pochhammer[-1] * (2.0 * eps + j - 1) / j)
+    ln_h = np.array([math.lgamma(m + 2 * c) - math.lgamma(m + 1) for m in range(size)])
+    ln_h_3d = np.array([math.lgamma(m + 2 * l + 2) - math.lgamma(m + 1) for m in range(size)])
+    w_inv = np.tril(np.array(pochhammer)[k[:, None] - k]) * np.exp(0.5 * (ln_h - ln_h_3d[:, None]))
+    return np.linalg.eigvalsh((w_inv * (k + c)) @ w_inv.T)
+
+
+# Newton's start: at l = 0, where the basis converges slowest (as size^-3),
+# 32 functions start (1, 0, 0.02) 1e-8 off nbar; the size exceeds every
+# branch index n_r < _N_MAX
+_GALERKIN_SIZE = 32
+
+# every l < n shoots to its branch at eps = 0, +-0.02 and +-0.05 up to here,
+# and the Taylor truncation holds at every l < n <= 20
+_N_MAX = 20
 
 
 def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimRegEigen:
     """Find nbar by Newton's method on the mismatch f = L' - g L at rho_max with
     the decaying solution, whose log-derivative is g = (nbar rho_max^{2 eps} - l
-    - 1 + eps)/rho_max, started at the O(eps) expansion; the node count of the
-    result then checks that Newton found the branch of (n, l).
+    - 1 + eps)/rho_max, started at the Laguerre-Galerkin nbar of the branch
+    n_r = n - l - 1 (`galerkin_nbar`); the node count of the result then
+    checks that Newton found the branch of (n, l).
 
     Each solve also carries M = dL/dnbar, so f' = M' - g M - rho_max^{2 eps - 1} L
     comes with f.  Newton stops once its step is below _RTOL nbar, and the
-    dense output is the last solve's L minus that step times its M."""
+    dense output is the last solve's L minus that step times its M.  At
+    eps = 0 the start nbar = n is exact, and the shoot is one solve."""
     eps = _numeric_eps(eps, mu)
     if abs(eps) > 0.05:
         raise DomainError("eps = %r outside the validated shooting range |eps| <= 0.05" % eps)
     n, l = state.n, state.l
     if n > _N_MAX:
         raise DomainError("n = %d outside the validated shooting range n <= %d" % (n, _N_MAX))
+    if state.nr >= _GALERKIN_SIZE:
+        raise DomainError("branch n_r = %d outside the Galerkin basis of %d functions" % (state.nr, _GALERKIN_SIZE))
     rho0, rhomax = 1e-3, 20.0 + 10.0 * n
     table = series_coefficients(l, eps, 12)
     iterates = []
@@ -291,7 +325,7 @@ def eigenvalue_shoot(state: QuantumState, eps: float, mu: float = 1.0) -> DimReg
         return ShootingError(reason, state, eps, mu, iterates, nodes, state.nr)
 
     try:
-        x, step = float(nbar_expansion(state).numeric(eps)), math.inf
+        x, step = float(galerkin_nbar(l, eps, _GALERKIN_SIZE)[state.nr]), math.inf
         while abs(step) > _RTOL * x and len(iterates) < 30:
             step, dense = solve(x)
             x -= step

@@ -30,7 +30,7 @@ TABLE = {
     "lagint": ((2,), 30, 1),  # I/J/K/L/M tables and the randomized brute-force sweeps
     "dimreg-symbolic": ((3, 6), None, 1),  # Laurent tables, l > 0 closed forms, identity network
     "dimreg-pole": ((4,), 120, 26),  # fitted 1/eps coefficients within 1%, 13 tags x n = 1, 2
-    "dimreg-numeric": ((5,), 60, 1),  # shooting: nbar(0) = n and the O(eps^2) energy order
+    "dimreg-numeric": ((5,), 60, 1),  # shooting: nbar(0) = n, the O(eps^2) energy order, Galerkin nbar
     "brackets": ((7,), 30, 1),  # momentum brackets and <ln q> against quadrature to 1e-12, n <= 10
     "exactnum": ((8,), 10, 8001),  # diharmonic recursions, reflections and closed forms
     "laguerre": ((), None, 1),  # Laguerre and Gegenbauer identities

@@ -238,11 +238,11 @@ def test_dimreg_shooting_failure(capsys, monkeypatch):
 
 
 def test_dimreg_n_outside_validated_range(capsys):
-    code = cli.main(["dimreg", "--n", "13", "--eps", "0.01"])
+    code = cli.main(["dimreg", "--n", "21", "--eps", "0.01"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: n = 13 outside the validated shooting range n <= 12"]
+    assert captured.err.splitlines() == ["error: n = 21 outside the validated shooting range n <= 20"]
 
 
 @pytest.mark.parametrize(

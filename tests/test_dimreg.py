@@ -58,12 +58,20 @@ class TestSeriesCoefficients:
 
 class TestShooting:
     def test_eps_zero_reproduces_integers(self, suite):
-        labels = ["nbar(0)=n (%d,%d)" % (n, l) for n in range(1, 13) for l in range(n)]
-        assert len(labels) == 78
+        labels = ["nbar(0)=n (%d,%d)" % (n, l) for n in range(1, 21) for l in range(n)]
+        assert len(labels) == 210
         suite("dimreg-numeric").assert_passed(labels)
 
     def test_l_dependence(self, suite):
         suite("dimreg-numeric").assert_passed(["nbar moves off n at eps = 0.01", "nbar l-dependence"])
+
+    def test_galerkin_against_shoot(self, suite):
+        # every l >= 1 shoot of the suite at eps != 0 has an independent nbar
+        states = [(2, 1, e) for e in (5e-4, 1e-3, 0.005, 0.01, 0.02)]
+        states += [(3, 1, e) for e in (5e-4, 1e-3, 0.005, 0.01, 0.02)] + [(3, 2, e) for e in (0.005, 0.01, 0.02)]
+        labels = ["Galerkin nbar (%d,%d) eps=%r" % s for s in states]
+        assert len(suite("dimreg-numeric").matching(r"Galerkin nbar .*")) == len(labels) == 13
+        suite("dimreg-numeric").assert_passed(labels)
 
     def test_eps_range_guard(self):
         with pytest.raises(DomainError):
@@ -90,7 +98,7 @@ class TestShooting:
     def test_range_edge_branch_selection(self):
         # at eps = 0.05 the (3,2) eigenvalue drops below n - 1/2 while the
         # (4,2) one rises above 4 - 1/2; node counting must accept the branch
-        # that Newton, started at the expansion, converges to
+        # that Newton, started at the Galerkin value, converges to
         eig = dr.eigenvalue_shoot(cb.QuantumState(3, 2), 0.05)
         est = dr.nbar_expansion(cb.QuantumState(3, 2)).numeric(0.05)
         assert abs(eig.nbar - est) < 0.05
@@ -98,19 +106,18 @@ class TestShooting:
         assert eig4.nbar > eig.nbar + 0.5
 
     def test_high_n(self):
-        # n = 12 is the largest n at which every l shoots at |eps| <= 0.05;
-        # the node count sees all 11 nodes, also those where |L| < 1.  The
-        # reference is the series root of test_nbar_pinned, at 130 digits
+        # the node count sees all 11 nodes of (12, 0), also those where
+        # |L| < 1.  The reference is the series root of test_nbar_pinned, at
+        # 130 digits; n = 20 is the largest validated n
         eig = dr.eigenvalue_shoot(cb.QuantumState(12, 0), 0.01)
         assert abs(eig.nbar - 11.392605468840447) < 1e-12
-        with pytest.raises(DomainError, match="n <= 12"):
-            dr.eigenvalue_shoot(cb.QuantumState(13, 0), 0.01)
+        with pytest.raises(DomainError, match="n <= 20"):
+            dr.eigenvalue_shoot(cb.QuantumState(21, 0), 0.01)
 
-    def test_truncation_past_n_max(self, monkeypatch):
-        # the Taylor truncation does not limit n: with _N_MAX lifted to 20,
-        # each of the 132 states 13 <= n <= 20 shoots at eps = 0, where the
-        # start nbar = n is exact, back to n
-        monkeypatch.setattr(shoot, "_N_MAX", 20)
+    def test_truncation_past_n_max(self):
+        # the Taylor truncation holds to n = 20: each of the 132 states
+        # 13 <= n <= 20 shoots at eps = 0, where the start nbar = n is
+        # exact, back to n
         off = {}
         for n in range(13, 21):
             for l in range(n):
@@ -158,12 +165,14 @@ class TestShooting:
             assert type(count) is int and count == loop(vals)
         assert loop(cases[2]) == 3
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_range_edge_every_l(self, n):
-        # eps = +0.05 is where the O(eps) start lies farthest from nbar; the
-        # node count inside the shoot checks that Newton found each branch
+        # eps = +-0.05 is where nbar lies farthest from n; the node count
+        # inside the shoot checks that Newton found each branch, which at
+        # n = 13, 14 and +0.05 takes a start closer than the O(eps) expansion
         for l in range(n):
             assert dr.eigenvalue_shoot(cb.QuantumState(n, l), 0.05).nbar < n
+            assert dr.eigenvalue_shoot(cb.QuantumState(n, l), -0.05).nbar > n
 
     def test_integrate_overflow(self, capfd):
         # nbar^k overflows in the series start; the solver reports it as one
@@ -259,8 +268,9 @@ class TestShooting:
 
         assert error(1e-6) < 1e-11 and error(0.0) > 1e-7 and error(-1e-6) > 1e-7
 
-    @pytest.mark.parametrize("n,l,eps", [(1, 0, 0.0), (3, 2, -0.048), (4, 2, 0.05)])
-    def test_solve_budget(self, monkeypatch, n, l, eps):
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """The nbar of every `_integrate` call made after this one."""
         calls = []
         integrate = shoot._integrate
 
@@ -269,11 +279,46 @@ class TestShooting:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(shoot, "_integrate", counting)
+        return calls
+
+    @pytest.mark.parametrize("n,l,eps", [(1, 0, 0.0), (3, 2, -0.048), (4, 2, 0.05)])
+    def test_solve_budget(self, monkeypatch, n, l, eps):
+        calls = self._count_solves(monkeypatch)
         dr.eigenvalue_shoot(cb.QuantumState(n, l), eps)
         assert calls  # the patch reached the solver
         # the dense output needs no solve of its own, so at eps = 0, where
-        # the start nbar = n is exact, one Newton solve is the whole shoot
-        assert len(calls) == 1 if eps == 0 else len(calls) <= 11
+        # the start nbar = n is exact, one Newton solve is the whole shoot;
+        # elsewhere the Galerkin start is within 6e-11 of nbar, so one Newton
+        # step converges and a second solve confirms it
+        assert len(calls) == {0.0: 1, -0.048: 2, 0.05: 2}[eps]
+
+    @pytest.mark.parametrize("scale,eps", [(0.8, -0.046), (1.2, -0.05)])
+    def test_numeric_oracles_solves(self, monkeypatch, scale, eps):
+        # the shoots of one perfbench numeric-oracles pass, at the ends of its
+        # seeded ranges: nbar(0) at (1, 0), the pole fit at (1, 0) at
+        # eps = (4, 2, 1) x 0.005 x scale and the energy order at (3, 2) at
+        # (eps, eps/2): one solve at eps = 0 and two at each other point
+        calls = self._count_solves(monkeypatch)
+        points = [(1, 0, 0.0)] + [(1, 0, f * 0.005 * scale) for f in (4, 2, 1)] + [(3, 2, eps), (3, 2, eps / 2)]
+        for n, l, e in points:
+            dr.eigenvalue_shoot(cb.QuantumState(n, l), e, mu=0.9)
+        assert len(calls) == 11
+
+    def test_galerkin_exact_at_eps_zero(self):
+        # at eps = 0 the basis is the 3D eigenbasis, W = I, and every nbar is
+        # k + l + 1 to the last bit, so the shoot's start there is exact
+        size = shoot._GALERKIN_SIZE
+        for l in range(shoot._N_MAX):
+            assert shoot.galerkin_nbar(l, 0.0, size).tolist() == [k + l + 1.0 for k in range(size)]
+
+    def test_galerkin_basis_guard(self, monkeypatch):
+        # every validated branch n_r < _N_MAX has its Galerkin start; a branch
+        # beyond the basis is a one-line DomainError, not an IndexError
+        assert shoot._GALERKIN_SIZE > shoot._N_MAX
+        monkeypatch.setattr(shoot, "_GALERKIN_SIZE", 3)
+        with pytest.raises(DomainError) as err:
+            dr.eigenvalue_shoot(cb.QuantumState(4, 0), 0.01)
+        assert str(err.value) == "branch n_r = 3 outside the Galerkin basis of 3 functions"
 
     def test_error_context(self, monkeypatch):
         monkeypatch.setattr(shoot, "_count_nodes", lambda sol, l, rho0, rho_hi: 3)
@@ -283,9 +328,9 @@ class TestShooting:
         exc = info.value
         assert (exc.state, exc.eps, exc.mu) == (st, 0.01, 0.7)
         assert (exc.nodes, exc.nodes_expected) == (3, 0)
-        # Newton starts at the expansion and converges on the 1s root
+        # Newton starts at the Galerkin value and converges on the 1s root
         nbar, mismatch = exc.iterates[-1]
-        assert exc.iterates[0][0] == float(dr.nbar_expansion(st).numeric(0.01))
+        assert exc.iterates[0][0] == shoot.galerkin_nbar(0, 0.01, shoot._GALERKIN_SIZE)[0]
         assert abs(nbar - 0.9815731309597329) < 1e-13 and abs(mismatch) < abs(exc.iterates[0][1])
         msg = str(exc)
         assert "\n" not in msg
